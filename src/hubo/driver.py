@@ -24,7 +24,7 @@ from .acquisition import (
     maximize_over_cubes,
 )
 from .cubes import HdConfig, membership, sample_cubes
-from .gp import Dataset, FitConfig, fit_mle
+from .gp import Dataset, FitConfig, GpFactorizationError, fit_mle
 from .space import ExpansionConfig, SearchBox, expand, initial_box, translate
 
 __all__ = [
@@ -153,7 +153,8 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     """Chronological record of a run; `incomplete` is set when the objective
-    raised and the trace stops early."""
+    failed or the GP fit broke down and the trace stops early, and `error`
+    then names the phase and the step t."""
 
     algorithm: str
     seed: int
@@ -215,7 +216,8 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     Each step refits the GP by MLE, updates the search region per the
     algorithm, maximizes UCB inside it, and observes f plus fresh noise.  If
-    the objective raises, the partial trace is returned with incomplete=True.
+    the objective raises or returns a non-finite value, or the fit raises
+    GpFactorizationError, the partial trace is returned with incomplete=True.
     """
     d = obj.dim
     if cfg.expansion.dim != d:
@@ -234,24 +236,31 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     best_inc = -math.inf
     best_x: np.ndarray | None = None
 
-    def observe(x: np.ndarray) -> tuple[float, float] | None:
+    def fail(phase: str, t: int, message: str) -> RunTrace:
+        trace.incomplete = True
+        trace.error = f"{phase} failed at t={t}: {message}"
+        return trace
+
+    def observe(x: np.ndarray, t: int) -> tuple[float, float] | None:
         """(f, y) at x, or None after recording an evaluation failure."""
         try:
             f = obj.eval(x)
         except Exception as exc:  # objective failure -> partial trace
-            trace.incomplete = True
-            trace.error = f"{type(exc).__name__}: {exc}"
+            fail("evaluate", t, f"{type(exc).__name__}: {exc}")
             return None
         y = f
         if obj.noise_std > 0.0:
             y = f + obj.noise_std * float(rng_noise.standard_normal())
+        if not (math.isfinite(f) and math.isfinite(y)):
+            fail("evaluate", t, f"objective returned f={f!r}, y={y!r}")
+            return None
         return f, y
 
     init_points = rng_init.uniform(box.lower, box.upper, size=(cfg.n_init, d))
     for k in range(cfg.n_init):
         started = time.perf_counter()
         x = init_points[k].copy()
-        obs = observe(x)
+        obs = observe(x, 0)
         if obs is None:
             return trace
         f, y = obs
@@ -273,7 +282,10 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     for t in range(1, cfg.budget_T + 1):
         started = time.perf_counter()
-        model = fit_mle(data, FitConfig(side_length=box.side, family=cfg.kernel_family))
+        try:
+            model = fit_mle(data, FitConfig(side_length=box.side, family=cfg.kernel_family))
+        except GpFactorizationError as exc:
+            return fail("fit", t, f"GpFactorizationError: {exc}")
 
         if cfg.algorithm == "vol2":
             doublings = t // (3 * d)
@@ -305,7 +317,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
                     f"maximizer left the search box at t={t}: {x.tolist()}"
                 )
 
-        obs = observe(x)
+        obs = observe(x, t)
         if obs is None:
             return trace
         f, y = obs

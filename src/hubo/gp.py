@@ -249,11 +249,14 @@ def log_marginal_likelihood(model: GpModel, data: Dataset) -> float:
     K = kernel_matrix(model.kernel, data.points)
     K[np.diag_indices_from(K)] += model.noise_variance
     L, _ = _chol_with_jitter(K, model.kernel.signal_variance)
-    resid = data.targets - model.prior_mean
+    return _lml_from_cholesky(L, data.targets - model.prior_mean)
+
+
+def _lml_from_cholesky(L: np.ndarray, resid: np.ndarray) -> float:
+    """Gaussian LML of resid given the lower Cholesky factor L of its covariance."""
     v = solve_triangular(L, resid, lower=True, check_finite=False)
-    t = len(data)
     return float(
-        -0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * t * math.log(2.0 * math.pi)
+        -0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * len(resid) * math.log(2.0 * math.pi)
     )
 
 
@@ -276,35 +279,27 @@ class FitConfig:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
 
-def _spectral_lml(
-    w: np.ndarray, proj: np.ndarray, sf: float, nv: float, const: float
-) -> float:
-    """LML from the unit-kernel eigendecomposition.
-
-    K + nv*I = Q diag(sf*w + nv) Q^T shares Q across the (sf, nv) grid, so one
-    eigh per lengthscale scores the whole sub-grid in O(t) per point.  Exact
-    reformulation of the Cholesky LML, not an approximation.
-    """
-    lam = sf * w + nv
-    if lam[0] <= 0.0:  # eigh returns ascending eigenvalues
-        return -math.inf
-    return float(-0.5 * np.sum(proj * proj / lam) - 0.5 * np.sum(np.log(lam)) + const)
-
-
 def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     """Maximize the LML over (lengthscale, signal_variance, noise_variance).
 
-    Deterministic: an 8x8x8 log-uniform grid scanned in ascending, lexicographic
-    order (ties keep the first, i.e. smallest, parameters), then coordinate
-    descent with multiplicative probes for at most `refine_sweeps` sweeps.
-    Degenerate targets (zero variance) return a floor-variance model.
+    Deterministic, on standardized targets: an 8x8x8 log-uniform grid scanned
+    in ascending, lexicographic order (ties keep the first, i.e. smallest,
+    parameters), then coordinate descent with multiplicative probes for at
+    most `refine_sweeps` sweeps.  The grid is spectral: K + nv*I =
+    Q diag(sf*w + nv) Q^T, so one `eigh` per grid lengthscale scores its whole
+    (sf, nv) sub-grid.  The descent scores the grid winner and each probe by a
+    Cholesky LML.  Cost: `grid_size` eigh calls plus at most 6*`refine_sweeps`
+    Cholesky probes.  Degenerate targets (zero variance) return a
+    floor-variance model; a variance that overflows raises GpFactorizationError.
     """
     t = len(data)
     if t < 2:
         raise ValueError(f"fit_mle needs at least 2 observations, got {t}")
-    y = data.targets
-    mean = float(np.mean(y))
-    var_y = float(np.var(y))
+    mean = float(np.mean(data.targets))
+    resid = data.targets - mean
+    spread = float(np.max(np.abs(resid)))
+    z_std = float(np.std(resid / spread)) if spread > 0.0 else 0.0
+    var_y = spread * z_std * (spread * z_std)  # inf, not OverflowError, past 1e308
     ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
     if var_y == 0.0:
         kernel = KernelSpec(
@@ -314,41 +309,49 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
             search.nu,
         )
         return GpModel(kernel, search.variance_floor, mean)
+    if not math.isfinite(var_y):
+        raise GpFactorizationError(
+            f"target variance is not finite in float64 (max |y - mean| = {spread:g})"
+        )
 
-    resid = y - mean
-    bounds = [
-        (ls_lo, ls_hi),
-        (1e-3 * var_y, 1e3 * var_y),
-        (1e-6 * var_y, 1.0 * var_y),
-    ]
-    grids = [
-        np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds
-    ]
-    d2 = squareform(pdist(data.points, "sqeuclidean")) if t > 1 else np.zeros((1, 1))
-    const = -0.5 * t * math.log(2.0 * math.pi)
+    z = resid / spread / z_std
+    bounds = [(ls_lo, ls_hi), (1e-3, 1e3), (1e-6, 1.0)]  # variances in units of var(y)
+    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
+    d2 = squareform(pdist(data.points, "sqeuclidean"))
 
-    def spectrum(ls: float) -> tuple[np.ndarray, np.ndarray]:
-        Ku = _unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0, search.nu))
-        w, Q = eigh(Ku, check_finite=False)
-        return w, Q.T @ resid
+    def unit_kernel(ls: float) -> np.ndarray:
+        return _unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0, search.nu))
 
-    best_val = -math.inf
-    best = None
-    best_spec = None
-    for ls in grids[0]:
-        w, proj = spectrum(float(ls))
-        for sf in grids[1]:
-            for nv in grids[2]:
-                val = _spectral_lml(w, proj, float(sf), float(nv), const)
-                if val > best_val:
-                    best_val = val
-                    best = [float(ls), float(sf), float(nv)]
-                    best_spec = (w, proj)
+    def sub_grid(ls: float) -> np.ndarray:
+        """LML up to a constant at (ls, sf_i, nv_j) for every grid (sf, nv), from one eigh."""
+        w, Q = eigh(unit_kernel(ls), check_finite=False)
+        proj = Q.T @ z
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = grids[1][:, None, None] * w + grids[2][None, :, None]
+            vals = -0.5 * np.sum(proj * proj / lam, axis=-1) - 0.5 * np.sum(np.log(lam), axis=-1)
+        vals[np.isnan(vals) | (lam[..., 0] <= 0.0)] = -math.inf  # ascending w
+        return vals
+
+    # argmax keeps the first maximum in (ls, sf, nv) order: ties go to the smallest.
+    scores = np.stack([sub_grid(float(ls)) for ls in grids[0]])
+    best = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    if scores[best] == -math.inf:
+        raise GpFactorizationError("no grid point has a finite log marginal likelihood")
+    params = [float(grid[i]) for grid, i in zip(grids, best)]
+
+    def score(Ku: np.ndarray, sf: float, nv: float) -> float:
+        K = np.multiply(Ku, sf, order="F")  # Fortran order: factorized in place
+        K[np.diag_indices_from(K)] += nv
+        try:
+            L = cholesky(K, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            return -math.inf
+        return _lml_from_cholesky(L, z)
 
     # Coordinate descent around the grid winner, multiplicative steps starting
     # at half a grid cell (in log space) and shrinking when a sweep stalls.
-    params = list(best)
-    w, proj = best_spec
+    Ku = unit_kernel(params[0])
+    best_val = score(Ku, params[1], params[2])
     steps = [
         (hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds
     ]
@@ -361,20 +364,15 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
                 cand = min(max(params[i] * factor, bounds[i][0]), bounds[i][1])
                 if cand == params[i]:
                     continue
-                if i == 0:
-                    w_c, proj_c = spectrum(cand)
-                    val = _spectral_lml(w_c, proj_c, params[1], params[2], const)
-                else:
-                    trial = list(params)
-                    trial[i] = cand
-                    val = _spectral_lml(w, proj, trial[1], trial[2], const)
+                trial = list(params)
+                trial[i] = cand
+                Ku_c = unit_kernel(cand) if i == 0 else Ku
+                val = score(Ku_c, trial[1], trial[2])
                 if val > cand_val:
                     cand_val = val
-                    cand_best = (cand, (w_c, proj_c) if i == 0 else None)
+                    cand_best = (cand, Ku_c)
             if cand_best is not None:
-                params[i] = cand_best[0]
-                if i == 0:
-                    w, proj = cand_best[1]
+                params[i], Ku = cand_best
                 best_val = cand_val
                 moved = True
         if not moved:
@@ -382,5 +380,5 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
             if max(steps) < 1.0005:
                 break
 
-    kernel = KernelSpec(search.family, params[0], params[1], search.nu)
-    return GpModel(kernel, params[2], mean)
+    kernel = KernelSpec(search.family, params[0], params[1] * var_y, search.nu)
+    return GpModel(kernel, params[2] * var_y, mean)

@@ -344,6 +344,44 @@ def test_failed_run_is_recorded_and_others_continue(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(spec.out_dir, "random_summary.csv"))
 
 
+def test_non_finite_objective_writes_partial_csv(tmp_path, monkeypatch, capsys):
+    real = cli.make_benchmark
+
+    def beale_nan_on_fifth_call(name, dim=None):
+        bench = real(name, dim)
+        calls = {"n": 0}
+
+        def fn(x):
+            calls["n"] += 1
+            return math.nan if calls["n"] == 5 else bench.fn(x)
+
+        return replace(bench, fn=fn)
+
+    monkeypatch.setattr(cli, "make_benchmark", beale_nan_on_fifth_call)
+    out = tmp_path / "res"
+    code = cli.main(
+        [
+            "run",
+            "--set", "benchmark=beale",
+            "--set", "algorithms=hubo",
+            "--set", "budget=10",
+            "--set", "repeats=1",
+            "--set", "restarts=5",
+            "--set", "max_evals=100",
+            "--set", f"out_dir={out}",
+        ]
+    )
+    assert code == 3
+    assert "evaluate failed at t=2" in capsys.readouterr().err
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        (entry,) = json.load(fh)["runs"]
+    assert entry["status"] == "incomplete"
+    assert entry["file"] == "hubo_r000.csv"
+    assert entry["error"].startswith("evaluate failed at t=2: objective returned f=nan")
+    rows = read_csv(out / "hubo_r000.csv")
+    assert [row[0] for row in rows[1:]] == ["0", "0", "0", "1"]
+
+
 # ---------------------------------------------------------------------------
 # main() and exit codes
 # ---------------------------------------------------------------------------

@@ -247,7 +247,41 @@ def test_objective_failure_marks_trace_incomplete():
     trace = run_hubo(obj, hubo_config(budget_T=10))
     assert trace.incomplete
     assert trace.error is not None and "sensor died" in trace.error
+    assert trace.error.startswith("evaluate failed at t=2:")
     assert len(trace.records) == 4  # the 4 successful evaluations
+
+
+def beale_returning(value: float, on_call: int) -> Objective:
+    from hubo.benchmarks import make_benchmark
+
+    bench = make_benchmark("beale")
+    calls = {"n": 0}
+
+    def fn(x):
+        calls["n"] += 1
+        return value if calls["n"] == on_call else bench.eval(x)
+
+    return Objective(fn=fn, dim=2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_objective_marks_trace_incomplete(value):
+    # n_init = 3, so the 5th call is BO step t = 2.
+    trace = run(beale_returning(value, on_call=5), small_2d_config("hubo", budget_T=10))
+    assert trace.incomplete
+    assert len(trace.records) == 4
+    assert trace.error.startswith("evaluate failed at t=2: objective returned f=")
+
+
+def test_fit_failure_marks_trace_incomplete():
+    from hubo.benchmarks import make_benchmark
+
+    bench = make_benchmark("beale")
+    obj = Objective(fn=lambda x: 1e200 * bench.eval(x), dim=2)
+    trace = run(obj, small_2d_config("hubo", budget_T=10))
+    assert trace.incomplete
+    assert len(trace.records) == 3  # the initial design; var(y) overflows at t = 1
+    assert trace.error.startswith("fit failed at t=1: GpFactorizationError:")
 
 
 def test_best_x_earliest_tie():

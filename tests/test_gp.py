@@ -11,6 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
+from scipy.spatial.distance import pdist, squareform
 
 from hubo import gp
 from hubo.gp import (
@@ -397,3 +401,164 @@ def test_fit_matern_family_passthrough():
     y = np.sin(3 * X[:, 0]) + 0.05 * rng.normal(size=12)
     model = gp.fit_mle(Dataset(X, y, 1), FitConfig(side_length=2.0, family="matern52"))
     assert model.kernel.family == "matern52"
+
+
+def test_fit_large_scale_targets_raise_factorization_error():
+    # Targets of order 1e200: var(y) overflows float64.
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1, 1, size=(6, 2))
+    data = Dataset(X, 1e200 * rng.normal(size=6), 2)
+    with pytest.raises(GpFactorizationError, match="not finite"):
+        gp.fit_mle(data, FitConfig(side_length=2.0))
+
+
+def test_fit_makes_one_eigh_per_grid_lengthscale(monkeypatch):
+    # The spectral trick pays only on the (signal, noise) sub-grid; every
+    # coordinate-descent probe is a Cholesky, never an eigendecomposition.
+    calls = {"n": 0}
+
+    def counting_eigh(*args, **kwargs):
+        calls["n"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "eigh", counting_eigh)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, size=(30, 2))
+    data = Dataset(X, np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1]), 2)
+    for grid_size in (8, 5):
+        calls["n"] = 0
+        gp.fit_mle(data, FitConfig(side_length=2.0, grid_size=grid_size))
+        assert calls["n"] == grid_size
+
+
+# ---------------------------------------------------------------------------
+# fit_mle against the previous, all-spectral fit
+# ---------------------------------------------------------------------------
+
+
+def reference_fit_mle(data: Dataset, search: FitConfig) -> GpModel:
+    """The all-spectral fit that fit_mle replaced: every grid point and every
+    coordinate-descent probe is scored from an eigendecomposition of the unit
+    kernel, on raw (unstandardized) targets with var(y)-keyed bounds."""
+    t = len(data)
+    y = data.targets
+    mean = float(np.mean(y))
+    var_y = float(np.var(y))
+    ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
+    resid = y - mean
+    bounds = [(ls_lo, ls_hi), (1e-3 * var_y, 1e3 * var_y), (1e-6 * var_y, var_y)]
+    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
+    d2 = squareform(pdist(data.points, "sqeuclidean"))
+    const = -0.5 * t * math.log(2.0 * math.pi)
+
+    def spectrum(ls):
+        Ku = gp._unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0, search.nu))
+        w, Q = eigh(Ku, check_finite=False)
+        return w, Q.T @ resid
+
+    def lml(w, proj, sf, nv):
+        lam = sf * w + nv
+        if lam[0] <= 0.0:
+            return -math.inf
+        return float(-0.5 * np.sum(proj * proj / lam) - 0.5 * np.sum(np.log(lam)) + const)
+
+    best_val, best, best_spec = -math.inf, None, None
+    for ls in grids[0]:
+        w, proj = spectrum(float(ls))
+        for sf in grids[1]:
+            for nv in grids[2]:
+                val = lml(w, proj, float(sf), float(nv))
+                if val > best_val:
+                    best_val, best, best_spec = val, [float(ls), float(sf), float(nv)], (w, proj)
+    params = list(best)
+    w, proj = best_spec
+    steps = [(hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds]
+    for _ in range(search.refine_sweeps):
+        moved = False
+        for i in range(3):
+            cand_best, cand_val = None, best_val
+            for factor in (steps[i], 1.0 / steps[i]):
+                cand = min(max(params[i] * factor, bounds[i][0]), bounds[i][1])
+                if cand == params[i]:
+                    continue
+                trial = list(params)
+                trial[i] = cand
+                spec = spectrum(cand) if i == 0 else (w, proj)
+                val = lml(*spec, trial[1], trial[2])
+                if val > cand_val:
+                    cand_val, cand_best = val, (cand, spec)
+            if cand_best is not None:
+                params[i], (w, proj) = cand_best
+                best_val = cand_val
+                moved = True
+        if not moved:
+            steps = [math.sqrt(s) for s in steps]
+            if max(steps) < 1.0005:
+                break
+    kernel = KernelSpec(search.family, params[0], params[1], search.nu)
+    return GpModel(kernel, params[2], mean)
+
+
+def dense_lml(model: GpModel, data: Dataset) -> float:
+    """LML by a plain dense Cholesky without jitter; -inf where not PD."""
+    K = gp.kernel_matrix(model.kernel, data.points) + model.noise_variance * np.eye(len(data))
+    try:
+        L = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return -math.inf
+    v = np.linalg.solve(L, data.targets - model.prior_mean)
+    return float(-0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * len(data) * math.log(2 * math.pi))
+
+
+def fit_corpus():
+    """(id, data, side, family) over d x t x kernel x noise, plus duplicates."""
+    cases = []
+    for d in (1, 2, 6, 10):
+        for t in (5, 40, 150):
+            for family in ("se", "matern52"):
+                for noisy in (False, True):
+                    rng = np.random.default_rng([d, t, noisy, family == "se"])
+                    X = rng.uniform(-1.0, 1.0, size=(t, d))
+                    y = np.sin(3.0 * X[:, 0]) + 0.5 * np.sum(X * X, axis=1)
+                    if noisy:
+                        y = y + 0.1 * rng.standard_normal(t)
+                    cases.append((f"d{d}-t{t}-{family}-{'noisy' if noisy else 'clean'}",
+                                  Dataset(X, y, d), 2.0, family))
+    rng = np.random.default_rng(99)
+    X = rng.uniform(-1.0, 1.0, size=(12, 2))
+    X = np.vstack([X, X[:6]])  # six points observed twice
+    y = np.cos(2.0 * X[:, 0]) - X[:, 1] + 0.05 * rng.standard_normal(18)
+    cases.append(("d2-t18-se-duplicates", Dataset(X, y, 2), 2.0, "se"))
+    return cases
+
+
+def test_fit_never_worse_than_reference_fit():
+    worse = []
+    for name, data, side, family in fit_corpus():
+        cfg = FitConfig(side_length=side, family=family)
+        new = dense_lml(gp.fit_mle(data, cfg), data)
+        ref = dense_lml(reference_fit_mle(data, cfg), data)
+        if not new >= ref - 1e-9 * max(1.0, abs(ref)):
+            worse.append((name, new, ref))
+    assert not worse, worse
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    t=st.integers(3, 25),
+    a=st.floats(1e-3, 1e3).flatmap(lambda m: st.sampled_from([m, -m])),
+    b=st.floats(-100.0, 100.0),
+)
+def test_fit_is_invariant_to_affine_target_maps(seed, t, a, b):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(t, 2))
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(t)
+    cfg = FitConfig(side_length=2.0)
+    base = gp.fit_mle(Dataset(X, y, 2), cfg)
+    mapped = gp.fit_mle(Dataset(X, a * y + b, 2), cfg)
+    assert mapped.kernel.lengthscale == pytest.approx(base.kernel.lengthscale, rel=1e-9)
+    assert mapped.kernel.signal_variance == pytest.approx(
+        a * a * base.kernel.signal_variance, rel=1e-9
+    )
+    assert mapped.noise_variance == pytest.approx(a * a * base.noise_variance, rel=1e-9)
