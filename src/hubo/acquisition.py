@@ -3,8 +3,11 @@
 The acquisition value is mean + sqrt(beta_t) * std under the current GP
 posterior.  Maximization is derivative-free: uniform multi-start plus
 coordinate-wise pattern search with shrinking steps, clamped to the feasible
-box, under a hard evaluation budget.  Everything is deterministic given the
-seed.
+rectangle, under a hard evaluation budget.  One search serves both
+maximizers: it advances K rectangles in lockstep, K clipped cubes for the
+cube union and K = 1 for the box, and costs one `predict` call per
+(coordinate, sign) per sweep whatever K is.  Everything is deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -136,42 +139,60 @@ def _ucb_batch(state: PosteriorState, beta_t: float):
     return predict
 
 
-def _search_rect(predict, lo, hi, restarts, max_evals, rng, tol):
-    """Multi-start coordinate pattern search over [lo, hi], batched in lockstep.
+def _search_rect(predict, lo, hi, restarts, max_evals, rngs, tol):
+    """Multi-start coordinate pattern search over K rectangles in lockstep.
 
-    Starts are drawn before any truncation so the start set depends only on
-    the rng state, never on the budget; a larger budget therefore replays the
-    same trajectory prefix and can only improve the result.  Returns
-    (best point, best value, evaluations used).
+    `lo` and `hi` are (K, d) bounds and `rngs` yields one generator per
+    rectangle.  Each rectangle draws `restarts` uniform starts from its own
+    generator before any truncation, so its start set depends only on that
+    generator, never on the budget; a larger budget therefore replays the same
+    trajectory prefix and can only improve the result.  Each rectangle keeps
+    its own budget of `max_evals` evaluations, step sizes and stopping rule,
+    and follows the trajectory a search of it alone would; only the `predict`
+    calls are shared: one per (coordinate, sign) per sweep, with rows ordered
+    by rectangle, then by start.  The best value wins; ties go to the lowest
+    rectangle, then to the lexicographically smallest point.  Returns
+    (best point, best value, evaluations used over all rectangles).
     """
-    d = len(lo)
-    widths = hi - lo
-    X = rng.uniform(lo, hi, size=(restarts, d))
+    K, d = lo.shape
     n0 = min(restarts, max_evals)
-    X = X[:n0]
+    X = np.concatenate(
+        [rng.uniform(l, h, size=(restarts, d))[:n0] for rng, l, h in zip(rngs, lo, hi)]
+    )
     vals = predict(X)
-    used = n0
-    steps = np.full(n0, 0.25)
-    active = np.ones(n0, dtype=bool)
+    rect = np.repeat(np.arange(K), n0)
+    # (d, K * n0): row i holds coordinate i's bounds for every start
+    lo_rows = lo.T[:, rect]
+    hi_rows = hi.T[:, rect]
+    width_rows = hi_rows - lo_rows
+    probed = (hi - lo).T != 0.0  # (d, K): zero-width coordinates are skipped
+    used = np.full(K, n0)
+    steps = np.full(K * n0, 0.25)
+    active = np.ones(K * n0, dtype=bool)
 
-    while used < max_evals and np.any(active):
-        improved = np.zeros(n0, dtype=bool)
+    while True:
+        by_rect = active.reshape(K, n0)
+        n_active = by_rect.sum(axis=1)
+        if not np.any((used < max_evals) & (n_active > 0)):
+            break
+        idx_all = np.flatnonzero(active)
+        rank = (np.cumsum(by_rect, axis=1) - 1).ravel()
+        improved = np.zeros(K * n0, dtype=bool)
         for i in range(d):
-            if used >= max_evals:
-                break
-            if widths[i] == 0.0:
-                continue
             for sign in (1.0, -1.0):
-                idx = np.flatnonzero(active)
-                if idx.size == 0 or used >= max_evals:
+                # each rectangle probes its first (budget-left) active starts
+                take = np.minimum(max_evals - used, n_active) * probed[i]
+                if np.array_equal(take, n_active):
+                    idx = idx_all
+                elif not np.any(take):
                     break
-                idx = idx[: max_evals - used]
-                cand = X[idx].copy()
-                cand[:, i] = np.clip(
-                    cand[:, i] + sign * steps[idx] * widths[i], lo[i], hi[i]
-                )
+                else:
+                    idx = np.flatnonzero(active & (rank < take[rect]))
+                cand = X[idx]
+                moved = cand[:, i] + sign * steps[idx] * width_rows[i][idx]
+                cand[:, i] = np.minimum(np.maximum(moved, lo_rows[i][idx]), hi_rows[i][idx])
                 cvals = predict(cand)
-                used += len(idx)
+                used += take
                 better = cvals > vals[idx]
                 sel = idx[better]
                 X[sel, i] = cand[better, i]
@@ -183,12 +204,9 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng, tol):
 
     best_val = float(np.max(vals))
     tied = np.flatnonzero(vals == best_val)
-    if len(tied) > 1:
-        order = np.lexsort(X[tied].T[::-1])
-        winner = int(tied[order[0]])
-    else:
-        winner = int(tied[0])
-    return X[winner].copy(), best_val, used
+    tied = tied[rect[tied] == rect[tied[0]]]  # the lowest rectangle's ties
+    winner = int(tied[np.lexsort(X[tied].T[::-1])[0]])
+    return X[winner].copy(), best_val, int(used.sum())
 
 
 def maximize_over_box(
@@ -201,14 +219,13 @@ def maximize_over_box(
     """Best acquisition point found inside the box within cfg's budget."""
     state = PosteriorState(model, data)
     predict = _ucb_batch(state, beta_t)
-    rng = np.random.default_rng(cfg.seed)
     x, val, _ = _search_rect(
         predict,
-        box.lower,
-        box.upper,
+        box.lower.reshape(1, -1),
+        box.upper.reshape(1, -1),
         cfg.restarts,
         cfg.max_evals,
-        rng,
+        [np.random.default_rng(cfg.seed)],
         cfg.step_tolerance,
     )
     return x, val
@@ -223,33 +240,30 @@ def maximize_over_cubes(
 ) -> tuple[np.ndarray, float]:
     """Best acquisition point over the cube union.
 
-    Each clipped cube gets an independent search with a per-cube share of the
-    budget (floors: 10 evaluations, 1 restart).  Ties go to the lower cube
-    index; per-cube rng streams are derived from (seed, cube index) so the
-    result is independent of evaluation order.
+    One lockstep search covers every clipped cube, each with a per-cube share
+    of the budget (floors: 10 evaluations, 1 restart) and its own rng stream
+    derived from (seed, cube index), so the result does not depend on the
+    other cubes.  Ties go to the lower cube index.
     """
     state = PosteriorState(model, data)
     predict = _ucb_batch(state, beta_t)
     n = cube_set.n
-    evals_per = max(10, cfg.max_evals // n)
-    restarts_per = max(1, cfg.restarts // n)
-    lo_all, hi_all = cube_set.clipped_bounds()
-
-    best_x = None
-    best_val = -math.inf
-    for ci in range(n):
-        lo, hi = lo_all[ci], hi_all[ci]
-        if np.any(hi < lo):  # cube entirely outside the parent; defensive
-            continue
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ci,))
-        )
-        x, val, _ = _search_rect(
-            predict, lo, hi, restarts_per, evals_per, rng, cfg.step_tolerance
-        )
-        if val > best_val:
-            best_val = val
-            best_x = x
-    if best_x is None:
+    lo, hi = cube_set.clipped_bounds()
+    # a cube entirely outside the parent is dropped; defensive
+    kept = np.flatnonzero(np.all(hi >= lo, axis=1))
+    if kept.size == 0:
         raise ValueError("every cube was empty after clipping to the parent box")
-    return best_x, best_val
+    rngs = (
+        np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(int(ci),)))
+        for ci in kept
+    )
+    x, val, _ = _search_rect(
+        predict,
+        lo[kept],
+        hi[kept],
+        max(1, cfg.restarts // n),
+        max(10, cfg.max_evals // n),
+        rngs,
+        cfg.step_tolerance,
+    )
+    return x, val

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import IterationRecord, RunTrace
+from .driver import IterationRecord, RunTrace, evaluate
 from .space import ExpansionConfig, SearchBox
 
 __all__ = [
@@ -296,7 +296,9 @@ def random_search(obj, box, T: int, seed: int) -> RunTrace:
     is taken as 0 when absent).  `box` is a SearchBox or any object with
     .lower/.upper arrays, so a non-cubic translation region works too.  The
     trace has one record per draw (t = 1..T) and uses the same per-seed
-    streams as the BO driver, so baselines pair with runs.
+    streams as the BO driver, so baselines pair with runs.  As in a BO run,
+    an objective that raises or returns a non-finite value ends the trace
+    early with incomplete=True and an `error` naming t.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -313,9 +315,10 @@ def random_search(obj, box, T: int, seed: int) -> RunTrace:
     best = -math.inf
     for i in range(T):
         x = X[i].copy()
-        y = float(obj.eval(x))
-        if noise_std > 0.0:
-            y += noise_std * float(rng_noise.standard_normal())
+        obs = evaluate(obj, x, noise_std, rng_noise, trace, i + 1)
+        if obs is None:
+            return trace
+        y = float(obs[1])
         best = max(best, y)
         trace.records.append(
             IterationRecord(t=i + 1, x=x, y=y, best_y=best, side=side)

@@ -164,6 +164,12 @@ class RunTrace:
     incomplete: bool = False
     error: str | None = None
 
+    def fail(self, phase: str, t: int, message: str) -> "RunTrace":
+        """Mark the trace as ended early by `phase` at step t."""
+        self.incomplete = True
+        self.error = f"{phase} failed at t={t}: {message}"
+        return self
+
     @property
     def best_y(self) -> float:
         if not self.records:
@@ -189,6 +195,28 @@ def default_n_init(dim: int) -> int:
 
 def _derive_seed(*label: int) -> int:
     return int(np.random.SeedSequence(list(label)).generate_state(1, np.uint64)[0])
+
+
+def evaluate(
+    obj, x: np.ndarray, noise_std: float, rng_noise, trace: RunTrace, t: int
+) -> tuple[float, float] | None:
+    """(f, y) at x with y = f + noise_std * z, z drawn from rng_noise.
+
+    If the objective raises, or f or y is not finite, marks `trace` as
+    failed to evaluate at step t and returns None, so the caller can stop.
+    """
+    try:
+        f = obj.eval(x)
+    except Exception as exc:  # objective failure -> partial trace
+        trace.fail("evaluate", t, f"{type(exc).__name__}: {exc}")
+        return None
+    y = f
+    if noise_std > 0.0:
+        y = f + noise_std * float(rng_noise.standard_normal())
+    if not (math.isfinite(f) and math.isfinite(y)):
+        trace.fail("evaluate", t, f"objective returned f={f!r}, y={y!r}")
+        return None
+    return f, y
 
 
 def run_hubo(obj: Objective, cfg: RunConfig) -> RunTrace:
@@ -236,31 +264,11 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     best_inc = -math.inf
     best_x: np.ndarray | None = None
 
-    def fail(phase: str, t: int, message: str) -> RunTrace:
-        trace.incomplete = True
-        trace.error = f"{phase} failed at t={t}: {message}"
-        return trace
-
-    def observe(x: np.ndarray, t: int) -> tuple[float, float] | None:
-        """(f, y) at x, or None after recording an evaluation failure."""
-        try:
-            f = obj.eval(x)
-        except Exception as exc:  # objective failure -> partial trace
-            fail("evaluate", t, f"{type(exc).__name__}: {exc}")
-            return None
-        y = f
-        if obj.noise_std > 0.0:
-            y = f + obj.noise_std * float(rng_noise.standard_normal())
-        if not (math.isfinite(f) and math.isfinite(y)):
-            fail("evaluate", t, f"objective returned f={f!r}, y={y!r}")
-            return None
-        return f, y
-
     init_points = rng_init.uniform(box.lower, box.upper, size=(cfg.n_init, d))
     for k in range(cfg.n_init):
         started = time.perf_counter()
         x = init_points[k].copy()
-        obs = observe(x, 0)
+        obs = evaluate(obj, x, obj.noise_std, rng_noise, trace, 0)
         if obs is None:
             return trace
         f, y = obs
@@ -285,7 +293,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         try:
             model = fit_mle(data, FitConfig(side_length=box.side, family=cfg.kernel_family))
         except GpFactorizationError as exc:
-            return fail("fit", t, f"GpFactorizationError: {exc}")
+            return trace.fail("fit", t, f"GpFactorizationError: {exc}")
 
         if cfg.algorithm == "vol2":
             doublings = t // (3 * d)
@@ -317,7 +325,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
                     f"maximizer left the search box at t={t}: {x.tolist()}"
                 )
 
-        obs = observe(x, t)
+        obs = evaluate(obj, x, obj.noise_std, rng_noise, trace, t)
         if obs is None:
             return trace
         f, y = obs

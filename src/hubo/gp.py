@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist, pdist, squareform
 
 __all__ = [
@@ -226,7 +227,11 @@ class PosteriorState:
             )
         Ks = kernel_matrix(self.model.kernel, X, self.data.points)
         means = Ks @ self._weights + self.model.prior_mean
-        v = solve_triangular(self._L, Ks.T, lower=True, check_finite=False)
+        # the LAPACK routine solve_triangular wraps for a Fortran-ordered
+        # float64 L, called directly: same bits, without the per-call checks
+        v, info = dtrtrs(self._L, Ks.T, lower=1)
+        if info != 0:
+            raise GpFactorizationError(f"triangular solve failed (LAPACK info {info})")
         variances = sv - np.sum(v * v, axis=0)
         # roundoff can push variances a hair below zero; never return negative
         return means, np.maximum(variances, 0.0)
@@ -289,8 +294,9 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     Q diag(sf*w + nv) Q^T, so one `eigh` per grid lengthscale scores its whole
     (sf, nv) sub-grid.  The descent scores the grid winner and each probe by a
     Cholesky LML.  Cost: `grid_size` eigh calls plus at most 6*`refine_sweeps`
-    Cholesky probes.  Degenerate targets (zero variance) return a
-    floor-variance model; a variance that overflows raises GpFactorizationError.
+    Cholesky probes.  Constant targets return a floor-variance model; a
+    target variance that overflows, or a fitted variance that underflows to
+    a subnormal or zero, raises GpFactorizationError.
     """
     t = len(data)
     if t < 2:
@@ -298,10 +304,11 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     mean = float(np.mean(data.targets))
     resid = data.targets - mean
     spread = float(np.max(np.abs(resid)))
+    # z_std is 0 for constant targets, also when their mean does not round
+    # back to the value and every residual is the same tiny nonzero number
     z_std = float(np.std(resid / spread)) if spread > 0.0 else 0.0
-    var_y = spread * z_std * (spread * z_std)  # inf, not OverflowError, past 1e308
     ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
-    if var_y == 0.0:
+    if z_std == 0.0:
         kernel = KernelSpec(
             search.family,
             math.sqrt(ls_lo * ls_hi),
@@ -309,6 +316,7 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
             search.nu,
         )
         return GpModel(kernel, search.variance_floor, mean)
+    var_y = spread * z_std * (spread * z_std)  # inf, not OverflowError, past 1e308
     if not math.isfinite(var_y):
         raise GpFactorizationError(
             f"target variance is not finite in float64 (max |y - mean| = {spread:g})"
@@ -380,5 +388,10 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
             if max(steps) < 1.0005:
                 break
 
-    kernel = KernelSpec(search.family, params[0], params[1] * var_y, search.nu)
-    return GpModel(kernel, params[2] * var_y, mean)
+    signal_var, noise_var = params[1] * var_y, params[2] * var_y
+    if min(signal_var, noise_var) < np.finfo(float).tiny:
+        raise GpFactorizationError(
+            f"fitted variances underflow float64 (signal {signal_var:g}, noise {noise_var:g})"
+        )
+    kernel = KernelSpec(search.family, params[0], signal_var, search.nu)
+    return GpModel(kernel, noise_var, mean)

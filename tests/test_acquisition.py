@@ -386,3 +386,253 @@ def test_cube_maximizer_deterministic():
     x2, v2 = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg)
     assert np.array_equal(x1, x2)
     assert v1 == v2
+
+
+# ---------------------------------------------------------------------------
+# Lockstep search against the one-rectangle-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def reference_search_rect(predict, lo, hi, restarts, max_evals, rng, tol):
+    """The single-rectangle pattern search that the lockstep search replaced."""
+    d = len(lo)
+    widths = hi - lo
+    X = rng.uniform(lo, hi, size=(restarts, d))
+    n0 = min(restarts, max_evals)
+    X = X[:n0]
+    vals = predict(X)
+    used = n0
+    steps = np.full(n0, 0.25)
+    active = np.ones(n0, dtype=bool)
+
+    while used < max_evals and np.any(active):
+        improved = np.zeros(n0, dtype=bool)
+        for i in range(d):
+            if used >= max_evals:
+                break
+            if widths[i] == 0.0:
+                continue
+            for sign in (1.0, -1.0):
+                idx = np.flatnonzero(active)
+                if idx.size == 0 or used >= max_evals:
+                    break
+                idx = idx[: max_evals - used]
+                cand = X[idx].copy()
+                cand[:, i] = np.clip(
+                    cand[:, i] + sign * steps[idx] * widths[i], lo[i], hi[i]
+                )
+                cvals = predict(cand)
+                used += len(idx)
+                better = cvals > vals[idx]
+                sel = idx[better]
+                X[sel, i] = cand[better, i]
+                vals[sel] = cvals[better]
+                improved[sel] = True
+        stalled = active & ~improved
+        steps[stalled] *= 0.5
+        active &= steps >= tol
+
+    best_val = float(np.max(vals))
+    tied = np.flatnonzero(vals == best_val)
+    if len(tied) > 1:
+        order = np.lexsort(X[tied].T[::-1])
+        winner = int(tied[order[0]])
+    else:
+        winner = int(tied[0])
+    return X[winner].copy(), best_val, used
+
+
+def reference_maximize_over_cubes(predict, cube_set: HypercubeSet, cfg: MaximizerConfig):
+    """One reference search per cube; a strictly better cube replaces the best."""
+    n = cube_set.n
+    lo_all, hi_all = cube_set.clipped_bounds()
+    best_x, best_val = None, -math.inf
+    for ci in range(n):
+        lo, hi = lo_all[ci], hi_all[ci]
+        if np.any(hi < lo):
+            continue
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ci,))
+        )
+        x, val, _ = reference_search_rect(
+            predict, lo, hi, max(1, cfg.restarts // n), max(10, cfg.max_evals // n),
+            rng, cfg.step_tolerance,
+        )
+        if val > best_val:
+            best_x, best_val = x, val
+    if best_x is None:
+        raise ValueError("every cube was empty after clipping to the parent box")
+    return best_x, best_val
+
+
+def sines(d: int, seed: int, quantum: float = 0.0):
+    """A batch-invariant surface: each row's value uses only that row's entries.
+
+    With quantum > 0 values are rounded to multiples of it, so many ties."""
+    rng = np.random.default_rng(seed)
+    freq = rng.uniform(1.0, 6.0, d)
+    phase = rng.uniform(0.0, 2.0 * math.pi, d)
+
+    def predict(X: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(X))
+        for j in range(d):  # column by column: no reduction across rows
+            out += np.sin(freq[j] * X[:, j] + phase[j])
+        return np.round(out / quantum) * quantum if quantum > 0.0 else out
+
+    return predict
+
+
+def counted(predict):
+    """predict plus a record of how many rows each call asked for."""
+    sizes: list[int] = []
+
+    def wrapped(X):
+        sizes.append(len(X))
+        return predict(X)
+
+    return wrapped, sizes
+
+
+def cube_corpus():
+    """(name, cube set, cfg): budget truncation, floors, clipping, many cubes."""
+    parent = SearchBox(center=np.zeros(3), half_side=1.0, dim=3)
+    rng = np.random.default_rng(42)
+    edge = np.array([[0.95, 0.0, -0.2], [-1.1, 0.9, 0.3], [0.0, 0.0, 1.1]])
+    return [
+        ("one cube", HypercubeSet(np.array([[0.1, -0.2, 0.3]]), 0.6, parent),
+         MaximizerConfig(restarts=20, max_evals=1000, seed=1)),
+        ("budget not a multiple of restarts", HypercubeSet(rng.uniform(-1, 1, (3, 3)), 0.4, parent),
+         MaximizerConfig(restarts=7, max_evals=53, seed=2)),
+        ("floors, more cubes than restarts", HypercubeSet(rng.uniform(-1, 1, (30, 3)), 0.2, parent),
+         MaximizerConfig(restarts=20, max_evals=100, seed=3)),
+        ("clipped by the parent", HypercubeSet(edge, 0.5, parent),
+         MaximizerConfig(restarts=9, max_evals=200, seed=4)),
+        ("one cube fully clipped", HypercubeSet(np.vstack([edge, [[3.0, 0.0, 0.0]]]), 0.5, parent),
+         MaximizerConfig(restarts=8, max_evals=91, seed=5)),
+        ("sampled as in hdhubo", sample_cubes(parent, 12, HdConfig(lam=1.0, n0=1, l_h=0.3), rng),
+         MaximizerConfig(restarts=20, max_evals=1000, seed=6)),
+    ]
+
+
+def zero_width_case():
+    # Cube 1 is clipped to the parent's face x0 = 1: zero width along x0,
+    # which its search skips while the other cubes probe it.
+    parent = SearchBox(center=np.zeros(3), half_side=1.0, dim=3)
+    centers = np.array([[0.2, 0.1, -0.3], [1.25, -0.4, 0.5], [-0.6, 0.7, 0.0]])
+    return ("zero-width coordinate", HypercubeSet(centers, 0.5, parent),
+            MaximizerConfig(restarts=6, max_evals=90, seed=8))
+
+
+@pytest.mark.parametrize("quantum", [0.0, 0.25])
+@pytest.mark.parametrize("case", cube_corpus(), ids=lambda c: c[0])
+def test_cube_maximizer_equals_per_cube_reference(case, quantum, monkeypatch):
+    _, cs, cfg = case
+    predict = sines(3, seed=cfg.seed, quantum=quantum)
+    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: predict)
+    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg)
+    x_ref, val_ref = reference_maximize_over_cubes(predict, cs, cfg)
+    assert np.array_equal(x, x_ref)
+    assert val == val_ref
+
+
+def test_cube_maximizer_skips_zero_width_coordinate_like_reference(monkeypatch):
+    # A bowl that peaks inside the zero-width cube, whose budget runs out
+    # before it converges: a probe wasted on its flat coordinate moves x.
+    _, cs, cfg = zero_width_case()
+    peak = np.array([1.0, -0.3, 0.45])
+
+    def bowl(X):
+        out = np.zeros(len(X))
+        for j in range(3):
+            out -= (X[:, j] - peak[j]) ** 2
+        return out
+
+    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: bowl)
+    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg)
+    x_ref, val_ref = reference_maximize_over_cubes(bowl, cs, cfg)
+    assert x[0] == 1.0
+    assert np.array_equal(x, x_ref)
+    assert val == val_ref
+
+
+def test_cube_maximizer_ties_go_to_lowest_cube_then_smallest_point(monkeypatch):
+    # A flat surface ties every start; the first cube's smallest point wins.
+    parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
+    cs = HypercubeSet(np.array([[3.0, 3.0], [0.5, 0.5], [-0.5, -0.5]]), 0.4, parent)
+    cfg = MaximizerConfig(restarts=6, max_evals=60, seed=7)
+    flat = lambda X: np.zeros(len(X))  # noqa: E731
+    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: flat)
+    x, _ = acquisition.maximize_over_cubes(se_model(), Dataset.empty(2), 1.0, cs, cfg)
+    x_ref, _ = reference_maximize_over_cubes(flat, cs, cfg)
+    assert np.array_equal(x, x_ref)
+    assert np.all(np.abs(x - 0.5) <= 0.2)
+
+
+def test_cube_maximizer_matches_reference_with_gp_surface():
+    # GP predictions are not batch-invariant in the last bits (BLAS
+    # blocking), so the value may move by an ulp; the point must not.
+    rng = np.random.default_rng(12)
+    parent = SearchBox(center=np.zeros(4), half_side=1.0, dim=4)
+    for trial in range(8):
+        model = se_model(ell=float(rng.uniform(0.2, 1.0)), nv=1e-3)
+        data = Dataset(rng.uniform(-1, 1, (15, 4)), rng.normal(size=15), 4)
+        cs = sample_cubes(
+            parent, int(rng.integers(1, 40)), HdConfig(lam=1.0, n0=1, l_h=0.3), rng
+        )
+        cfg = MaximizerConfig(seed=int(rng.integers(1 << 30)))
+        x, val = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg)
+        ref_predict = acquisition._ucb_batch(PosteriorState(model, data), 2.0)
+        x_ref, val_ref = reference_maximize_over_cubes(ref_predict, cs, cfg)
+        assert np.array_equal(x, x_ref)
+        assert val == pytest.approx(val_ref, rel=1e-12, abs=0.0)
+
+
+def test_box_maximizer_bit_equal_to_reference():
+    rng = np.random.default_rng(21)
+    for d, t, restarts, max_evals in [(1, 3, 20, 1000), (2, 30, 7, 53), (6, 60, 20, 1000), (3, 10, 1, 10)]:
+        model = se_model(ell=0.5, nv=1e-3)
+        data = Dataset(rng.uniform(-1, 1, (t, d)), rng.normal(size=t), d)
+        box = SearchBox(center=rng.uniform(-0.5, 0.5, d), half_side=0.8, dim=d)
+        cfg = MaximizerConfig(restarts=restarts, max_evals=max_evals, seed=int(rng.integers(1 << 30)))
+        x, val = acquisition.maximize_over_box(model, data, 3.0, box, cfg)
+        x_ref, val_ref, _ = reference_search_rect(
+            acquisition._ucb_batch(PosteriorState(model, data), 3.0),
+            box.lower, box.upper, restarts, max_evals,
+            np.random.default_rng(cfg.seed), cfg.step_tolerance,
+        )
+        assert np.array_equal(x, x_ref)
+        assert val == val_ref
+
+
+@pytest.mark.parametrize("case", cube_corpus() + [zero_width_case()], ids=lambda c: c[0])
+def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
+    # Calls: as many as the longest single-cube search makes.  Rows: the sum
+    # over cubes.  A per-cube loop would make the sum of the calls instead.
+    # A cube that skips a zero-width coordinate while the others probe it
+    # leaves a gap in its calls, so there the calls only lie in between.
+    _, cs, cfg = case
+    surface = sines(3, seed=cfg.seed)
+    predict, sizes = counted(surface)
+    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: predict)
+    acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg)
+
+    n = cs.n
+    lo, hi = cs.clipped_bounds()
+    alone = []
+    flat = False
+    for ci in range(n):
+        if np.any(hi[ci] < lo[ci]):
+            continue
+        flat |= bool(np.any(hi[ci] == lo[ci]))
+        one, one_sizes = counted(surface)
+        reference_search_rect(
+            one, lo[ci], hi[ci], max(1, cfg.restarts // n), max(10, cfg.max_evals // n),
+            np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ci,))),
+            cfg.step_tolerance,
+        )
+        alone.append(one_sizes)
+    assert sum(sizes) == sum(sum(s) for s in alone)
+    if not flat:
+        assert len(sizes) == max(len(s) for s in alone)
+    else:
+        assert max(len(s) for s in alone) <= len(sizes) < sum(len(s) for s in alone)

@@ -382,6 +382,48 @@ def test_non_finite_objective_writes_partial_csv(tmp_path, monkeypatch, capsys):
     assert [row[0] for row in rows[1:]] == ["0", "0", "0", "1"]
 
 
+@pytest.mark.parametrize("fault", ["nan", "raise"])
+def test_failing_objective_writes_partial_random_csv(tmp_path, monkeypatch, capsys, fault):
+    real = cli.make_benchmark
+
+    def beale_failing_on_third_call(name, dim=None):
+        bench = real(name, dim)
+        calls = {"n": 0}
+
+        def fn(x):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                if fault == "raise":
+                    raise RuntimeError("boom")
+                return math.nan
+            return bench.fn(x)
+
+        return replace(bench, fn=fn)
+
+    monkeypatch.setattr(cli, "make_benchmark", beale_failing_on_third_call)
+    out = tmp_path / "res"
+    code = cli.main(
+        [
+            "run",
+            "--set", "benchmark=beale",
+            "--set", "algorithms=random",
+            "--set", "budget=10",
+            "--set", "repeats=1",
+            "--set", f"out_dir={out}",
+        ]
+    )
+    assert code == 3
+    assert "evaluate failed at t=3" in capsys.readouterr().err
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        (entry,) = json.load(fh)["runs"]
+    assert entry["status"] == "incomplete"
+    assert entry["file"] == "random_r000.csv"
+    expected = "RuntimeError: boom" if fault == "raise" else "objective returned f=nan"
+    assert entry["error"].startswith(f"evaluate failed at t=3: {expected}")
+    rows = read_csv(out / "random_r000.csv")
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
+
+
 # ---------------------------------------------------------------------------
 # main() and exit codes
 # ---------------------------------------------------------------------------

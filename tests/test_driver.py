@@ -284,6 +284,25 @@ def test_fit_failure_marks_trace_incomplete():
     assert trace.error.startswith("fit failed at t=1: GpFactorizationError:")
 
 
+def test_tiny_scale_fit_failure_marks_trace_incomplete():
+    from hubo.benchmarks import make_benchmark
+
+    bench = make_benchmark("beale")
+    obj = Objective(fn=lambda x: 1e-200 * bench.eval(x), dim=2)
+    trace = run(obj, small_2d_config("hubo", budget_T=10))
+    assert trace.incomplete
+    assert len(trace.records) == 3  # the initial design; the variances underflow at t = 1
+    assert trace.error.startswith("fit failed at t=1: GpFactorizationError: fitted variances underflow")
+
+
+def test_constant_objective_runs_to_completion():
+    # The mean of three 0.1s is not 0.1; the fit must still see constant
+    # targets and return the floor model instead of failing.
+    trace = run(Objective(fn=lambda x: 0.1, dim=2), small_2d_config("hubo", budget_T=5))
+    assert not trace.incomplete and trace.error is None
+    assert len(trace.records) == 3 + 5
+
+
 def test_best_x_earliest_tie():
     trace = RunTrace(algorithm="hubo", seed=0, dim=1, n_init=1)
     xs = [np.array([1.0]), np.array([2.0]), np.array([3.0])]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, solve_triangular
 from scipy.spatial.distance import pdist, squareform
 
 from hubo import gp
@@ -224,6 +224,43 @@ def test_posterior_matches_dense_oracle_on_random_instances():
         assert np.allclose(variances, np.maximum(ov, 0.0), rtol=1e-8, atol=1e-10)
 
 
+def test_predict_matches_solve_triangular_bit_for_bit():
+    # predict calls LAPACK's dtrtrs directly; solve_triangular wraps the same
+    # routine, and the two must agree in every bit, jittered factors included.
+    rng = np.random.default_rng(99)
+    for trial in range(40):
+        t = int(rng.integers(1, 60))
+        d = int(rng.integers(1, 8))
+        model = GpModel(
+            kernel=KernelSpec(
+                "se" if trial % 2 else "matern52",
+                float(rng.uniform(0.2, 2.0)),
+                float(rng.uniform(0.5, 3.0)),
+            ),
+            noise_variance=float(rng.choice([0.0, 1e-6, 0.1])),
+            prior_mean=float(rng.normal()),
+        )
+        X = rng.uniform(-1, 1, size=(t, d))
+        if trial % 5 == 0:
+            X[-1] = X[0]  # a duplicate point forces jitter when noiseless
+        state = PosteriorState(model, Dataset(X, rng.normal(size=t), d))
+        Xq = rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 300)), d))
+        means, variances = state.predict(Xq)
+
+        Ks = gp.kernel_matrix(model.kernel, Xq, X)
+        v = solve_triangular(state._L, Ks.T, lower=True, check_finite=False)
+        expected = model.kernel.signal_variance - np.sum(v * v, axis=0)
+        assert np.array_equal(variances, np.maximum(expected, 0.0))
+        assert np.array_equal(means, Ks @ state._weights + model.prior_mean)
+
+
+def test_predict_raises_on_singular_factor():
+    state = PosteriorState(se_model(), Dataset(np.array([[0.0], [1.0]]), np.zeros(2), 1))
+    state._L = np.asfortranarray(np.diag([1.0, 0.0]))
+    with pytest.raises(GpFactorizationError):
+        state.predict(np.array([[0.5]]))
+
+
 def test_posterior_variance_never_negative():
     # Duplicated points with zero noise drive the true variance to exactly 0;
     # roundoff must never surface as a negative number.
@@ -376,6 +413,17 @@ def test_fit_degenerate_targets_hit_variance_floor():
     assert model.prior_mean == pytest.approx(3.0)
 
 
+def test_fit_constant_targets_with_inexact_mean_hit_variance_floor():
+    # mean([0.1, 0.1, 0.1]) is 0.10000000000000002, so every residual is the
+    # same tiny nonzero number; the targets are still constant.
+    data = Dataset(np.array([[0.0], [0.5], [1.0]]), np.array([0.1, 0.1, 0.1]), 1)
+    cfg = FitConfig(side_length=1.0)
+    model = gp.fit_mle(data, cfg)
+    assert model.kernel.signal_variance == cfg.variance_floor
+    assert model.noise_variance == cfg.variance_floor
+    assert model.prior_mean == pytest.approx(0.1)
+
+
 def test_fit_requires_two_points():
     data = Dataset(np.array([[0.0]]), np.array([1.0]), 1)
     with pytest.raises(ValueError):
@@ -410,6 +458,17 @@ def test_fit_large_scale_targets_raise_factorization_error():
     data = Dataset(X, 1e200 * rng.normal(size=6), 2)
     with pytest.raises(GpFactorizationError, match="not finite"):
         gp.fit_mle(data, FitConfig(side_length=2.0))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200])
+def test_fit_tiny_scale_targets_raise_factorization_error(scale):
+    # Smooth targets: at 1e-160 the fitted variances would be subnormal; at
+    # 1e-200 var(y) underflows to 0, which is not a constant target.
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1, 1, size=(10, 2))
+    y = scale * (np.sin(3.0 * X[:, 0]) + np.cos(2.0 * X[:, 1]))
+    with pytest.raises(GpFactorizationError, match="underflow"):
+        gp.fit_mle(Dataset(X, y, 2), FitConfig(side_length=2.0))
 
 
 def test_fit_makes_one_eigh_per_grid_lengthscale(monkeypatch):
