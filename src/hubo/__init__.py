@@ -6,145 +6,8 @@ incumbent; a hypercube-restricted variant keeps high-dimensional acquisition
 tractable.  The package ships the two algorithms, a volume-doubling baseline,
 a GP surrogate with MLE fitting, analytic diagnostics for the expansion
 schedule, synthetic benchmarks, and a CLI harness (``hubo run`` / ``hubo
-diagnostics`` / ``hubo list-benchmarks``).
+diagnostics`` / ``hubo list-benchmarks``).  Import names from the submodules
+(``hubo.driver``, ``hubo.gp``, ...); the package itself re-exports nothing.
 """
 
-from .acquisition import (
-    BetaSchedule,
-    MaximizerConfig,
-    beta,
-    maximize_over_box,
-    maximize_over_cubes,
-    ucb,
-)
-from .benchmarks import (
-    BENCHMARK_NAMES,
-    BenchmarkFunction,
-    InitialSpace,
-    initial_space,
-    make_benchmark,
-    random_search,
-)
-from .cubes import (
-    HdConfig,
-    HypercubeSet,
-    membership,
-    nearest_distance_bound,
-    nearest_in_set,
-    num_cubes,
-    sample_cubes,
-)
-from .driver import (
-    ALGORITHMS,
-    IterationRecord,
-    Objective,
-    RunConfig,
-    RunTrace,
-    compute_regret,
-    default_n_init,
-    run,
-    run_hdhubo,
-    run_hubo,
-    run_vol2,
-    sublinearity_diagnostic,
-)
-from .gp import (
-    Dataset,
-    FitConfig,
-    GpFactorizationError,
-    GpModel,
-    KernelSpec,
-    PosteriorState,
-    fit_mle,
-    kernel_eval,
-    kernel_matrix,
-    log_marginal_likelihood,
-    posterior,
-)
-from .series import (
-    PartialSumAccumulator,
-    gamma_root,
-    nearest_point_decay,
-    p_series_bound,
-    partial_sum,
-    partial_sum_lower_bound,
-    partial_sum_upper_bound,
-    partial_sums,
-)
-from .space import (
-    ExpansionConfig,
-    SearchBox,
-    envelope,
-    expand,
-    initial_box,
-    reachability_horizon,
-    reachability_horizon_bound,
-    side_length,
-    translate,
-    volume,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS",
-    "BENCHMARK_NAMES",
-    "BenchmarkFunction",
-    "BetaSchedule",
-    "Dataset",
-    "ExpansionConfig",
-    "FitConfig",
-    "GpFactorizationError",
-    "GpModel",
-    "HdConfig",
-    "HypercubeSet",
-    "InitialSpace",
-    "IterationRecord",
-    "KernelSpec",
-    "MaximizerConfig",
-    "Objective",
-    "PartialSumAccumulator",
-    "PosteriorState",
-    "RunConfig",
-    "RunTrace",
-    "SearchBox",
-    "beta",
-    "compute_regret",
-    "default_n_init",
-    "envelope",
-    "expand",
-    "fit_mle",
-    "gamma_root",
-    "initial_box",
-    "initial_space",
-    "kernel_eval",
-    "kernel_matrix",
-    "log_marginal_likelihood",
-    "make_benchmark",
-    "maximize_over_box",
-    "maximize_over_cubes",
-    "membership",
-    "nearest_distance_bound",
-    "nearest_in_set",
-    "nearest_point_decay",
-    "num_cubes",
-    "p_series_bound",
-    "partial_sum",
-    "partial_sum_lower_bound",
-    "partial_sum_upper_bound",
-    "partial_sums",
-    "posterior",
-    "random_search",
-    "reachability_horizon",
-    "reachability_horizon_bound",
-    "run",
-    "run_hdhubo",
-    "run_hubo",
-    "run_vol2",
-    "sample_cubes",
-    "side_length",
-    "sublinearity_diagnostic",
-    "translate",
-    "ucb",
-    "volume",
-]

@@ -26,10 +26,12 @@ __all__ = [
     "BetaSchedule",
     "MaximizerConfig",
     "beta",
-    "ucb",
     "maximize_over_box",
     "maximize_over_cubes",
 ]
+
+# A start stops once its relative step falls below this.
+_STEP_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,6 @@ def beta(t: int, sched: BetaSchedule, side: float | None = None) -> float:
     return max(0.0, val)
 
 
-def ucb(model: GpModel, data: Dataset, beta_t: float, x: np.ndarray) -> float:
-    """Acquisition value mean + sqrt(beta_t)*std at a single point."""
-    if beta_t < 0.0:
-        raise ValueError(f"beta_t must be >= 0, got {beta_t}")
-    state = PosteriorState(model, data)
-    means, variances = state.predict(np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return float(means[0] + math.sqrt(beta_t) * math.sqrt(variances[0]))
-
-
 @dataclass(frozen=True)
 class MaximizerConfig:
     """Budget for one acquisition maximization."""
@@ -114,7 +107,6 @@ class MaximizerConfig:
     restarts: int = 20
     max_evals: int = 1000
     seed: int = 0
-    step_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -122,10 +114,6 @@ class MaximizerConfig:
         if self.max_evals < self.restarts:
             raise ValueError(
                 f"max_evals ({self.max_evals}) must be >= restarts ({self.restarts})"
-            )
-        if not self.step_tolerance > 0.0:
-            raise ValueError(
-                f"step_tolerance must be > 0, got {self.step_tolerance}"
             )
 
 
@@ -139,7 +127,7 @@ def _ucb_batch(state: PosteriorState, beta_t: float):
     return predict
 
 
-def _search_rect(predict, lo, hi, restarts, max_evals, rngs, tol):
+def _search_rect(predict, lo, hi, restarts, max_evals, rngs):
     """Multi-start coordinate pattern search over K rectangles in lockstep.
 
     `lo` and `hi` are (K, d) bounds and `rngs` yields one generator per
@@ -200,7 +188,7 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rngs, tol):
                 improved[sel] = True
         stalled = active & ~improved
         steps[stalled] *= 0.5
-        active &= steps >= tol
+        active &= steps >= _STEP_TOLERANCE
 
     best_val = float(np.max(vals))
     tied = np.flatnonzero(vals == best_val)
@@ -226,7 +214,6 @@ def maximize_over_box(
         cfg.restarts,
         cfg.max_evals,
         [np.random.default_rng(cfg.seed)],
-        cfg.step_tolerance,
     )
     return x, val
 
@@ -264,6 +251,5 @@ def maximize_over_cubes(
         max(1, cfg.restarts // n),
         max(10, cfg.max_evals // n),
         rngs,
-        cfg.step_tolerance,
     )
     return x, val

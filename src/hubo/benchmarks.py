@@ -15,8 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driver import IterationRecord, RunTrace, evaluate
-from .space import ExpansionConfig, SearchBox
+from .space import ExpansionConfig
 
 __all__ = [
     "BenchmarkFunction",
@@ -29,15 +28,11 @@ __all__ = [
     "levy",
     "make_benchmark",
     "initial_space",
-    "random_search",
 ]
 
 BENCHMARK_NAMES = ("beale", "hartmann3", "hartmann6", "ackley", "levy")
 
-# Streams of the shared run seed (same labels the BO driver uses, so a random
-# baseline and a BO run with the same seed draw from disjoint streams).
-_STREAM_NOISE = 0
-_STREAM_INIT = 1
+# Stream label of the run seed for X0 placement; driver.py holds labels 0-3.
 _STREAM_PLACEMENT = 4
 
 
@@ -286,49 +281,4 @@ def initial_space(bench: BenchmarkFunction, fraction: float, seed: int) -> Initi
     c_max = np.minimum(center + 5.0 * side, bench.upper)
     return InitialSpace(
         dim=bench.dim, a=0.0, b=side, x0_center=center, c_min=c_min, c_max=c_max
-    )
-
-
-def random_search(obj, box, T: int, seed: int) -> RunTrace:
-    """Uniform random baseline: T draws from `box`, same noise model as a run.
-
-    `obj` needs .eval(x) and .dim (a BenchmarkFunction works; its noise_std
-    is taken as 0 when absent).  `box` is a SearchBox or any object with
-    .lower/.upper arrays, so a non-cubic translation region works too.  The
-    trace has one record per draw (t = 1..T) and uses the same per-seed
-    streams as the BO driver, so baselines pair with runs.  As in a BO run,
-    an objective that raises or returns a non-finite value ends the trace
-    early with incomplete=True and an `error` naming t.
-    """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    lower = np.asarray(box.lower, dtype=np.float64)
-    upper = np.asarray(box.upper, dtype=np.float64)
-    dim = int(getattr(obj, "dim"))
-    side = float(np.max(upper - lower))
-    noise_std = float(getattr(obj, "noise_std", 0.0) or 0.0)
-    rng_points = np.random.default_rng([seed, _STREAM_INIT])
-    rng_noise = np.random.default_rng([seed, _STREAM_NOISE])
-
-    trace = RunTrace(algorithm="random", seed=seed, dim=dim, n_init=0)
-    X = rng_points.uniform(lower, upper, size=(T, dim))
-    best = -math.inf
-    for i in range(T):
-        x = X[i].copy()
-        obs = evaluate(obj, x, noise_std, rng_noise, trace, i + 1)
-        if obs is None:
-            return trace
-        y = float(obs[1])
-        best = max(best, y)
-        trace.records.append(
-            IterationRecord(t=i + 1, x=x, y=y, best_y=best, side=side)
-        )
-    return trace
-
-
-def domain_box(bench: BenchmarkFunction) -> SearchBox:
-    """The full benchmark domain as a SearchBox (domains are hypercubes)."""
-    widths = bench.upper - bench.lower
-    return SearchBox(
-        0.5 * (bench.lower + bench.upper), 0.5 * float(widths[0]), bench.dim
     )

@@ -32,18 +32,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import series
 from .acquisition import BetaSchedule, MaximizerConfig
-from .benchmarks import (
-    BENCHMARK_NAMES,
-    initial_space,
-    make_benchmark,
-    random_search,
-)
+from .benchmarks import BENCHMARK_NAMES, initial_space, make_benchmark
 from .cubes import HdConfig, nearest_in_set, sample_cubes
 from .driver import (
     ALGORITHMS,
@@ -52,6 +48,7 @@ from .driver import (
     RunConfig,
     compute_regret,
     default_n_init,
+    random_search,
     run,
 )
 from .space import (
@@ -285,6 +282,8 @@ def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     seed = _as_int(merged, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     noise_std = _as_float(merged, "noise_std")
     if noise_std < 0.0:
         raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
@@ -340,14 +339,6 @@ def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
     )
 
 
-@dataclass(frozen=True)
-class _Region:
-    """Axis-aligned box given by explicit bounds (duck-types SearchBox)."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrace:
     """Run one (algorithm, repeat) pair and fill regret columns."""
     run_seed = spec.seed + repeat
@@ -357,8 +348,9 @@ def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrac
     l_h = spec.l_h if spec.l_h is not None else 0.1 * ispace.side
 
     if algorithm == "random":
-        region = _Region(lower=ispace.c_min, upper=ispace.c_max)
-        trace = random_search(obj, region, spec.n_init + spec.budget_T, run_seed)
+        trace = random_search(
+            obj, ispace.c_min, ispace.c_max, spec.n_init + spec.budget_T, run_seed
+        )
     else:
         exp_cfg = ispace.to_expansion(spec.alpha)
         if algorithm == "hdhubo":
@@ -434,6 +426,26 @@ def write_trace_csv(path: str, trace: RunTrace) -> None:
             )
 
 
+def _task_meta(task: tuple[ExperimentSpec, str, int]) -> dict:
+    """A task's metadata before it runs: status ok, no columns yet."""
+    spec, algorithm, repeat = task
+    return {
+        "algorithm": algorithm,
+        "repeat": repeat,
+        "seed": spec.seed + repeat,
+        "file": f"{algorithm}_r{repeat:03d}.csv",
+        "status": "ok",
+        "error": None,
+        "duration_s": 0.0,
+        "columns": None,
+    }
+
+
+def _failed(meta: dict, exc: BaseException) -> dict:
+    meta.update(status="error", error=f"{type(exc).__name__}: {exc}", file=None)
+    return meta
+
+
 def _run_task(task: tuple[ExperimentSpec, str, int]) -> dict:
     """Worker body: run one pair, write its trace CSV, return light metadata.
 
@@ -441,20 +453,10 @@ def _run_task(task: tuple[ExperimentSpec, str, int]) -> dict:
     """
     spec, algorithm, repeat = task
     started = time.perf_counter()
-    filename = f"{algorithm}_r{repeat:03d}.csv"
-    meta = {
-        "algorithm": algorithm,
-        "repeat": repeat,
-        "seed": spec.seed + repeat,
-        "file": filename,
-        "status": "ok",
-        "error": None,
-        "duration_s": 0.0,
-        "columns": None,
-    }
+    meta = _task_meta(task)
     try:
         trace = _build_and_run(spec, algorithm, repeat)
-        write_trace_csv(os.path.join(spec.out_dir, filename), trace)
+        write_trace_csv(os.path.join(spec.out_dir, meta["file"]), trace)
         if trace.incomplete:
             meta["status"] = "incomplete"
             meta["error"] = trace.error
@@ -465,11 +467,27 @@ def _run_task(task: tuple[ExperimentSpec, str, int]) -> dict:
                 "log_dist": [rec.log_dist for rec in trace.records],
             }
     except Exception as exc:  # a failed run must not sink the others
-        meta["status"] = "error"
-        meta["error"] = f"{type(exc).__name__}: {exc}"
-        meta["file"] = None
+        _failed(meta, exc)
     meta["duration_s"] = round(time.perf_counter() - started, 3)
     return meta
+
+
+def _run_pool(tasks: list, workers: int) -> list[dict]:
+    """Run the tasks in a process pool of at most one worker per task.
+
+    A worker process that dies breaks the pool: every task it had not
+    finished is recorded as an error, and the finished ones keep their
+    results.
+    """
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = [pool.submit(_run_task, task) for task in tasks]
+        metas = []
+        for task, future in zip(tasks, futures):
+            try:
+                metas.append(future.result())
+            except BrokenProcessPool as exc:
+                metas.append(_failed(_task_meta(task), exc))
+    return metas
 
 
 def _mean_std_stderr(values: np.ndarray) -> tuple[float, float, float]:
@@ -546,8 +564,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute the whole experiment and write all output files.
 
     Returns the manifest (also written as manifest.json): resolved config,
-    file list, and per-run status.  Failed runs are recorded and skipped by
-    the summaries; the remaining runs still complete.
+    file list, and per-run status.  Failed runs, including runs lost with a
+    killed worker process, are recorded and skipped by the summaries; the
+    remaining runs still complete.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     tasks = [
@@ -556,8 +575,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         for repeat in range(spec.repeats)
     ]
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            metas = list(pool.map(_run_task, tasks))
+        metas = _run_pool(tasks, spec.workers)
     else:
         metas = [_run_task(task) for task in tasks]
 
@@ -579,32 +597,11 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             emit_log_distance(summary_rows, os.path.join(spec.out_dir, ld_file))
             files.append(ld_file)
 
-    config_echo = {
-        "benchmark": spec.benchmark,
-        "dim": spec.dim,
-        "algorithms": list(spec.algorithms),
-        "alpha": spec.alpha,
-        "lambda": spec.lam,
-        "n0": spec.n0,
-        "l_h": spec.l_h,
-        "delta": spec.delta,
-        "s1": spec.s1,
-        "s2": spec.s2,
-        "fraction": spec.fraction,
-        "budget": spec.budget,
-        "budget_T": spec.budget_T,
-        "repeats": spec.repeats,
-        "seed": spec.seed,
-        "noise_std": spec.noise_std,
-        "restarts": spec.restarts,
-        "max_evals": spec.max_evals,
-        "n_init": spec.n_init,
-        "kernel": spec.kernel,
-        "workers": spec.workers,
-        "out_dir": spec.out_dir,
-    }
+    config = asdict(spec)
+    config["lambda"] = config.pop("lam")
+    config["algorithms"] = list(spec.algorithms)  # as json.load reads it back
     manifest = {
-        "config": config_echo,
+        "config": config,
         "files": sorted(files) + ["manifest.json"],
         "runs": [
             {key: m[key] for key in
@@ -675,20 +672,27 @@ def _check_gamma_root(lines: list[str]) -> bool:
     return passed
 
 
-def _measure_median_distance(
-    t: int, alpha: float, lam: float, dim: int, l_h: float, n_seeds: int
-) -> float:
-    """Median nearest-cube distance to a random target over n_seeds draws."""
+def _nearest_distances(
+    t: int, alpha: float, lam: float, dim: int, l_h: float, n_seeds: int, base: int
+) -> np.ndarray:
+    """Nearest-cube distance to a uniform target in the step-t box, per seed.
+
+    Seed s samples the cubes and the target from the stream [base + t, s].
+    """
     side = side_length(t, _unit_expansion(alpha, dim))
     box = SearchBox(np.zeros(dim), 0.5 * side, dim)
     hd = HdConfig(lam=lam, n0=1, l_h=l_h)
     dists = np.empty(n_seeds)
     for s in range(n_seeds):
-        rng = np.random.default_rng([40_000 + t, s])
+        rng = np.random.default_rng([base + t, s])
         cube_set = sample_cubes(box, t, hd, rng)
         x_star = rng.uniform(box.lower, box.upper)
         _, dists[s] = nearest_in_set(cube_set, x_star)
-    return float(np.median(dists))
+    return dists
+
+
+def _median_distance(t: int, alpha: float, lam: float) -> float:
+    return float(np.median(_nearest_distances(t, alpha, lam, 2, 0.1, 100, 40_000)))
 
 
 def _unit_expansion(alpha: float, dim: int) -> ExpansionConfig:
@@ -701,7 +705,7 @@ def _check_decay_regimes(lines: list[str]) -> bool:
     ok = True
     # shrinking regime: lambda > d(alpha+1)
     ts = (20, 80, 320)
-    medians = [_measure_median_distance(t, -1.0, 1.0, 2, 0.1, 100) for t in ts]
+    medians = [_median_distance(t, -1.0, 1.0) for t in ts]
     shrinking = medians[0] > medians[1] > medians[2]
     ok &= shrinking
     lines.append(
@@ -710,7 +714,7 @@ def _check_decay_regimes(lines: list[str]) -> bool:
         f"{', '.join(f'{m:.4f}' for m in medians)} strictly decreasing"
     )
     # violated regime: lambda = 0 < d(alpha+1) = 1 -> expected non-decreasing
-    medians = [_measure_median_distance(t, -0.5, 0.0, 2, 0.1, 100) for t in ts]
+    medians = [_median_distance(t, -0.5, 0.0) for t in ts]
     flagged = not (medians[0] > medians[1] > medians[2])
     ok &= flagged
     lines.append(
@@ -784,11 +788,7 @@ def _check_mc_bound(lines: list[str]) -> bool:
     alpha = -1.0
     l_h = 0.1
     n_seeds = 200
-    cfg = _unit_expansion(alpha, dim)
     for t in (50, 100, 400):
-        side = side_length(t, cfg)
-        box = SearchBox(np.zeros(dim), 0.5 * side, dim)
-        hd = HdConfig(lam=lam, n0=1, l_h=l_h)
         m_t = series.nearest_point_decay(alpha, lam, dim, t)
         bound = (
             2.0
@@ -797,14 +797,8 @@ def _check_mc_bound(lines: list[str]) -> bool:
             * math.log(1.0 / delta) ** (1.0 / dim)
             * m_t
         )
-        violations = 0
-        for s in range(n_seeds):
-            rng = np.random.default_rng([50_000 + t, s])
-            cube_set = sample_cubes(box, t, hd, rng)
-            x_star = rng.uniform(box.lower, box.upper)
-            _, dist = nearest_in_set(cube_set, x_star)
-            if not dist < bound:
-                violations += 1
+        dists = _nearest_distances(t, alpha, lam, dim, l_h, n_seeds, 50_000)
+        violations = int(np.sum(~(dists < bound)))
         rate = violations / n_seeds
         passed = rate <= delta
         ok &= passed

@@ -36,13 +36,11 @@ class HdConfig:
     lam: float
     n0: int
     l_h: float
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "n0", int(self.n0))
         object.__setattr__(self, "l_h", float(self.l_h))
-        object.__setattr__(self, "seed", int(self.seed))
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.n0 < 1:

@@ -3,14 +3,14 @@
 Three loops share one engine: the expand-and-translate algorithm ("hubo"),
 its hypercube-restricted high-dimensional variant ("hdhubo"), and a doubling
 baseline ("vol2") whose box never translates and whose volume doubles every
-3d iterations.  Every random draw comes from a stream derived from the run
-seed by a fixed label, so traces are bitwise reproducible.
+3d iterations.  A fourth loop, `random_search`, draws uniformly from a fixed
+box.  Every random draw comes from a stream derived from the run seed by a
+fixed label, so traces are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -35,9 +35,7 @@ __all__ = [
     "RunTrace",
     "default_n_init",
     "run",
-    "run_hubo",
-    "run_hdhubo",
-    "run_vol2",
+    "random_search",
     "compute_regret",
     "sublinearity_diagnostic",
 ]
@@ -46,6 +44,7 @@ ALGORITHMS = ("hubo", "hdhubo", "vol2")
 
 # Per-run RNG stream labels; each stream is seeded as [run_seed, label, ...]
 # so the streams never collide and adding draws to one cannot shift another.
+# benchmarks.initial_space draws from label 4.
 _STREAM_NOISE = 0
 _STREAM_INIT = 1
 _STREAM_CUBES = 2
@@ -108,7 +107,6 @@ class RunConfig:
     algorithm: str
     hd: HdConfig | None = None
     kernel_family: str = "se"
-    use_noiseless_incumbent: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -144,7 +142,6 @@ class IterationRecord:
     best_y: float
     side: float
     n_cubes: int | None = None
-    wall_ms: float = 0.0
     r_t: float | None = None
     R_t: float | None = None
     log_dist: float | None = None
@@ -198,9 +195,9 @@ def _derive_seed(*label: int) -> int:
 
 
 def evaluate(
-    obj, x: np.ndarray, noise_std: float, rng_noise, trace: RunTrace, t: int
-) -> tuple[float, float] | None:
-    """(f, y) at x with y = f + noise_std * z, z drawn from rng_noise.
+    obj: Objective, x: np.ndarray, rng_noise, trace: RunTrace, t: int
+) -> float | None:
+    """y = f(x) + noise_std * z with z drawn from rng_noise.
 
     If the objective raises, or f or y is not finite, marks `trace` as
     failed to evaluate at step t and returns None, so the caller can stop.
@@ -211,32 +208,41 @@ def evaluate(
         trace.fail("evaluate", t, f"{type(exc).__name__}: {exc}")
         return None
     y = f
-    if noise_std > 0.0:
-        y = f + noise_std * float(rng_noise.standard_normal())
+    if obj.noise_std > 0.0:
+        y = f + obj.noise_std * float(rng_noise.standard_normal())
     if not (math.isfinite(f) and math.isfinite(y)):
         trace.fail("evaluate", t, f"objective returned f={f!r}, y={y!r}")
         return None
-    return f, y
+    return y
 
 
-def run_hubo(obj: Objective, cfg: RunConfig) -> RunTrace:
-    if cfg.algorithm != "hubo":
-        raise ValueError(f"run_hubo needs algorithm 'hubo', got {cfg.algorithm!r}")
-    return run(obj, cfg)
+def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
+    """Uniform random baseline: T draws from the box [lower, upper].
 
+    The trace has one record per draw (t = 1..T) and uses the same per-seed
+    noise and point streams as a BO run, so baselines pair with runs.  As in
+    a BO run, an objective that raises or returns a non-finite value ends the
+    trace early with incomplete=True and an `error` naming t.
+    """
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    side = float(np.max(upper - lower))
+    rng_points = np.random.default_rng([seed, _STREAM_INIT])
+    rng_noise = np.random.default_rng([seed, _STREAM_NOISE])
 
-def run_hdhubo(obj: Objective, cfg: RunConfig) -> RunTrace:
-    if cfg.algorithm != "hdhubo":
-        raise ValueError(
-            f"run_hdhubo needs algorithm 'hdhubo', got {cfg.algorithm!r}"
-        )
-    return run(obj, cfg)
-
-
-def run_vol2(obj: Objective, cfg: RunConfig) -> RunTrace:
-    if cfg.algorithm != "vol2":
-        raise ValueError(f"run_vol2 needs algorithm 'vol2', got {cfg.algorithm!r}")
-    return run(obj, cfg)
+    trace = RunTrace(algorithm="random", seed=seed, dim=obj.dim, n_init=0)
+    X = rng_points.uniform(lower, upper, size=(T, obj.dim))
+    best = -math.inf
+    for t in range(1, T + 1):
+        x = X[t - 1].copy()
+        y = evaluate(obj, x, rng_noise, trace, t)
+        if y is None:
+            return trace
+        best = max(best, y)
+        trace.records.append(IterationRecord(t=t, x=x, y=y, best_y=best, side=side))
+    return trace
 
 
 def run(obj: Objective, cfg: RunConfig) -> RunTrace:
@@ -256,40 +262,37 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     rng_init = np.random.default_rng([cfg.seed, _STREAM_INIT])
     rng_cubes = None
     if cfg.algorithm == "hdhubo":
-        rng_cubes = np.random.default_rng([cfg.seed, _STREAM_CUBES, cfg.hd.seed])
+        # SeedSequence pads short entropy with zeros, so the trailing 0 only
+        # shows for run seeds >= 2**64; it keeps their cube draws unchanged
+        rng_cubes = np.random.default_rng([cfg.seed, _STREAM_CUBES, 0])
 
     trace = RunTrace(algorithm=cfg.algorithm, seed=cfg.seed, dim=d, n_init=cfg.n_init)
     box = initial_box(cfg.expansion)
     data = Dataset.empty(d)
-    best_inc = -math.inf
+    best_y = -math.inf
     best_x: np.ndarray | None = None
 
-    init_points = rng_init.uniform(box.lower, box.upper, size=(cfg.n_init, d))
-    for k in range(cfg.n_init):
-        started = time.perf_counter()
-        x = init_points[k].copy()
-        obs = evaluate(obj, x, obj.noise_std, rng_noise, trace, 0)
-        if obs is None:
-            return trace
-        f, y = obs
+    def observe(t: int, x: np.ndarray, n_cubes: int | None = None) -> bool:
+        """Evaluate x, add it to the data and the trace; False if it failed."""
+        nonlocal data, best_y, best_x
+        y = evaluate(obj, x, rng_noise, trace, t)
+        if y is None:
+            return False
         data = data.append(x, y)
-        inc = f if cfg.use_noiseless_incumbent else y
-        if inc > best_inc:
-            best_inc = inc
+        if y > best_y:
+            best_y = y
             best_x = x.copy()
         trace.records.append(
-            IterationRecord(
-                t=0,
-                x=x,
-                y=y,
-                best_y=best_inc,
-                side=box.side,
-                wall_ms=(time.perf_counter() - started) * 1e3,
-            )
+            IterationRecord(t=t, x=x, y=y, best_y=best_y, side=box.side, n_cubes=n_cubes)
         )
+        return True
+
+    init_points = rng_init.uniform(box.lower, box.upper, size=(cfg.n_init, d))
+    for x in init_points:
+        if not observe(0, x.copy()):
+            return trace
 
     for t in range(1, cfg.budget_T + 1):
-        started = time.perf_counter()
         try:
             model = fit_mle(data, FitConfig(side_length=box.side, family=cfg.kernel_family))
         except GpFactorizationError as exc:
@@ -325,26 +328,8 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
                     f"maximizer left the search box at t={t}: {x.tolist()}"
                 )
 
-        obs = evaluate(obj, x, obj.noise_std, rng_noise, trace, t)
-        if obs is None:
+        if not observe(t, x, n_cubes):
             return trace
-        f, y = obs
-        data = data.append(x, y)
-        inc = f if cfg.use_noiseless_incumbent else y
-        if inc > best_inc:
-            best_inc = inc
-            best_x = x.copy()
-        trace.records.append(
-            IterationRecord(
-                t=t,
-                x=x,
-                y=y,
-                best_y=best_inc,
-                side=box.side,
-                n_cubes=n_cubes,
-                wall_ms=(time.perf_counter() - started) * 1e3,
-            )
-        )
     return trace
 
 

@@ -22,10 +22,8 @@ __all__ = [
     "GpModel",
     "FitConfig",
     "GpFactorizationError",
-    "kernel_eval",
     "kernel_matrix",
     "PosteriorState",
-    "posterior",
     "log_marginal_likelihood",
     "fit_mle",
 ]
@@ -50,12 +48,10 @@ class KernelSpec:
     family: str
     lengthscale: float
     signal_variance: float
-    nu: float = 2.5
 
     def __post_init__(self):
         object.__setattr__(self, "lengthscale", float(self.lengthscale))
         object.__setattr__(self, "signal_variance", float(self.signal_variance))
-        object.__setattr__(self, "nu", float(self.nu))
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
@@ -66,8 +62,6 @@ class KernelSpec:
             raise ValueError(
                 f"signal_variance must be > 0, got {self.signal_variance}"
             )
-        if self.family == "matern52" and self.nu != 2.5:
-            raise ValueError(f"matern52 supports nu = 2.5 only, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -134,18 +128,6 @@ def _unit_kernel_from_sqdist(d2: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     r = np.sqrt(d2)
     z = (math.sqrt(5.0) / ell) * r
     return (1.0 + z + z * z / 3.0) * np.exp(-z)
-
-
-def kernel_eval(kernel: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
-    """Kernel value k(x, x2) for two single points."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    x2 = np.asarray(x2, dtype=np.float64).reshape(-1)
-    if x.shape != x2.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {x2.shape}")
-    d2 = float(np.sum((x - x2) ** 2))
-    return kernel.signal_variance * float(
-        _unit_kernel_from_sqdist(np.array(d2), kernel)
-    )
 
 
 def kernel_matrix(
@@ -237,16 +219,6 @@ class PosteriorState:
         return means, np.maximum(variances, 0.0)
 
 
-def posterior(
-    model: GpModel, data: Dataset, x: np.ndarray
-) -> tuple[float, float]:
-    """Exact GP posterior (mean, variance) at a single point x."""
-    means, variances = PosteriorState(model, data).predict(
-        np.asarray(x, dtype=np.float64).reshape(1, -1)
-    )
-    return float(means[0]), float(variances[0])
-
-
 def log_marginal_likelihood(model: GpModel, data: Dataset) -> float:
     """Gaussian LML of the data under the model, targets centered by prior_mean."""
     if len(data) == 0:
@@ -271,7 +243,6 @@ class FitConfig:
 
     side_length: float
     family: str = "se"
-    nu: float = 2.5
     grid_size: int = 8
     refine_sweeps: int = 20
     variance_floor: float = 1e-12
@@ -310,10 +281,7 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
     if z_std == 0.0:
         kernel = KernelSpec(
-            search.family,
-            math.sqrt(ls_lo * ls_hi),
-            search.variance_floor,
-            search.nu,
+            search.family, math.sqrt(ls_lo * ls_hi), search.variance_floor
         )
         return GpModel(kernel, search.variance_floor, mean)
     var_y = spread * z_std * (spread * z_std)  # inf, not OverflowError, past 1e308
@@ -328,7 +296,7 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     d2 = squareform(pdist(data.points, "sqeuclidean"))
 
     def unit_kernel(ls: float) -> np.ndarray:
-        return _unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0, search.nu))
+        return _unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
 
     def sub_grid(ls: float) -> np.ndarray:
         """LML up to a constant at (ls, sf_i, nv_j) for every grid (sf, nv), from one eigh."""
@@ -393,5 +361,5 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
         raise GpFactorizationError(
             f"fitted variances underflow float64 (signal {signal_var:g}, noise {noise_var:g})"
         )
-    kernel = KernelSpec(search.family, params[0], signal_var, search.nu)
+    kernel = KernelSpec(search.family, params[0], signal_var)
     return GpModel(kernel, noise_var, mean)

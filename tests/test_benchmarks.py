@@ -17,9 +17,8 @@ import pytest
 from scipy.optimize import minimize
 
 from hubo import benchmarks
-from hubo.benchmarks import initial_space, make_benchmark, random_search
-from hubo.driver import Objective
-from hubo.space import SearchBox
+from hubo.benchmarks import initial_space, make_benchmark
+from hubo.driver import Objective, random_search
 
 ALL_NAMES = ("beale", "hartmann3", "hartmann6", "ackley", "levy")
 
@@ -222,14 +221,17 @@ def test_initial_space_to_expansion_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# random_search
+# driver.random_search on benchmark domains
 # ---------------------------------------------------------------------------
 
 
+def random_over_domain(bench, T: int, seed: int, noise_std: float = 0.0):
+    obj = Objective.from_benchmark(bench, noise_std=noise_std)
+    return random_search(obj, bench.lower, bench.upper, T, seed)
+
+
 def test_random_search_single_draw():
-    bench = build("beale")
-    box = benchmarks.domain_box(bench)
-    trace = random_search(bench, box, 1, seed=0)
+    trace = random_over_domain(build("beale"), 1, seed=0)
     assert len(trace.records) == 1
     assert trace.records[0].t == 1
     assert trace.algorithm == "random"
@@ -237,9 +239,8 @@ def test_random_search_single_draw():
 
 def test_random_search_deterministic():
     bench = build("ackley")
-    box = benchmarks.domain_box(bench)
-    t1 = random_search(bench, box, 50, seed=9)
-    t2 = random_search(bench, box, 50, seed=9)
+    t1 = random_over_domain(bench, 50, seed=9)
+    t2 = random_over_domain(bench, 50, seed=9)
     for r1, r2 in zip(t1.records, t2.records):
         assert np.array_equal(r1.x, r2.x)
         assert r1.y == r2.y
@@ -247,31 +248,27 @@ def test_random_search_deterministic():
 
 def test_random_search_best_is_running_max():
     bench = build("levy")
-    box = benchmarks.domain_box(bench)
-    trace = random_search(bench, box, 100, seed=4)
+    trace = random_over_domain(bench, 100, seed=4)
     best = -np.inf
     for rec in trace.records:
         best = max(best, rec.y)
         assert rec.best_y == best
-        assert np.all(rec.x >= box.lower) and np.all(rec.x <= box.upper)
+        assert np.all(rec.x >= bench.lower) and np.all(rec.x <= bench.upper)
 
 
 def test_random_search_ackley_reaches_modest_level():
     # Ackley d=2 over the full domain: 1e4 uniform draws land within a few
     # units of the optimum on each of 5 fixed seeds (measured worst -2.84).
     bench = build("ackley")
-    box = benchmarks.domain_box(bench)
     for seed in range(5):
-        trace = random_search(bench, box, 10_000, seed=seed)
+        trace = random_over_domain(bench, 10_000, seed=seed)
         assert trace.best_y >= -4.0
 
 
 def test_random_search_noise_comes_from_objective():
     bench = build("beale")
-    obj = Objective.from_benchmark(bench, noise_std=0.5)
-    box = benchmarks.domain_box(bench)
-    noisy = random_search(obj, box, 20, seed=11)
-    clean = random_search(bench, box, 20, seed=11)
+    noisy = random_over_domain(bench, 20, seed=11, noise_std=0.5)
+    clean = random_over_domain(bench, 20, seed=11)
     # Same points, different observations.
     for rn, rc in zip(noisy.records, clean.records):
         assert np.array_equal(rn.x, rc.x)
@@ -279,15 +276,13 @@ def test_random_search_noise_comes_from_objective():
 
 
 def test_random_search_accepts_rectangular_region():
-    # Any object with lower/upper works; regions need not be cubes.
-    class Region:
-        lower = np.array([0.0, -1.0])
-        upper = np.array([1.0, 3.0])
-
-    bench = build("ackley")
-    trace = random_search(bench, Region(), 30, seed=2)
+    # The bounds need not form a cube.
+    lower = np.array([0.0, -1.0])
+    upper = np.array([1.0, 3.0])
+    obj = Objective.from_benchmark(build("ackley"))
+    trace = random_search(obj, lower, upper, 30, seed=2)
     for rec in trace.records:
-        assert np.all(rec.x >= Region.lower) and np.all(rec.x <= Region.upper)
+        assert np.all(rec.x >= lower) and np.all(rec.x <= upper)
 
 
 def beale_failing_on_call(n: int, fault):
@@ -309,7 +304,7 @@ def beale_failing_on_call(n: int, fault):
 @pytest.mark.parametrize("fault", [math.nan, math.inf, -math.inf])
 def test_random_search_non_finite_objective_ends_trace_incomplete(fault):
     bench = beale_failing_on_call(3, fault)
-    trace = random_search(bench, benchmarks.domain_box(bench), 10, seed=0)
+    trace = random_over_domain(bench, 10, seed=0)
     assert trace.incomplete
     assert trace.error.startswith("evaluate failed at t=3: objective returned f=")
     assert [rec.t for rec in trace.records] == [1, 2]
@@ -318,7 +313,7 @@ def test_random_search_non_finite_objective_ends_trace_incomplete(fault):
 
 def test_random_search_objective_exception_ends_trace_incomplete():
     bench = beale_failing_on_call(5, None)
-    trace = random_search(bench, benchmarks.domain_box(bench), 10, seed=0)
+    trace = random_over_domain(bench, 10, seed=0)
     assert trace.incomplete
     assert trace.error == "evaluate failed at t=5: RuntimeError: boom"
     assert [rec.t for rec in trace.records] == [1, 2, 3, 4]
@@ -326,7 +321,7 @@ def test_random_search_objective_exception_ends_trace_incomplete():
 
 def test_random_search_complete_trace_is_not_incomplete():
     bench = build("beale")
-    trace = random_search(bench, benchmarks.domain_box(bench), 10, seed=0)
+    trace = random_over_domain(bench, 10, seed=0)
     assert not trace.incomplete
     assert trace.error is None
 
@@ -334,11 +329,5 @@ def test_random_search_complete_trace_is_not_incomplete():
 def test_random_search_rejects_bad_budget():
     bench = build("beale")
     with pytest.raises(ValueError):
-        random_search(bench, benchmarks.domain_box(bench), 0, seed=0)
+        random_over_domain(bench, 0, seed=0)
 
-
-def test_domain_box_equals_canonical_domain():
-    bench = build("levy")
-    box = benchmarks.domain_box(bench)
-    np.testing.assert_allclose(box.lower, bench.lower)
-    np.testing.assert_allclose(box.upper, bench.upper)

@@ -7,7 +7,9 @@ import csv
 import json
 import math
 import os
-from dataclasses import replace
+import time
+from concurrent.futures import Future
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -137,6 +139,8 @@ def test_resolve_spec_field_errors():
         resolve_spec({"benchmark": "beale", "kernel": "rbf"})
     with pytest.raises(ConfigError, match="must be an integer"):
         resolve_spec({"benchmark": "beale", "seed": "x"})
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        resolve_spec({"benchmark": "beale", "seed": "-1"})
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,9 @@ def test_manifest_echoes_full_config(experiment):
         on_disk = json.load(fh)
     assert on_disk == manifest
     cfg = manifest["config"]
+    names = {f.name for f in fields(spec)}
+    assert set(cfg) == names - {"lam"} | {"lambda"}
+    assert cfg["algorithms"] == ["hubo", "random"]
     # every knob materialized, including ones left at defaults
     assert cfg["benchmark"] == "beale"
     assert cfg["lambda"] == 1.0
@@ -319,9 +326,81 @@ def test_worker_pool_matches_serial(tmp_path):
         assert blob_s == blob_p
 
 
+def test_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
+    # A process pool starts all its workers at once, so ask for no more than
+    # there are tasks.  The fake pool runs each task inline.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    spec = fast_spec(tmp_path, algorithms="random", budget=2, repeats=3, workers=64)
+    manifest = run_experiment(spec)
+    assert sizes == [3]
+    assert manifest["config"]["workers"] == 64
+    assert [r["status"] for r in manifest["runs"]] == ["ok"] * 3
+
+
 # ---------------------------------------------------------------------------
 # failure handling
 # ---------------------------------------------------------------------------
+
+
+def test_killed_worker_is_recorded_and_manifest_written(tmp_path, monkeypatch, capsys):
+    real = cli._build_and_run
+
+    def killed(s, algorithm, repeat):
+        if repeat == 1:
+            # die only once repeat 0 has written its CSV and had time to report
+            first = os.path.join(s.out_dir, "random_r000.csv")
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(first) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(1)
+        return real(s, algorithm, repeat)
+
+    monkeypatch.setattr(cli, "_build_and_run", killed)
+    spec = fast_spec(tmp_path / "direct", algorithms="random", budget=2, workers=2)
+    manifest = run_experiment(spec)
+    by_repeat = {r["repeat"]: r for r in manifest["runs"]}
+    assert by_repeat[0]["status"] == "ok"
+    assert by_repeat[1]["status"] == "error"
+    assert by_repeat[1]["error"].startswith("BrokenProcessPool")
+    assert by_repeat[1]["file"] is None
+    with open(os.path.join(spec.out_dir, "manifest.json"), encoding="utf-8") as fh:
+        assert json.load(fh) == manifest
+    assert "random_summary.csv" in manifest["files"]
+    assert os.path.exists(os.path.join(spec.out_dir, "random_summary.csv"))
+
+    out = tmp_path / "main"
+    code = cli.main(
+        [
+            "run",
+            "--set", "benchmark=beale",
+            "--set", "algorithms=random",
+            "--set", "budget=2",
+            "--set", "repeats=2",
+            "--set", "workers=2",
+            "--set", f"out_dir={out}",
+        ]
+    )
+    assert code == 3
+    assert "BrokenProcessPool" in capsys.readouterr().err
+    assert (out / "manifest.json").exists()
 
 
 def test_failed_run_is_recorded_and_others_continue(tmp_path, monkeypatch):
@@ -446,11 +525,13 @@ def test_main_run_success_exit_zero(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
-def test_main_config_error_exit_two(capsys):
+def test_main_config_error_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--set", "benchmark=nope"]) == 2
     assert "config error" in capsys.readouterr().err
     assert cli.main(["run"]) == 2  # benchmark missing entirely
     assert cli.main(["run", "--set", "oops"]) == 2  # not KEY=VALUE
+    bad_seed = ["--set", "benchmark=beale", "--set", "seed=-1"]
+    assert cli.main(["run", *bad_seed, "--set", f"out_dir={tmp_path}"]) == 2
 
 
 def test_main_set_overrides_config_file(tmp_path):

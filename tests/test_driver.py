@@ -23,9 +23,6 @@ from hubo.driver import (
     compute_regret,
     default_n_init,
     run,
-    run_hdhubo,
-    run_hubo,
-    run_vol2,
     sublinearity_diagnostic,
 )
 from hubo.space import ExpansionConfig
@@ -144,28 +141,20 @@ def test_default_n_init():
     assert default_n_init(10) == 11
 
 
-def test_algorithm_entry_points_enforce_algorithm():
-    obj = quadratic_objective()
-    with pytest.raises(ValueError):
-        run_hdhubo(obj, hubo_config(budget_T=1))
-    with pytest.raises(ValueError):
-        run_vol2(obj, hubo_config(budget_T=1))
-
-
 # ---------------------------------------------------------------------------
 # run (hubo)
 # ---------------------------------------------------------------------------
 
 
 def test_zero_budget_returns_initial_design_only():
-    trace = run_hubo(quadratic_objective(), hubo_config(budget_T=0))
+    trace = run(quadratic_objective(), hubo_config(budget_T=0))
     assert len(trace.records) == 3
     assert all(rec.t == 0 for rec in trace.records)
     assert not trace.incomplete
 
 
 def test_trace_has_n_init_plus_T_records():
-    trace = run_hubo(quadratic_objective(), hubo_config(budget_T=4))
+    trace = run(quadratic_objective(), hubo_config(budget_T=4))
     assert len(trace.records) == 3 + 4
     assert [rec.t for rec in trace.records] == [0, 0, 0, 1, 2, 3, 4]
 
@@ -173,8 +162,8 @@ def test_trace_has_n_init_plus_T_records():
 def test_run_is_deterministic():
     cfg = hubo_config(budget_T=6, seed=123)
     obj = quadratic_objective()
-    t1 = run_hubo(obj, cfg)
-    t2 = run_hubo(obj, cfg)
+    t1 = run(obj, cfg)
+    t2 = run(obj, cfg)
     assert len(t1.records) == len(t2.records)
     for r1, r2 in zip(t1.records, t2.records):
         assert np.array_equal(r1.x, r2.x)
@@ -185,15 +174,15 @@ def test_run_is_deterministic():
 
 def test_different_seeds_differ():
     obj = quadratic_objective()
-    t1 = run_hubo(obj, hubo_config(budget_T=3, seed=0))
-    t2 = run_hubo(obj, hubo_config(budget_T=3, seed=1))
+    t1 = run(obj, hubo_config(budget_T=3, seed=0))
+    t2 = run(obj, hubo_config(budget_T=3, seed=1))
     assert any(
         not np.array_equal(r1.x, r2.x) for r1, r2 in zip(t1.records, t2.records)
     )
 
 
 def test_best_y_nondecreasing_and_running_max():
-    trace = run_hubo(quadratic_objective(), hubo_config(budget_T=8, seed=5))
+    trace = run(quadratic_objective(), hubo_config(budget_T=8, seed=5))
     best = -math.inf
     for rec in trace.records:
         best = max(best, rec.y)
@@ -202,7 +191,7 @@ def test_best_y_nondecreasing_and_running_max():
 
 def test_side_column_matches_closed_form():
     cfg = hubo_config(budget_T=8)
-    trace = run_hubo(quadratic_objective(), cfg)
+    trace = run(quadratic_objective(), cfg)
     for rec in trace.records:
         expected = space.side_length(rec.t, cfg.expansion)
         assert rec.side == pytest.approx(expected, rel=1e-12)
@@ -210,7 +199,7 @@ def test_side_column_matches_closed_form():
 
 def test_initial_points_inside_x0():
     cfg = hubo_config(budget_T=0, seed=3)
-    trace = run_hubo(quadratic_objective(), cfg)
+    trace = run(quadratic_objective(), cfg)
     for rec in trace.records:
         assert 0.0 <= rec.x[0] <= 1.0
 
@@ -218,17 +207,17 @@ def test_initial_points_inside_x0():
 def test_hubo_finds_quadratic_optimum():
     # x* = 5 sits far outside X0 = [0, 1] but inside C_initial = [-10, 10];
     # the expanding box must reach and localize it.
-    trace = run_hubo(quadratic_objective(), hubo_config(budget_T=60))
+    trace = run(quadratic_objective(), hubo_config(budget_T=60))
     assert trace.best_y == pytest.approx(0.0, abs=0.05)
 
 
 def test_noise_stream_changes_observations_not_points_at_init():
     cfg = hubo_config(budget_T=0, seed=9)
-    clean = run_hubo(quadratic_objective(), cfg)
+    clean = run(quadratic_objective(), cfg)
     noisy_obj = Objective(
         fn=lambda x: -((x[0] - 5.0) ** 2), dim=1, noise_std=0.3
     )
-    noisy = run_hubo(noisy_obj, cfg)
+    noisy = run(noisy_obj, cfg)
     for rc, rn in zip(clean.records, noisy.records):
         assert np.array_equal(rc.x, rn.x)
         assert rc.y != rn.y
@@ -244,7 +233,7 @@ def test_objective_failure_marks_trace_incomplete():
         return -float(x[0] ** 2)
 
     obj = Objective(fn=flaky, dim=1)
-    trace = run_hubo(obj, hubo_config(budget_T=10))
+    trace = run(obj, hubo_config(budget_T=10))
     assert trace.incomplete
     assert trace.error is not None and "sensor died" in trace.error
     assert trace.error.startswith("evaluate failed at t=2:")
@@ -326,7 +315,7 @@ def test_empty_trace_best_values():
 
 
 def test_hdhubo_n_cubes_schedule():
-    trace = run_hdhubo(sphere_2d(), small_2d_config("hdhubo", budget_T=7))
+    trace = run(sphere_2d(), small_2d_config("hdhubo", budget_T=7))
     for rec in trace.records:
         if rec.t == 0:
             assert rec.n_cubes is None
@@ -337,16 +326,38 @@ def test_hdhubo_n_cubes_schedule():
 def test_hdhubo_deterministic():
     cfg = small_2d_config("hdhubo", budget_T=5, seed=77)
     obj = sphere_2d()
-    t1 = run_hdhubo(obj, cfg)
-    t2 = run_hdhubo(obj, cfg)
+    t1 = run(obj, cfg)
+    t2 = run(obj, cfg)
     for r1, r2 in zip(t1.records, t2.records):
         assert np.array_equal(r1.x, r2.x)
         assert r1.y == r2.y
 
 
+@pytest.mark.parametrize("seed", [77, 2**64 + 77])
+def test_hdhubo_cube_stream_is_seeded_by_run_seed_2_0(monkeypatch, seed):
+    # Every cube center comes from the stream [run seed, 2, 0], in step order.
+    # Below 2**64 the trailing 0 is the same as SeedSequence's zero padding;
+    # the larger seed shows it.
+    drawn = []
+    real = driver.sample_cubes
+
+    def record(parent, t, cfg, rng):
+        cube_set = real(parent, t, cfg, rng)
+        drawn.append(cube_set)
+        return cube_set
+
+    monkeypatch.setattr(driver, "sample_cubes", record)
+    run(sphere_2d(), small_2d_config("hdhubo", budget_T=4, seed=seed))
+    rng = np.random.default_rng([seed, 2, 0])
+    assert len(drawn) == 4
+    for cs in drawn:
+        expected = rng.uniform(cs.parent.lower, cs.parent.upper, size=(cs.n, 2))
+        assert np.array_equal(cs.centers, expected)
+
+
 def test_hdhubo_side_matches_closed_form():
     cfg = small_2d_config("hdhubo", budget_T=6)
-    trace = run_hdhubo(sphere_2d(), cfg)
+    trace = run(sphere_2d(), cfg)
     for rec in trace.records:
         assert rec.side == pytest.approx(
             space.side_length(rec.t, cfg.expansion), rel=1e-12
@@ -360,7 +371,7 @@ def test_hdhubo_side_matches_closed_form():
 
 def test_vol2_doubling_schedule_d2():
     cfg = small_2d_config("vol2", budget_T=13)
-    trace = run_vol2(sphere_2d(), cfg)
+    trace = run(sphere_2d(), cfg)
     side0 = cfg.expansion.initial_side
     for rec in trace.records:
         if rec.t == 0:
@@ -388,8 +399,8 @@ def test_vol2_geometric_side_formula():
 def test_vol2_deterministic():
     cfg = small_2d_config("vol2", budget_T=4, seed=3)
     obj = sphere_2d()
-    t1 = run_vol2(obj, cfg)
-    t2 = run_vol2(obj, cfg)
+    t1 = run(obj, cfg)
+    t2 = run(obj, cfg)
     for r1, r2 in zip(t1.records, t2.records):
         assert np.array_equal(r1.x, r2.x)
 
@@ -397,7 +408,7 @@ def test_vol2_deterministic():
 def test_vol2_keeps_center_fixed():
     # All suggested points stay inside the doubling box around x0_center.
     cfg = small_2d_config("vol2", budget_T=8)
-    trace = run_vol2(sphere_2d(), cfg)
+    trace = run(sphere_2d(), cfg)
     center = cfg.expansion.x0_center
     for rec in trace.records:
         if rec.t >= 1:
@@ -467,7 +478,7 @@ def test_regret_skips_initial_rows_but_logs_distance():
 
 
 def test_regret_nonnegative_on_noiseless_run():
-    trace = run_hubo(quadratic_objective(), hubo_config(budget_T=10, seed=21))
+    trace = run(quadratic_objective(), hubo_config(budget_T=10, seed=21))
     compute_regret(trace, quadratic_objective())
     for rec in trace.records:
         if rec.t >= 1:
