@@ -150,7 +150,7 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     """Chronological record of a run; `incomplete` is set when the objective
-    failed or the GP fit broke down and the trace stops early, and `error`
+    failed or a GP factorization broke down and the trace stops early, and `error`
     then names the phase and the step t."""
 
     algorithm: str
@@ -250,8 +250,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     Each step refits the GP by MLE, updates the search region per the
     algorithm, maximizes UCB inside it, and observes f plus fresh noise.  If
-    the objective raises or returns a non-finite value, or the fit raises
-    GpFactorizationError, the partial trace is returned with incomplete=True.
+    the objective raises or returns a non-finite value, or the fit or the
+    maximizer's posterior raises GpFactorizationError, the partial trace is
+    returned with incomplete=True.
     """
     d = obj.dim
     if cfg.expansion.dim != d:
@@ -313,20 +314,23 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
         mcfg = replace(cfg.maximizer, seed=_derive_seed(cfg.seed, _STREAM_MAXIMIZER, t))
         n_cubes: int | None = None
-        if cfg.algorithm == "hdhubo":
-            cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
-            n_cubes = cube_set.n
-            x, _ = maximize_over_cubes(model, data, beta_t, cube_set, mcfg)
-            if not membership(cube_set, x):
-                raise RuntimeError(
-                    f"maximizer left the cube union at t={t}: {x.tolist()}"
-                )
-        else:
-            x, _ = maximize_over_box(model, data, beta_t, box, mcfg)
-            if not box.contains(x):
-                raise RuntimeError(
-                    f"maximizer left the search box at t={t}: {x.tolist()}"
-                )
+        try:
+            if cfg.algorithm == "hdhubo":
+                cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
+                n_cubes = cube_set.n
+                x, _ = maximize_over_cubes(model, data, beta_t, cube_set, mcfg)
+                if not membership(cube_set, x):
+                    raise RuntimeError(
+                        f"maximizer left the cube union at t={t}: {x.tolist()}"
+                    )
+            else:
+                x, _ = maximize_over_box(model, data, beta_t, box, mcfg)
+                if not box.contains(x):
+                    raise RuntimeError(
+                        f"maximizer left the search box at t={t}: {x.tolist()}"
+                    )
+        except GpFactorizationError as exc:  # from the posterior's factorization
+            return trace.fail("maximize", t, f"GpFactorizationError: {exc}")
 
         if not observe(t, x, n_cubes):
             return trace

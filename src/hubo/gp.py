@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.spatial.distance import cdist, pdist, squareform
 
 __all__ = [
@@ -147,27 +147,36 @@ def kernel_matrix(
     return kernel.signal_variance * _unit_kernel_from_sqdist(d2, kernel)
 
 
-def _chol_with_jitter(
-    K_noisy: np.ndarray, signal_variance: float
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K_noisy, escalating diagonal jitter on failure."""
+def cholesky(K: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of K by LAPACK dpotrf, or None if K is not
+    positive definite.  A Fortran-ordered float64 K is factorized in place."""
+    L, info = dpotrf(K, lower=1, clean=1, overwrite_a=1)
+    return L if info == 0 else None
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^-1 b, or L^-T b with trans=1, by LAPACK dtrtrs on the lower factor L."""
+    x, info = dtrtrs(L, b, lower=1, trans=trans)
+    if info != 0:
+        raise GpFactorizationError(f"triangular solve failed (LAPACK info {info})")
+    return x
+
+
+def _add_to_diagonal(K: np.ndarray, value: float) -> None:
+    """K += value * I for a contiguous square K, through a strided view."""
+    K.ravel(order="K")[:: len(K) + 1] += value
+
+
+def _chol_with_jitter(K_noisy: np.ndarray, signal_variance: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K_noisy, escalating diagonal jitter on failure;
+    a failed attempt leaves K_noisy, C-ordered from kernel_matrix, intact."""
     jitter = 0.0
     for _ in range(_JITTER_ESCALATIONS + 1):
-        try:
-            if jitter == 0.0:
-                L = cholesky(K_noisy, lower=True, check_finite=False)
-            else:
-                L = cholesky(
-                    K_noisy + jitter * np.eye(len(K_noisy)),
-                    lower=True,
-                    check_finite=False,
-                )
+        L = cholesky(K_noisy if jitter == 0.0 else K_noisy + jitter * np.eye(len(K_noisy)))
+        if L is not None:
             return L, jitter
-        except LinAlgError:
-            jitter = _JITTER_BASE * signal_variance if jitter == 0.0 else jitter * 10.0
-    raise GpFactorizationError(
-        f"factorization failed at maximum jitter {jitter / 10.0:g}"
-    )
+        jitter = _JITTER_BASE * signal_variance if jitter == 0.0 else jitter * 10.0
+    raise GpFactorizationError(f"factorization failed at maximum jitter {jitter / 10.0:g}")
 
 
 class PosteriorState:
@@ -182,17 +191,13 @@ class PosteriorState:
         self.data = data
         self.jitter = 0.0
         if len(data) == 0:
-            self._L = None
-            self._weights = None
+            self._L = self._weights = None
             return
         K = kernel_matrix(model.kernel, data.points)
-        K[np.diag_indices_from(K)] += model.noise_variance
+        _add_to_diagonal(K, model.noise_variance)
         self._L, self.jitter = _chol_with_jitter(K, model.kernel.signal_variance)
-        resid = data.targets - model.prior_mean
-        v = solve_triangular(self._L, resid, lower=True, check_finite=False)
-        self._weights = solve_triangular(
-            self._L.T, v, lower=False, check_finite=False
-        )
+        v = _solve_lower(self._L, data.targets - model.prior_mean)
+        self._weights = _solve_lower(self._L, v, trans=1)
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at each row of X, shape (m, d)."""
@@ -209,11 +214,7 @@ class PosteriorState:
             )
         Ks = kernel_matrix(self.model.kernel, X, self.data.points)
         means = Ks @ self._weights + self.model.prior_mean
-        # the LAPACK routine solve_triangular wraps for a Fortran-ordered
-        # float64 L, called directly: same bits, without the per-call checks
-        v, info = dtrtrs(self._L, Ks.T, lower=1)
-        if info != 0:
-            raise GpFactorizationError(f"triangular solve failed (LAPACK info {info})")
+        v = _solve_lower(self._L, Ks.T)
         variances = sv - np.sum(v * v, axis=0)
         # roundoff can push variances a hair below zero; never return negative
         return means, np.maximum(variances, 0.0)
@@ -224,14 +225,14 @@ def log_marginal_likelihood(model: GpModel, data: Dataset) -> float:
     if len(data) == 0:
         raise ValueError("log_marginal_likelihood needs a nonempty dataset")
     K = kernel_matrix(model.kernel, data.points)
-    K[np.diag_indices_from(K)] += model.noise_variance
+    _add_to_diagonal(K, model.noise_variance)
     L, _ = _chol_with_jitter(K, model.kernel.signal_variance)
     return _lml_from_cholesky(L, data.targets - model.prior_mean)
 
 
 def _lml_from_cholesky(L: np.ndarray, resid: np.ndarray) -> float:
     """Gaussian LML of resid given the lower Cholesky factor L of its covariance."""
-    v = solve_triangular(L, resid, lower=True, check_finite=False)
+    v = _solve_lower(L, resid)
     return float(
         -0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * len(resid) * math.log(2.0 * math.pi)
     )
@@ -264,8 +265,9 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     most `refine_sweeps` sweeps.  The grid is spectral: K + nv*I =
     Q diag(sf*w + nv) Q^T, so one `eigh` per grid lengthscale scores its whole
     (sf, nv) sub-grid.  The descent scores the grid winner and each probe by a
-    Cholesky LML.  Cost: `grid_size` eigh calls plus at most 6*`refine_sweeps`
-    Cholesky probes.  Constant targets return a floor-variance model; a
+    Cholesky LML, once per distinct point.  Cost: `grid_size` eigh calls plus
+    one LAPACK factorization per distinct probe point, at most
+    1 + 6*`refine_sweeps`.  Constant targets return a floor-variance model; a
     target variance that overflows, or a fitted variance that underflows to
     a subnormal or zero, raises GpFactorizationError.
     """
@@ -300,7 +302,7 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
 
     def sub_grid(ls: float) -> np.ndarray:
         """LML up to a constant at (ls, sf_i, nv_j) for every grid (sf, nv), from one eigh."""
-        w, Q = eigh(unit_kernel(ls), check_finite=False)
+        w, Q = eigh(unit_kernel(ls), overwrite_a=True, check_finite=False)
         proj = Q.T @ z
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lam = grids[1][:, None, None] * w + grids[2][None, :, None]
@@ -317,31 +319,29 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
 
     def score(Ku: np.ndarray, sf: float, nv: float) -> float:
         K = np.multiply(Ku, sf, order="F")  # Fortran order: factorized in place
-        K[np.diag_indices_from(K)] += nv
-        try:
-            L = cholesky(K, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            return -math.inf
-        return _lml_from_cholesky(L, z)
+        _add_to_diagonal(K, nv)
+        L = cholesky(K)
+        return -math.inf if L is None else _lml_from_cholesky(L, z)
 
     # Coordinate descent around the grid winner, multiplicative steps starting
     # at half a grid cell (in log space) and shrinking when a sweep stalls.
+    # A probe only wins on a strict gain, so every point scored so far is at
+    # most best_val: a revisit cannot win and is not scored again.
     Ku = unit_kernel(params[0])
     best_val = score(Ku, params[1], params[2])
-    steps = [
-        (hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds
-    ]
+    scored = {tuple(params)}
+    steps = [(hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds]
     for _ in range(search.refine_sweeps):
         moved = False
         for i in range(3):
-            cand_best = None
-            cand_val = best_val
+            cand_best, cand_val = None, best_val
             for factor in (steps[i], 1.0 / steps[i]):
                 cand = min(max(params[i] * factor, bounds[i][0]), bounds[i][1])
-                if cand == params[i]:
-                    continue
                 trial = list(params)
                 trial[i] = cand
+                if tuple(trial) in scored:
+                    continue
+                scored.add(tuple(trial))
                 Ku_c = unit_kernel(cand) if i == 0 else Ku
                 val = score(Ku_c, trial[1], trial[2])
                 if val > cand_val:

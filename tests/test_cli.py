@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from hubo import cli
+from hubo import cli, gp
 from hubo.cli import (
     ConfigError,
     parse_config_file,
@@ -459,6 +459,42 @@ def test_non_finite_objective_writes_partial_csv(tmp_path, monkeypatch, capsys):
     assert entry["error"].startswith("evaluate failed at t=2: objective returned f=nan")
     rows = read_csv(out / "hubo_r000.csv")
     assert [row[0] for row in rows[1:]] == ["0", "0", "0", "1"]
+
+
+def test_maximize_failure_writes_partial_csv(tmp_path, monkeypatch, capsys):
+    # The third PosteriorState factorization, at BO step t = 3, exhausts its jitter.
+    real = gp._chol_with_jitter
+    calls = {"n": 0}
+
+    def chol(K_noisy, signal_variance):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise gp.GpFactorizationError("factorization failed at maximum jitter 1e-05")
+        return real(K_noisy, signal_variance)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", chol)
+    out = tmp_path / "res"
+    code = cli.main(
+        [
+            "run",
+            "--set", "benchmark=beale",
+            "--set", "algorithms=hubo",
+            "--set", "budget=10",
+            "--set", "repeats=1",
+            "--set", "restarts=5",
+            "--set", "max_evals=100",
+            "--set", f"out_dir={out}",
+        ]
+    )
+    assert code == 3
+    assert "maximize failed at t=3" in capsys.readouterr().err
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        (entry,) = json.load(fh)["runs"]
+    assert entry["status"] == "incomplete"
+    assert entry["file"] == "hubo_r000.csv"
+    assert entry["error"].startswith("maximize failed at t=3: GpFactorizationError:")
+    rows = read_csv(out / "hubo_r000.csv")
+    assert [row[0] for row in rows[1:]] == ["0", "0", "0", "1", "2"]
 
 
 @pytest.mark.parametrize("fault", ["nan", "raise"])

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from hubo import driver, space
+from hubo import driver, gp, space
 from hubo.acquisition import BetaSchedule, MaximizerConfig
 from hubo.cubes import HdConfig
 from hubo.driver import (
@@ -25,6 +25,7 @@ from hubo.driver import (
     run,
     sublinearity_diagnostic,
 )
+from hubo.gp import GpFactorizationError
 from hubo.space import ExpansionConfig
 
 
@@ -282,6 +283,32 @@ def test_tiny_scale_fit_failure_marks_trace_incomplete():
     assert trace.incomplete
     assert len(trace.records) == 3  # the initial design; the variances underflow at t = 1
     assert trace.error.startswith("fit failed at t=1: GpFactorizationError: fitted variances underflow")
+
+
+def fail_third_factorization(monkeypatch):
+    """Make the third PosteriorState factorization (BO step t = 3) exhaust its jitter."""
+    real = gp._chol_with_jitter
+    calls = {"n": 0}
+
+    def chol(K_noisy, signal_variance):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise GpFactorizationError("factorization failed at maximum jitter 1e-05")
+        return real(K_noisy, signal_variance)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", chol)
+
+
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo"])
+def test_maximize_failure_marks_trace_incomplete(monkeypatch, algorithm):
+    fail_third_factorization(monkeypatch)
+    trace = run(Objective(fn=lambda x: -float(x @ x), dim=2), small_2d_config(algorithm, 10))
+    assert trace.incomplete
+    assert [rec.t for rec in trace.records] == [0, 0, 0, 1, 2]
+    assert trace.error == (
+        "maximize failed at t=3: GpFactorizationError: "
+        "factorization failed at maximum jitter 1e-05"
+    )
 
 
 def test_constant_objective_runs_to_completion():

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh, solve_triangular
+from scipy.linalg import LinAlgError, eigh, solve_triangular
+from scipy.linalg import cholesky as scipy_cholesky
 from scipy.spatial.distance import pdist, squareform
 
 from hubo import gp
@@ -315,6 +316,95 @@ def test_jitter_rescues_mildly_indefinite_matrix():
     L, jitter = gp._chol_with_jitter(K, 1.0)
     assert jitter > 0.0
     assert np.all(np.isfinite(L))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_cholesky_factors_positive_definite_and_rejects_indefinite(seed, n):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+
+    def with_eigenvalues(w):
+        A = (Q * w) @ Q.T
+        return 0.5 * (A + A.T)
+
+    w = rng.uniform(0.1, 10.0, size=n)
+    A = with_eigenvalues(w)
+    expected = np.linalg.cholesky(A)  # before gp.cholesky: a 1x1 A is Fortran-ordered
+    L = gp.cholesky(A)
+    assert L is not None and not np.any(np.triu(L, 1))
+    np.testing.assert_allclose(L, expected, rtol=1e-10, atol=1e-12)
+    w[int(rng.integers(n))] = -rng.uniform(1e-3, 10.0)
+    B = with_eigenvalues(w)
+    assert gp.cholesky(B) is None
+    assert gp.cholesky(np.asfortranarray(B)) is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), rank=st.integers(1, 30))
+def test_jitter_escalates_past_an_indefinite_matrix(seed, n, rank):
+    # A singular Gram matrix pushed 1e-12 below zero: the plain factorization
+    # fails, the first jitter level (1e-10 * signal variance) succeeds, and
+    # the caller's matrix is left as it was.
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, min(rank, n - 1))) / math.sqrt(n)
+    K = B @ B.T - 1e-12 * np.eye(n)
+    before = K.copy()
+    assert gp.cholesky(K) is None
+    L, jitter = gp._chol_with_jitter(K, 1.0)
+    assert jitter == gp._JITTER_BASE
+    assert np.array_equal(K, before)
+    np.testing.assert_allclose(L @ L.T, K + jitter * np.eye(n), rtol=0, atol=1e-12)
+
+
+def random_well_conditioned(rng, t: int, d: int, family: str):
+    """A model whose noise keeps cond(K + nv*I) below about 1e4, and data."""
+    sv = float(rng.uniform(0.5, 3.0))
+    model = GpModel(
+        kernel=KernelSpec(family, float(rng.uniform(0.2, 2.0)), sv),
+        noise_variance=float(rng.uniform(0.01, 0.5)) * sv,
+        prior_mean=float(rng.normal()),
+    )
+    X = rng.uniform(-1.0, 1.0, size=(t, d))
+    return model, Dataset(X, rng.normal(size=t), d)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 40),
+    d=st.integers(1, 6),
+    family=st.sampled_from(["se", "matern52"]),
+)
+def test_predict_matches_dense_solve_oracle(seed, t, d, family):
+    rng = np.random.default_rng(seed)
+    model, data = random_well_conditioned(rng, t, d, family)
+    Xq = rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 20)), d))
+    K = gp.kernel_matrix(model.kernel, data.points) + model.noise_variance * np.eye(t)
+    Ks = gp.kernel_matrix(model.kernel, Xq, data.points)
+    mean = Ks @ np.linalg.solve(K, data.targets - model.prior_mean) + model.prior_mean
+    var = model.kernel.signal_variance - np.sum(Ks * np.linalg.solve(K, Ks.T).T, axis=1)
+    means, variances = PosteriorState(model, data).predict(Xq)
+    np.testing.assert_allclose(means, mean, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(variances, np.maximum(var, 0.0), rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(1, 40),
+    d=st.integers(1, 6),
+    family=st.sampled_from(["se", "matern52"]),
+)
+def test_lml_matches_dense_slogdet_oracle(seed, t, d, family):
+    rng = np.random.default_rng(seed)
+    model, data = random_well_conditioned(rng, t, d, family)
+    K = gp.kernel_matrix(model.kernel, data.points) + model.noise_variance * np.eye(t)
+    resid = data.targets - model.prior_mean
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign == 1.0
+    expected = -0.5 * resid @ np.linalg.solve(K, resid) - 0.5 * logdet - 0.5 * t * math.log(2 * math.pi)
+    assert gp.log_marginal_likelihood(model, data) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -625,3 +715,146 @@ def test_fit_is_invariant_to_affine_target_maps(seed, t, a, b):
         a * a * base.kernel.signal_variance, rel=1e-9
     )
     assert mapped.noise_variance == pytest.approx(a * a * base.noise_variance, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# fit_mle against the SciPy-wrapper, unmemoized Cholesky fit it replaced
+# ---------------------------------------------------------------------------
+
+
+def scipy_cholesky_fit_mle(data: Dataset, search: FitConfig, probes=None) -> GpModel:
+    """fit_mle as it was before the direct-LAPACK, memoized descent: SciPy's
+    `cholesky` and `solve_triangular`, and every probe scored anew.  Appends
+    each descent point it scores to `probes`, the grid winner first."""
+    t = len(data)
+    mean = float(np.mean(data.targets))
+    resid = data.targets - mean
+    spread = float(np.max(np.abs(resid)))
+    z_std = float(np.std(resid / spread)) if spread > 0.0 else 0.0
+    ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
+    if z_std == 0.0:
+        kernel = KernelSpec(search.family, math.sqrt(ls_lo * ls_hi), search.variance_floor)
+        return GpModel(kernel, search.variance_floor, mean)
+    var_y = spread * z_std * (spread * z_std)
+    if not math.isfinite(var_y):
+        raise GpFactorizationError(
+            f"target variance is not finite in float64 (max |y - mean| = {spread:g})"
+        )
+
+    z = resid / spread / z_std
+    bounds = [(ls_lo, ls_hi), (1e-3, 1e3), (1e-6, 1.0)]
+    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
+    d2 = squareform(pdist(data.points, "sqeuclidean"))
+
+    def unit_kernel(ls: float) -> np.ndarray:
+        return gp._unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
+
+    def sub_grid(ls: float) -> np.ndarray:
+        w, Q = eigh(unit_kernel(ls), check_finite=False)
+        proj = Q.T @ z
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = grids[1][:, None, None] * w + grids[2][None, :, None]
+            vals = -0.5 * np.sum(proj * proj / lam, axis=-1) - 0.5 * np.sum(np.log(lam), axis=-1)
+        vals[np.isnan(vals) | (lam[..., 0] <= 0.0)] = -math.inf
+        return vals
+
+    scores = np.stack([sub_grid(float(ls)) for ls in grids[0]])
+    best = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    if scores[best] == -math.inf:
+        raise GpFactorizationError("no grid point has a finite log marginal likelihood")
+    params = [float(grid[i]) for grid, i in zip(grids, best)]
+
+    def score(Ku: np.ndarray, ls: float, sf: float, nv: float) -> float:
+        if probes is not None:
+            probes.append((ls, sf, nv))
+        K = np.multiply(Ku, sf, order="F")
+        K[np.diag_indices_from(K)] += nv
+        try:
+            L = scipy_cholesky(K, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            return -math.inf
+        v = solve_triangular(L, z, lower=True, check_finite=False)
+        return float(
+            -0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * len(z) * math.log(2.0 * math.pi)
+        )
+
+    Ku = unit_kernel(params[0])
+    best_val = score(Ku, *params)
+    steps = [(hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds]
+    for _ in range(search.refine_sweeps):
+        moved = False
+        for i in range(3):
+            cand_best = None
+            cand_val = best_val
+            for factor in (steps[i], 1.0 / steps[i]):
+                cand = min(max(params[i] * factor, bounds[i][0]), bounds[i][1])
+                if cand == params[i]:
+                    continue
+                trial = list(params)
+                trial[i] = cand
+                Ku_c = unit_kernel(cand) if i == 0 else Ku
+                val = score(Ku_c, *trial)
+                if val > cand_val:
+                    cand_val = val
+                    cand_best = (cand, Ku_c)
+            if cand_best is not None:
+                params[i], Ku = cand_best
+                best_val = cand_val
+                moved = True
+        if not moved:
+            steps = [math.sqrt(s) for s in steps]
+            if max(steps) < 1.0005:
+                break
+
+    signal_var, noise_var = params[1] * var_y, params[2] * var_y
+    if min(signal_var, noise_var) < np.finfo(float).tiny:
+        raise GpFactorizationError(
+            f"fitted variances underflow float64 (signal {signal_var:g}, noise {noise_var:g})"
+        )
+    kernel = KernelSpec(search.family, params[0], signal_var)
+    return GpModel(kernel, noise_var, mean)
+
+
+def test_fit_equals_scipy_cholesky_fit_on_corpus():
+    for name, data, side, family in fit_corpus():
+        cfg = FitConfig(side_length=side, family=family)
+        assert gp.fit_mle(data, cfg) == scipy_cholesky_fit_mle(data, cfg), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    t=st.integers(3, 25),
+    a=st.floats(1e-3, 1e3).flatmap(lambda m: st.sampled_from([m, -m])),
+    b=st.floats(-100.0, 100.0),
+)
+def test_fit_equals_scipy_cholesky_fit_on_affine_maps(seed, t, a, b):
+    # the examples of test_fit_is_invariant_to_affine_target_maps
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(t, 2))
+    y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(t)
+    cfg = FitConfig(side_length=2.0)
+    for targets in (y, a * y + b):
+        data = Dataset(X, targets, 2)
+        assert gp.fit_mle(data, cfg) == scipy_cholesky_fit_mle(data, cfg)
+
+
+def test_fit_factorizes_each_distinct_probe_once(monkeypatch):
+    calls = {"n": 0}
+    real = gp.cholesky
+
+    def counting_cholesky(K):
+        calls["n"] += 1
+        return real(K)
+
+    monkeypatch.setattr(gp, "cholesky", counting_cholesky)
+    saved = 0
+    for name, data, side, family in fit_corpus():
+        cfg = FitConfig(side_length=side, family=family)
+        probes: list = []
+        scipy_cholesky_fit_mle(data, cfg, probes)
+        calls["n"] = 0
+        gp.fit_mle(data, cfg)
+        assert calls["n"] == len(set(probes)), name
+        saved += len(probes) - calls["n"]
+    assert saved > 0
