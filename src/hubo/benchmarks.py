@@ -21,6 +21,7 @@ __all__ = [
     "BenchmarkFunction",
     "InitialSpace",
     "BENCHMARK_NAMES",
+    "fixed_dim",
     "beale",
     "hartmann3",
     "hartmann6",
@@ -29,8 +30,6 @@ __all__ = [
     "make_benchmark",
     "initial_space",
 ]
-
-BENCHMARK_NAMES = ("beale", "hartmann3", "hartmann6", "ackley", "levy")
 
 # Stream label of the run seed for X0 placement; driver.py holds labels 0-3.
 _STREAM_PLACEMENT = 4
@@ -163,6 +162,24 @@ def levy(x: np.ndarray) -> float:
     return -float(head + mid + tail)
 
 
+# name -> (fixed dim or None when scalable, per-coordinate domain bounds,
+# function, optimum value, optimum point, a scalar for the scalable ones)
+_CATALOGUE = {
+    "beale": (2, (-4.5, 4.5), beale, 0.0, (3.0, 0.5)),
+    "hartmann3": (3, (0.0, 1.0), hartmann3, _HARTMANN3_OPT_VALUE, _HARTMANN3_OPT_POINT),
+    "hartmann6": (6, (0.0, 1.0), hartmann6, _HARTMANN6_OPT_VALUE, _HARTMANN6_OPT_POINT),
+    "ackley": (None, (-32.768, 32.768), ackley, 0.0, 0.0),
+    "levy": (None, (-10.0, 10.0), levy, 0.0, 1.0),
+}
+
+BENCHMARK_NAMES = tuple(_CATALOGUE)
+
+
+def fixed_dim(name: str) -> int | None:
+    """The dimension of a fixed-dimension benchmark; None for a scalable one."""
+    return _CATALOGUE[name][0]
+
+
 def make_benchmark(name: str, dim: int | None = None) -> BenchmarkFunction:
     """Build a benchmark by name.
 
@@ -170,57 +187,21 @@ def make_benchmark(name: str, dim: int | None = None) -> BenchmarkFunction:
     match the fixed dimension of the others when given.
     """
     name = name.lower()
-    if name == "beale":
-        fixed = 2
+    if name not in _CATALOGUE:
+        raise ValueError(f"unknown benchmark {name!r}; choose from {BENCHMARK_NAMES}")
+    fixed, (low, high), fn, optimum_value, optimum_point = _CATALOGUE[name]
+    if fixed is not None:
         if dim is not None and dim != fixed:
-            raise ValueError(f"beale is 2-dimensional, got dim={dim}")
-        return BenchmarkFunction(
-            "beale", 2, [-4.5, -4.5], [4.5, 4.5], beale, 0.0, [3.0, 0.5]
-        )
-    if name == "hartmann3":
-        if dim is not None and dim != 3:
-            raise ValueError(f"hartmann3 is 3-dimensional, got dim={dim}")
-        return BenchmarkFunction(
-            "hartmann3",
-            3,
-            np.zeros(3),
-            np.ones(3),
-            hartmann3,
-            _HARTMANN3_OPT_VALUE,
-            _HARTMANN3_OPT_POINT,
-        )
-    if name == "hartmann6":
-        if dim is not None and dim != 6:
-            raise ValueError(f"hartmann6 is 6-dimensional, got dim={dim}")
-        return BenchmarkFunction(
-            "hartmann6",
-            6,
-            np.zeros(6),
-            np.ones(6),
-            hartmann6,
-            _HARTMANN6_OPT_VALUE,
-            _HARTMANN6_OPT_POINT,
-        )
-    if name in ("ackley", "levy"):
-        if dim is None:
-            raise ValueError(f"{name} needs an explicit dim")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if name == "ackley":
-            bound = 32.768
-            return BenchmarkFunction(
-                "ackley",
-                dim,
-                np.full(dim, -bound),
-                np.full(dim, bound),
-                ackley,
-                0.0,
-                np.zeros(dim),
-            )
-        return BenchmarkFunction(
-            "levy", dim, np.full(dim, -10.0), np.full(dim, 10.0), levy, 0.0, np.ones(dim)
-        )
-    raise ValueError(f"unknown benchmark {name!r}; choose from {BENCHMARK_NAMES}")
+            raise ValueError(f"{name} is {fixed}-dimensional, got dim={dim}")
+        dim = fixed
+    elif dim is None:
+        raise ValueError(f"{name} needs an explicit dim")
+    elif dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return BenchmarkFunction(
+        name, dim, np.full(dim, low), np.full(dim, high), fn, optimum_value,
+        np.broadcast_to(optimum_point, (dim,)),
+    )
 
 
 @dataclass(frozen=True)

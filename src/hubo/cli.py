@@ -1,23 +1,20 @@
-"""Command-line front end: configured experiments, CSV traces, diagnostics.
+"""The `hubo` command: configured experiments, their CSV traces and manifest.
 
 Subcommands
 -----------
 run --config FILE [--set key=value]...
-    Run every (algorithm, repeat) pair of the experiment, one trace CSV per
-    run, plus per-algorithm summary and log-distance files and a manifest.
+    Run every (algorithm, repeat) pair of the experiment, serially or in a
+    process pool, one trace CSV per run, plus per-algorithm summary and
+    log-distance files and a manifest.
 diagnostics --out DIR
-    Check the library's analytic guarantees (series sandwiches, reachability,
-    nearest-cube Monte-Carlo bound) and write a pass/fail report.
+    Write the analytic self-check report of `hubo.diagnostics`.
 list-benchmarks
     Print the shipped benchmark functions.
 
-Config files are flat ``key = value`` lines; ``#`` starts a comment.  Keys
-(all optional unless noted): benchmark (required), dim (required for
-ackley/levy), algorithms (comma list of hubo,hdhubo,vol2,random), alpha,
-lambda, n0, l_h (absolute; default 10% of the X0 side), delta, s1, s2,
-fraction (X0 side as a fraction of the domain side), budget (30d, 10d, or an
-integer), repeats, seed, noise_std, restarts, max_evals, n_init, kernel
-(se or matern52), workers, out_dir.
+Config files are flat ``key = value`` lines; ``#`` starts a comment.  The
+keys are the rows of `_CONFIG`, each with its default, parser and check, in
+the order they are resolved.  Only benchmark is required, and dim as well
+for the scalable benchmarks (ackley, levy).
 
 Exit codes: 0 success, 2 config error, 3 at least one run failed.
 """
@@ -37,10 +34,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import series
 from .acquisition import BetaSchedule, MaximizerConfig
-from .benchmarks import BENCHMARK_NAMES, initial_space, make_benchmark
-from .cubes import HdConfig, nearest_in_set, sample_cubes
+from .benchmarks import BENCHMARK_NAMES, fixed_dim, initial_space, make_benchmark
+from .cubes import HdConfig
+from .diagnostics import diagnostics
 from .driver import (
     ALGORITHMS,
     Objective,
@@ -51,16 +48,6 @@ from .driver import (
     random_search,
     run,
 )
-from .space import (
-    ExpansionConfig,
-    SearchBox,
-    _coverage_need,
-    expand,
-    reachability_horizon,
-    reachability_horizon_bound,
-    side_length,
-    translate,
-)
 
 __all__ = [
     "ConfigError",
@@ -69,7 +56,6 @@ __all__ = [
     "resolve_spec",
     "run_experiment",
     "emit_log_distance",
-    "diagnostics",
     "main",
 ]
 
@@ -130,39 +116,13 @@ class ExperimentSpec:
     out_dir: str
 
 
-_DEFAULTS = {
-    "dim": "",
-    "algorithms": "hubo",
-    "alpha": "-1",
-    "lambda": "1.0",
-    "n0": "1",
-    "l_h": "",
-    "delta": "0.1",
-    "s1": "1.0",
-    "s2": "1.0",
-    "fraction": "0.2",
-    "budget": "30d",
-    "repeats": "15",
-    "seed": "0",
-    "noise_std": "0",
-    "restarts": "20",
-    "max_evals": "1000",
-    "n_init": "",
-    "kernel": "se",
-    "workers": "1",
-    "out_dir": "results",
-}
-
-_FIXED_DIMS = {"beale": 2, "hartmann3": 3, "hartmann6": 6}
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value file; '#' comments and blank lines are skipped."""
     out: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -175,168 +135,152 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _as_int(raw: dict, key: str) -> int:
+def _as_int(key: str, text: str, fields: dict | None = None) -> int:
     try:
-        return int(raw[key])
+        return int(text)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {raw[key]!r}") from exc
+        raise ConfigError(f"{key} must be an integer, got {text!r}") from exc
 
 
-def _as_float(raw: dict, key: str) -> float:
+def _as_float(key: str, text: str, fields: dict | None = None) -> float:
     try:
-        value = float(raw[key])
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from exc
+        raise ConfigError(f"{key} must be a number, got {text!r}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {raw[key]!r}")
+        raise ConfigError(f"{key} must be finite, got {text!r}")
     return value
 
 
-def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
-    """Validate a raw key->string mapping and materialize every default."""
-    known = set(_DEFAULTS) | {"benchmark"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-    merged = dict(_DEFAULTS)
-    merged.update(raw)
+def _lowered(key: str, text: str, fields: dict) -> str:
+    return text.lower()
 
-    if "benchmark" not in merged or not merged["benchmark"]:
+
+def _benchmark(key: str, text: str, fields: dict) -> str:
+    if not text:
         raise ConfigError("benchmark is required")
-    benchmark = merged["benchmark"].lower()
-    if benchmark not in BENCHMARK_NAMES:
-        raise ConfigError(
-            f"benchmark must be one of {BENCHMARK_NAMES}, got {benchmark!r}"
-        )
+    return text.lower()
 
-    if merged["dim"]:
-        dim = _as_int(merged, "dim")
-    elif benchmark in _FIXED_DIMS:
-        dim = _FIXED_DIMS[benchmark]
+
+def _dim(key: str, text: str, fields: dict) -> int:
+    benchmark = fields["benchmark"]
+    fixed = fixed_dim(benchmark)
+    if text:
+        dim = _as_int(key, text)
+    elif fixed is not None:
+        dim = fixed
     else:
         raise ConfigError(f"dim is required for benchmark {benchmark!r}")
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
-    if benchmark in _FIXED_DIMS and dim != _FIXED_DIMS[benchmark]:
-        raise ConfigError(
-            f"benchmark {benchmark!r} is {_FIXED_DIMS[benchmark]}-dimensional, "
-            f"got dim={dim}"
-        )
+    if fixed is not None and dim != fixed:
+        raise ConfigError(f"benchmark {benchmark!r} is {fixed}-dimensional, got dim={dim}")
+    return dim
 
-    algorithms = tuple(
-        token.strip() for token in merged["algorithms"].split(",") if token.strip()
-    )
+
+def _algorithms(key: str, text: str, fields: dict) -> tuple[str, ...]:
+    algorithms = tuple(token.strip() for token in text.split(",") if token.strip())
     if not algorithms:
         raise ConfigError("algorithms must name at least one algorithm")
     for algo in algorithms:
         if algo not in CLI_ALGORITHMS:
-            raise ConfigError(
-                f"algorithms entries must be in {CLI_ALGORITHMS}, got {algo!r}"
-            )
-    if len(set(algorithms)) != len(algorithms):
-        raise ConfigError("algorithms contains duplicates")
+            raise ConfigError(f"algorithms entries must be in {CLI_ALGORITHMS}, got {algo!r}")
+    return algorithms
 
-    alpha = _as_float(merged, "alpha")
-    if not (-1.0 <= alpha < 0.0):
-        raise ConfigError(f"alpha must lie in [-1, 0), got {alpha}")
-    lam = _as_float(merged, "lambda")
-    if lam < 0.0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    n0 = _as_int(merged, "n0")
-    if n0 < 1:
-        raise ConfigError(f"n0 must be >= 1, got {n0}")
 
-    l_h: float | None = None
-    if merged["l_h"]:
-        l_h = _as_float(merged, "l_h")
-        if l_h <= 0.0:
-            raise ConfigError(f"l_h must be > 0, got {l_h}")
+def _l_h(key: str, text: str, fields: dict) -> float | None:
+    return _as_float(key, text) if text else None
 
-    delta = _as_float(merged, "delta")
-    if not (0.0 < delta < 1.0):
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    s1 = _as_float(merged, "s1")
-    s2 = _as_float(merged, "s2")
-    if s1 <= 0.0 or s2 <= 0.0:
+
+def _s2(key: str, text: str, fields: dict) -> float:
+    s2 = _as_float(key, text)
+    if fields["s1"] <= 0.0 or s2 <= 0.0:
         raise ConfigError("s1 and s2 must be > 0")
-    fraction = _as_float(merged, "fraction")
-    if not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
+    return s2
 
-    budget = merged["budget"].strip().lower()
-    if budget == "30d":
-        budget_T = 30 * dim
-    elif budget == "10d":
-        budget_T = 10 * dim
-    else:
-        try:
-            budget_T = int(budget)
-        except ValueError as exc:
-            raise ConfigError(
-                f"budget must be 30d, 10d, or an integer, got {budget!r}"
-            ) from exc
+
+def _budget(key: str, text: str, fields: dict) -> str:
+    """The budget text, normalized; also resolves budget_T from it."""
+    budget = text.strip().lower()
+    per_dim = {"30d": 30, "10d": 10}.get(budget)
+    try:
+        budget_T = per_dim * fields["dim"] if per_dim else int(budget)
+    except ValueError as exc:
+        raise ConfigError(f"budget must be 30d, 10d, or an integer, got {budget!r}") from exc
     if budget_T < 0:
         raise ConfigError(f"budget must be >= 0, got {budget_T}")
+    fields["budget_T"] = budget_T
+    return budget
 
-    repeats = _as_int(merged, "repeats")
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    seed = _as_int(merged, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    noise_std = _as_float(merged, "noise_std")
-    if noise_std < 0.0:
-        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
-    restarts = _as_int(merged, "restarts")
-    if restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {restarts}")
-    max_evals = _as_int(merged, "max_evals")
+
+def _max_evals(key: str, text: str, fields: dict) -> int:
+    max_evals, restarts = _as_int(key, text), fields["restarts"]
     if max_evals < restarts:
-        raise ConfigError(
-            f"max_evals ({max_evals}) must be >= restarts ({restarts})"
-        )
+        raise ConfigError(f"max_evals ({max_evals}) must be >= restarts ({restarts})")
+    return max_evals
 
-    if merged["n_init"]:
-        n_init = _as_int(merged, "n_init")
-    else:
-        n_init = default_n_init(dim)
-    if n_init < 2:
-        raise ConfigError(f"n_init must be >= 2, got {n_init}")
 
-    kernel = merged["kernel"].lower()
-    if kernel not in ("se", "matern52"):
-        raise ConfigError(f"kernel must be se or matern52, got {kernel!r}")
-    workers = _as_int(merged, "workers")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    out_dir = merged["out_dir"]
-    if not out_dir:
-        raise ConfigError("out_dir must not be empty")
+def _n_init(key: str, text: str, fields: dict) -> int:
+    return _as_int(key, text) if text else default_n_init(fields["dim"])
 
-    return ExperimentSpec(
-        benchmark=benchmark,
-        dim=dim,
-        algorithms=algorithms,
-        alpha=alpha,
-        lam=lam,
-        n0=n0,
-        l_h=l_h,
-        delta=delta,
-        s1=s1,
-        s2=s2,
-        fraction=fraction,
-        budget=budget,
-        budget_T=budget_T,
-        repeats=repeats,
-        seed=seed,
-        noise_std=noise_std,
-        restarts=restarts,
-        max_evals=max_evals,
-        n_init=n_init,
-        kernel=kernel,
-        workers=workers,
-        out_dir=out_dir,
-    )
+
+# One row per config key, in resolution order: (key, default text, parser,
+# check on the parsed value or None, message on a failed check, with "{}"
+# for the value).  An unset key parses its default text.  A parser takes
+# (key, text, fields), fields being the ExperimentSpec fields resolved by the
+# rows above; None keeps the text as it is.
+_CONFIG = (
+    ("benchmark", "", _benchmark,
+     lambda v: v in BENCHMARK_NAMES, f"benchmark must be one of {BENCHMARK_NAMES}, got {{!r}}"),
+    # empty: the benchmark's fixed dimension
+    ("dim", "", _dim, None, None),
+    # a comma list
+    ("algorithms", "hubo", _algorithms,
+     lambda v: len(set(v)) == len(v), "algorithms contains duplicates"),
+    ("alpha", "-1", _as_float, lambda v: -1.0 <= v < 0.0, "alpha must lie in [-1, 0), got {}"),
+    ("lambda", "1.0", _as_float, lambda v: v >= 0.0, "lambda must be >= 0, got {}"),
+    ("n0", "1", _as_int, lambda v: v >= 1, "n0 must be >= 1, got {}"),
+    # the absolute cube side; empty: 10% of the X0 side, resolved per run
+    ("l_h", "", _l_h, lambda v: v is None or v > 0.0, "l_h must be > 0, got {}"),
+    ("delta", "0.1", _as_float, lambda v: 0.0 < v < 1.0, "delta must lie in (0, 1), got {}"),
+    ("s1", "1.0", _as_float, None, None),
+    ("s2", "1.0", _s2, None, None),
+    # the X0 side as a fraction of the domain side
+    ("fraction", "0.2", _as_float,
+     lambda v: 0.0 < v <= 1.0, "fraction must lie in (0, 1], got {}"),
+    # 30d, 10d or an iteration count
+    ("budget", "30d", _budget, None, None),
+    ("repeats", "15", _as_int, lambda v: v >= 1, "repeats must be >= 1, got {}"),
+    ("seed", "0", _as_int, lambda v: v >= 0, "seed must be >= 0, got {}"),
+    ("noise_std", "0", _as_float, lambda v: v >= 0.0, "noise_std must be >= 0, got {}"),
+    ("restarts", "20", _as_int, lambda v: v >= 1, "restarts must be >= 1, got {}"),
+    ("max_evals", "1000", _max_evals, None, None),
+    # empty: max(3, dim + 1)
+    ("n_init", "", _n_init, lambda v: v >= 2, "n_init must be >= 2, got {}"),
+    ("kernel", "se", _lowered,
+     lambda v: v in ("se", "matern52"), "kernel must be se or matern52, got {!r}"),
+    ("workers", "1", _as_int, lambda v: v >= 1, "workers must be >= 1, got {}"),
+    ("out_dir", "results", None, bool, "out_dir must not be empty"),
+)
+
+# Config keys whose ExperimentSpec field has another name.
+_FIELD_NAMES = {"lambda": "lam"}
+
+
+def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
+    """Validate a raw key->string mapping and materialize every default."""
+    known = {row[0] for row in _CONFIG}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}")
+    fields: dict = {}
+    for key, default, parse, check, message in _CONFIG:
+        text = raw.get(key, default)
+        value = parse(key, text, fields) if parse else text
+        if check is not None and not check(value):
+            raise ConfigError(message.format(value))
+        fields[_FIELD_NAMES.get(key, key)] = value
+    return ExperimentSpec(**fields)
 
 
 def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrace:
@@ -353,34 +297,19 @@ def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrac
         )
     else:
         exp_cfg = ispace.to_expansion(spec.alpha)
+        sched = {"delta": spec.delta, "dim": bench.dim, "s1": spec.s1, "s2": spec.s2}
         if algorithm == "hdhubo":
-            beta_sched = BetaSchedule(
-                variant="hdhubo",
-                delta=spec.delta,
-                dim=bench.dim,
-                s1=spec.s1,
-                s2=spec.s2,
-                l_h=l_h,
-            )
+            beta_sched = BetaSchedule(variant="hdhubo", l_h=l_h, **sched)
             hd = HdConfig(lam=spec.lam, n0=spec.n0, l_h=l_h)
         else:
             beta_sched = BetaSchedule(
-                variant="hubo",
-                delta=spec.delta,
-                dim=bench.dim,
-                s1=spec.s1,
-                s2=spec.s2,
-                a=exp_cfg.a,
-                b=exp_cfg.b,
-                alpha=spec.alpha,
+                variant="hubo", a=exp_cfg.a, b=exp_cfg.b, alpha=spec.alpha, **sched
             )
             hd = None
         cfg = RunConfig(
             expansion=exp_cfg,
             beta=beta_sched,
-            maximizer=MaximizerConfig(
-                restarts=spec.restarts, max_evals=spec.max_evals
-            ),
+            maximizer=MaximizerConfig(restarts=spec.restarts, max_evals=spec.max_evals),
             budget_T=spec.budget_T,
             n_init=spec.n_init,
             seed=run_seed,
@@ -399,6 +328,13 @@ def _cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_trace_csv(path: str, trace: RunTrace) -> None:
     """One row per observation; floats use repr so reruns are byte-identical.
 
@@ -406,24 +342,12 @@ def write_trace_csv(path: str, trace: RunTrace) -> None:
     nondeterministic and would break the identical-rerun contract, so timings
     live in the manifest instead.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace.records:
-            writer.writerow(
-                [
-                    rec.t,
-                    ";".join(repr(float(c)) for c in rec.x),
-                    repr(float(rec.y)),
-                    repr(float(rec.best_y)),
-                    _cell(rec.r_t),
-                    _cell(rec.R_t),
-                    _cell(rec.log_dist),
-                    repr(float(rec.side)),
-                    "" if rec.n_cubes is None else rec.n_cubes,
-                    "",
-                ]
-            )
+    _write_csv(path, TRACE_COLUMNS, (
+        [rec.t, ";".join(map(_cell, rec.x)), _cell(rec.y), _cell(rec.best_y),
+         _cell(rec.r_t), _cell(rec.R_t), _cell(rec.log_dist), _cell(rec.side),
+         "" if rec.n_cubes is None else rec.n_cubes, ""]
+        for rec in trace.records
+    ))
 
 
 def _task_meta(task: tuple[ExperimentSpec, str, int]) -> dict:
@@ -526,37 +450,19 @@ def _summarize(run_metas: list[dict]) -> list[dict]:
 
 
 def write_summary_csv(path: str, summary_rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary_rows:
-            writer.writerow(
-                [
-                    row["t"],
-                    repr(float(row["mean_best_y"])),
-                    repr(float(row["std_best_y"])),
-                    repr(float(row["stderr_best_y"])),
-                    _cell(row["mean_log_dist"]),
-                    _cell(row["stderr_log_dist"]),
-                ]
-            )
+    _write_csv(path, SUMMARY_COLUMNS, (
+        [row["t"], *(_cell(row[key]) for key in SUMMARY_COLUMNS[1:])] for row in summary_rows
+    ))
 
 
 def emit_log_distance(summary_rows: list[dict], path: str) -> str:
     """Write (iteration, mean log-distance, std-err) rows for plotting."""
     if any(row["mean_log_dist"] is None for row in summary_rows):
         raise ValueError("log-distance requires a benchmark with a known optimum")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean_log_dist", "stderr_log_dist"])
-        for row in summary_rows:
-            writer.writerow(
-                [
-                    row["t"],
-                    repr(float(row["mean_log_dist"])),
-                    repr(float(row["stderr_log_dist"])),
-                ]
-            )
+    _write_csv(path, ("t", "mean_log_dist", "stderr_log_dist"), (
+        [row["t"], _cell(row["mean_log_dist"]), _cell(row["stderr_log_dist"])]
+        for row in summary_rows
+    ))
     return path
 
 
@@ -566,14 +472,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     Returns the manifest (also written as manifest.json): resolved config,
     file list, and per-run status.  Failed runs, including runs lost with a
     killed worker process, are recorded and skipped by the summaries; the
-    remaining runs still complete.
+    remaining runs still complete.  An out_dir that cannot be created is a
+    ConfigError, raised before any run starts.
     """
-    os.makedirs(spec.out_dir, exist_ok=True)
-    tasks = [
-        (spec, algorithm, repeat)
-        for algorithm in spec.algorithms
-        for repeat in range(spec.repeats)
-    ]
+    try:
+        os.makedirs(spec.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {spec.out_dir}: {exc}") from exc
+    tasks = [(spec, algo, repeat) for algo in spec.algorithms for repeat in range(spec.repeats)]
     if spec.workers > 1:
         metas = _run_pool(tasks, spec.workers)
     else:
@@ -581,11 +487,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     files = [m["file"] for m in metas if m["file"]]
     for algorithm in spec.algorithms:
-        ok = [
-            m
-            for m in metas
-            if m["algorithm"] == algorithm and m["status"] == "ok"
-        ]
+        ok = [m for m in metas if m["algorithm"] == algorithm and m["status"] == "ok"]
         if not ok:
             continue
         summary_rows = _summarize(ok)
@@ -598,7 +500,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             files.append(ld_file)
 
     config = asdict(spec)
-    config["lambda"] = config.pop("lam")
+    for key, name in _FIELD_NAMES.items():
+        config[key] = config.pop(name)
     config["algorithms"] = list(spec.algorithms)  # as json.load reads it back
     manifest = {
         "config": config,
@@ -615,227 +518,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return manifest
 
 
-# --------------------------------------------------------------------------
-# diagnostics
-
-
-def _check_sandwich(lines: list[str]) -> bool:
-    """Partial-sum bounds: lower < sum (< upper for n >= 2) on a dense sweep."""
-    ok = True
-    ns = np.unique(np.concatenate([
-        np.arange(1, 1001),
-        np.geomspace(1000, 100_000, 200).astype(np.int64),
-    ]))
-    for alpha in (-1.0, -0.9, -0.5, -0.1):
-        sums = series.partial_sums(alpha, int(ns[-1]))[ns - 1]
-        lower = np.array([series.partial_sum_lower_bound(alpha, int(n)) for n in ns])
-        upper = np.array([series.partial_sum_upper_bound(alpha, int(n)) for n in ns])
-        lower_margin = float(np.min(sums - lower))
-        strict = ns >= 2
-        upper_margin = float(np.min(upper[strict] - sums[strict]))
-        passed = lower_margin > 0.0 and upper_margin > 0.0 and bool(
-            np.all(upper[~strict] - sums[~strict] >= 0.0)
-        )
-        ok &= passed
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} partial-sum sandwich alpha={alpha} "
-            f"n<=1e5 min_lower_margin={lower_margin:.3e} "
-            f"min_upper_margin={upper_margin:.3e}"
-        )
-    return ok
-
-
-def _check_p_series(lines: list[str]) -> bool:
-    ok = True
-    for p in (1.5, 2.0, 3.0):
-        bound = series.p_series_bound(p)
-        total = float(np.sum(np.arange(1, 1_000_001, dtype=np.float64) ** (-p)))
-        passed = total < bound
-        ok &= passed
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} p-series p={p} "
-            f"sum(1e6 terms)={total:.6f} < bound={bound:.6f}"
-        )
-    return ok
-
-
-def _check_gamma_root(lines: list[str]) -> bool:
-    margins = [
-        math.sqrt(d + 2) - series.gamma_root(d) for d in range(1, 201)
-    ]
-    margin = min(margins)
-    passed = margin > 0.0
-    lines.append(
-        f"{'PASS' if passed else 'FAIL'} gamma-root bound d<=200 "
-        f"min_margin={margin:.3e}"
-    )
-    return passed
-
-
-def _nearest_distances(
-    t: int, alpha: float, lam: float, dim: int, l_h: float, n_seeds: int, base: int
-) -> np.ndarray:
-    """Nearest-cube distance to a uniform target in the step-t box, per seed.
-
-    Seed s samples the cubes and the target from the stream [base + t, s].
-    """
-    side = side_length(t, _unit_expansion(alpha, dim))
-    box = SearchBox(np.zeros(dim), 0.5 * side, dim)
-    hd = HdConfig(lam=lam, n0=1, l_h=l_h)
-    dists = np.empty(n_seeds)
-    for s in range(n_seeds):
-        rng = np.random.default_rng([base + t, s])
-        cube_set = sample_cubes(box, t, hd, rng)
-        x_star = rng.uniform(box.lower, box.upper)
-        _, dists[s] = nearest_in_set(cube_set, x_star)
-    return dists
-
-
-def _median_distance(t: int, alpha: float, lam: float) -> float:
-    return float(np.median(_nearest_distances(t, alpha, lam, 2, 0.1, 100, 40_000)))
-
-
-def _unit_expansion(alpha: float, dim: int) -> ExpansionConfig:
-    return ExpansionConfig(
-        a=0.0, b=1.0, alpha=alpha, c_min=0.0, c_max=1.0, dim=dim
-    )
-
-
-def _check_decay_regimes(lines: list[str]) -> bool:
-    ok = True
-    # shrinking regime: lambda > d(alpha+1)
-    ts = (20, 80, 320)
-    medians = [_median_distance(t, -1.0, 1.0) for t in ts]
-    shrinking = medians[0] > medians[1] > medians[2]
-    ok &= shrinking
-    lines.append(
-        f"{'PASS' if shrinking else 'FAIL'} nearest-distance decay "
-        f"(alpha=-1, lambda=1, d=2): medians at t={ts} = "
-        f"{', '.join(f'{m:.4f}' for m in medians)} strictly decreasing"
-    )
-    # violated regime: lambda = 0 < d(alpha+1) = 1 -> expected non-decreasing
-    medians = [_median_distance(t, -0.5, 0.0) for t in ts]
-    flagged = not (medians[0] > medians[1] > medians[2])
-    ok &= flagged
-    lines.append(
-        f"{'PASS' if flagged else 'FAIL'} regime flag (alpha=-0.5, lambda=0, "
-        f"d=2, lambda <= d(alpha+1)): medians at t={ts} = "
-        f"{', '.join(f'{m:.4f}' for m in medians)} flagged non-decreasing "
-        f"(expected)"
-    )
-    return ok
-
-
-def _check_reachability(lines: list[str]) -> bool:
-    ok = True
-    cfg = _unit_expansion(-1.0, 2)
-    target = (-2.0, 3.0)
-    t0 = reachability_horizon(target[0], target[1], cfg)
-    contained_at_t0 = t0 is not None and _corner_containment(target, cfg, t0)
-    contained_before = t0 is not None and _corner_containment(target, cfg, t0 - 1)
-    passed = t0 is not None and contained_at_t0 and not contained_before
-    ok &= passed
-    lines.append(
-        f"{'PASS' if passed else 'FAIL'} reachability simulation target="
-        f"[{target[0]}, {target[1]}]^2 alpha=-1: T0={t0}, adversarial-corner "
-        f"containment at T0: {contained_at_t0}, at T0-1: {contained_before}"
-    )
-
-    # A target ~100 initial sides away at alpha=-1: the horizon is beyond any
-    # enumerable range, so certify it in closed form via the partial-sum
-    # lower bound instead of simulating.
-    far = (-100.0, 101.0)
-    t_cert = reachability_horizon_bound(far[0], far[1], cfg)
-    need = _coverage_need(far[0], far[1], cfg)
-    required = need / (0.5 * (cfg.b - cfg.a)) - 1.0
-    certified = math.log(t_cert + 1.0) >= required
-    simulated = reachability_horizon(far[0], far[1], cfg, limit=10**6)
-    ok &= certified and simulated is None
-    lines.append(
-        f"{'PASS' if certified and simulated is None else 'FAIL'} reachability "
-        f"closed form target=[{far[0]}, {far[1]}]^2 alpha=-1: certified "
-        f"T0<={t_cert:.3e}, containment guaranteed by the partial-sum lower "
-        f"bound ln(T0+1)={math.log(t_cert + 1.0):.3f} >= required sum "
-        f"{required:.3f}; simulation within 1e6 steps correctly returns None"
-    )
-    return ok
-
-
-def _corner_containment(
-    target: tuple[float, float], cfg: ExpansionConfig, t_steps: int
-) -> bool:
-    """Simulate t_steps expansions with the center adversarially pinned at a
-    corner of C_initial; True iff the final box contains the target cube."""
-    if t_steps < 1:
-        return False
-    for corner in (cfg.c_min, cfg.c_max):
-        box = SearchBox(cfg.x0_center, 0.5 * (cfg.b - cfg.a), cfg.dim)
-        for t in range(1, t_steps + 1):
-            box = translate(expand(box, t, cfg), corner, cfg)
-        lo_ok = bool(np.all(box.lower <= target[0]))
-        hi_ok = bool(np.all(box.upper >= target[1]))
-        if not (lo_ok and hi_ok):
-            return False
-    return True
-
-
-def _check_mc_bound(lines: list[str]) -> bool:
-    """Empirical violation rate of the nearest-distance bound vs its delta."""
-    ok = True
-    delta = 0.2
-    dim = 2
-    lam = 1.0
-    alpha = -1.0
-    l_h = 0.1
-    n_seeds = 200
-    for t in (50, 100, 400):
-        m_t = series.nearest_point_decay(alpha, lam, dim, t)
-        bound = (
-            2.0
-            / math.sqrt(math.pi)
-            * series.gamma_root(dim)
-            * math.log(1.0 / delta) ** (1.0 / dim)
-            * m_t
-        )
-        dists = _nearest_distances(t, alpha, lam, dim, l_h, n_seeds, 50_000)
-        violations = int(np.sum(~(dists < bound)))
-        rate = violations / n_seeds
-        passed = rate <= delta
-        ok &= passed
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} nearest-distance bound t={t} "
-            f"d=2 lambda=1 delta={delta}: violation rate {rate:.3f} <= {delta} "
-            f"(bound={bound:.4f})"
-        )
-    return ok
-
-
-def diagnostics(out_dir: str) -> str:
-    """Run every analytic self-check and write report.txt; returns its path."""
-    os.makedirs(out_dir, exist_ok=True)
-    lines: list[str] = []
-    all_ok = True
-    all_ok &= _check_sandwich(lines)
-    all_ok &= _check_p_series(lines)
-    all_ok &= _check_gamma_root(lines)
-    all_ok &= _check_decay_regimes(lines)
-    all_ok &= _check_reachability(lines)
-    all_ok &= _check_mc_bound(lines)
-    n_pass = sum(1 for line in lines if line.startswith("PASS"))
-    lines.append(
-        f"{'ALL CHECKS PASSED' if all_ok else 'CHECK FAILURES'} "
-        f"({n_pass}/{len(lines)} passed)"
-    )
-    path = os.path.join(out_dir, "report.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
 def _list_benchmarks() -> list[str]:
     lines = []
     for name in BENCHMARK_NAMES:
-        dim = _FIXED_DIMS.get(name)
+        dim = fixed_dim(name)
         bench = make_benchmark(name, dim if dim else 2)
         domain = f"[{bench.lower[0]:g}, {bench.upper[0]:g}]"
         dims = f"d={bench.dim}" if dim else "d=any"
@@ -879,8 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "diagnostics":
         path = diagnostics(args.out)
         with open(path, encoding="utf-8") as fh:
-            content = fh.read()
-        print(content, end="")
+            print(fh.read(), end="")
         print(f"report written to {path}")
         return 0
 
@@ -893,25 +578,22 @@ def main(argv: list[str] | None = None) -> int:
             key, value = item.split("=", 1)
             raw[key.strip()] = value.strip()
         spec = resolve_spec(raw)
+        manifest = run_experiment(spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    manifest = run_experiment(spec)
     failed = [r for r in manifest["runs"] if r["status"] != "ok"]
     n_ok = len(manifest["runs"]) - len(failed)
     print(
         f"{n_ok}/{len(manifest['runs'])} runs ok; outputs in {spec.out_dir}"
     )
-    if failed:
-        for r in failed:
-            print(
-                f"  {r['algorithm']} repeat {r['repeat']}: {r['status']} "
-                f"({r['error']})",
-                file=sys.stderr,
-            )
-        return 3
-    return 0
+    for r in failed:
+        print(
+            f"  {r['algorithm']} repeat {r['repeat']}: {r['status']} ({r['error']})",
+            file=sys.stderr,
+        )
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

@@ -135,8 +135,8 @@ def nearest_point_decay(alpha: float, lam: float, dim: int, t: float) -> float:
 class PartialSumAccumulator:
     """Running partial sum of j**alpha, updated in O(1) per term.
 
-    The optimisation loop and the reachability scan advance t one step at a
-    time; recomputing the sum from scratch would make them O(t^2).
+    `space.reachability_horizon` advances t one step at a time; recomputing
+    the whole sum at each step would make its scan O(t^2).
     """
 
     def __init__(self, alpha: float):

@@ -71,6 +71,34 @@ def test_fixed_dim_mismatch_rejected():
     assert make_benchmark("hartmann6", dim=6).dim == 6
 
 
+@pytest.mark.parametrize(
+    "name, dim, message",
+    [
+        ("Rosenbrock", None,
+         "unknown benchmark 'rosenbrock'; choose from "
+         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy')"),
+        ("beale", 3, "beale is 2-dimensional, got dim=3"),
+        ("hartmann3", 2, "hartmann3 is 3-dimensional, got dim=2"),
+        ("HARTMANN6", 3, "hartmann6 is 6-dimensional, got dim=3"),
+        ("ackley", None, "ackley needs an explicit dim"),
+        ("levy", 0, "dim must be >= 1, got 0"),
+    ],
+)
+def test_make_benchmark_error_messages(name, dim, message):
+    with pytest.raises(ValueError) as info:
+        make_benchmark(name, dim)
+    assert str(info.value) == message
+
+
+def test_fixed_dim_is_the_built_dimension():
+    assert [benchmarks.fixed_dim(name) for name in ALL_NAMES] == [2, 3, 6, None, None]
+    for name in ("beale", "hartmann3", "hartmann6"):
+        bench = make_benchmark(name)
+        assert bench.dim == benchmarks.fixed_dim(name)
+        assert bench.optimum_point.shape == (bench.dim,)
+        assert not bench.optimum_point.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # optima
 # ---------------------------------------------------------------------------

@@ -143,6 +143,82 @@ def test_resolve_spec_field_errors():
         resolve_spec({"benchmark": "beale", "seed": "-1"})
 
 
+_NAMES = "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy')"
+_ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({}, "benchmark is required"),
+        ({"benchmark": ""}, "benchmark is required"),
+        ({"benchmark": "rosenbrock"}, f"benchmark must be one of {_NAMES}, got 'rosenbrock'"),
+        ({"benchmark": "beale", "bugdet": "10"}, "unknown config key 'bugdet'"),
+        ({"bugdet": "10"}, "unknown config key 'bugdet'"),
+        ({"benchmark": "beale", "budget_T": "5"}, "unknown config key 'budget_T'"),
+        ({"benchmark": "ackley"}, "dim is required for benchmark 'ackley'"),
+        ({"benchmark": "levy", "dim": "x"}, "dim must be an integer, got 'x'"),
+        ({"benchmark": "levy", "dim": "0"}, "dim must be >= 1, got 0"),
+        ({"benchmark": "beale", "dim": "3"}, "benchmark 'beale' is 2-dimensional, got dim=3"),
+        ({"benchmark": "hartmann6", "dim": "0"}, "dim must be >= 1, got 0"),
+        ({"benchmark": "beale", "algorithms": " , "},
+         "algorithms must name at least one algorithm"),
+        ({"benchmark": "beale", "algorithms": "hubo,sgd"},
+         f"algorithms entries must be in {_ALGOS}, got 'sgd'"),
+        ({"benchmark": "beale", "algorithms": "hubo,hubo"}, "algorithms contains duplicates"),
+        ({"benchmark": "beale", "algorithms": "hubo,hubo,sgd"},
+         f"algorithms entries must be in {_ALGOS}, got 'sgd'"),
+        ({"benchmark": "beale", "alpha": "x"}, "alpha must be a number, got 'x'"),
+        ({"benchmark": "beale", "alpha": "nan"}, "alpha must be finite, got 'nan'"),
+        ({"benchmark": "beale", "alpha": "0"}, "alpha must lie in [-1, 0), got 0.0"),
+        ({"benchmark": "beale", "alpha": "-1.5"}, "alpha must lie in [-1, 0), got -1.5"),
+        ({"benchmark": "beale", "lambda": "-0.1"}, "lambda must be >= 0, got -0.1"),
+        ({"benchmark": "beale", "lambda": "inf"}, "lambda must be finite, got 'inf'"),
+        ({"benchmark": "beale", "n0": "0"}, "n0 must be >= 1, got 0"),
+        ({"benchmark": "beale", "n0": "1.5"}, "n0 must be an integer, got '1.5'"),
+        ({"benchmark": "beale", "l_h": "0"}, "l_h must be > 0, got 0.0"),
+        ({"benchmark": "beale", "l_h": "-inf"}, "l_h must be finite, got '-inf'"),
+        ({"benchmark": "beale", "delta": "1"}, "delta must lie in (0, 1), got 1.0"),
+        ({"benchmark": "beale", "delta": "x"}, "delta must be a number, got 'x'"),
+        ({"benchmark": "beale", "s1": "0"}, "s1 and s2 must be > 0"),
+        ({"benchmark": "beale", "s2": "-1"}, "s1 and s2 must be > 0"),
+        ({"benchmark": "beale", "s1": "x"}, "s1 must be a number, got 'x'"),
+        # s1's range is checked jointly with s2, after s2 parses
+        ({"benchmark": "beale", "s1": "-1", "s2": "x"}, "s2 must be a number, got 'x'"),
+        ({"benchmark": "beale", "fraction": "0"}, "fraction must lie in (0, 1], got 0.0"),
+        ({"benchmark": "beale", "fraction": "1.5"}, "fraction must lie in (0, 1], got 1.5"),
+        ({"benchmark": "beale", "budget": " Sometimes "},
+         "budget must be 30d, 10d, or an integer, got 'sometimes'"),
+        ({"benchmark": "beale", "budget": "-3"}, "budget must be >= 0, got -3"),
+        ({"benchmark": "beale", "repeats": "0"}, "repeats must be >= 1, got 0"),
+        ({"benchmark": "beale", "seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"benchmark": "beale", "seed": "-1"}, "seed must be >= 0, got -1"),
+        ({"benchmark": "beale", "noise_std": "-0.1"}, "noise_std must be >= 0, got -0.1"),
+        ({"benchmark": "beale", "noise_std": "inf"}, "noise_std must be finite, got 'inf'"),
+        ({"benchmark": "beale", "restarts": "0"}, "restarts must be >= 1, got 0"),
+        ({"benchmark": "beale", "restarts": "50", "max_evals": "10"},
+         "max_evals (10) must be >= restarts (50)"),
+        ({"benchmark": "beale", "max_evals": "10", "restarts": "x"},
+         "restarts must be an integer, got 'x'"),
+        ({"benchmark": "beale", "max_evals": "x"}, "max_evals must be an integer, got 'x'"),
+        ({"benchmark": "beale", "n_init": "1"}, "n_init must be >= 2, got 1"),
+        ({"benchmark": "beale", "n_init": "x"}, "n_init must be an integer, got 'x'"),
+        ({"benchmark": "beale", "kernel": "rbf"}, "kernel must be se or matern52, got 'rbf'"),
+        ({"benchmark": "beale", "workers": "0"}, "workers must be >= 1, got 0"),
+        ({"benchmark": "beale", "out_dir": ""}, "out_dir must not be empty"),
+        # of two bad keys, the one resolved first is reported
+        ({"benchmark": "beale", "workers": "0", "alpha": "0"},
+         "alpha must lie in [-1, 0), got 0.0"),
+        ({"workers": "0", "benchmark": "nope"},
+         f"benchmark must be one of {_NAMES}, got 'nope'"),
+    ],
+)
+def test_resolve_spec_error_message(raw, message):
+    with pytest.raises(ConfigError) as info:
+        resolve_spec(raw)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # run_experiment: files, manifest, summary math
 # ---------------------------------------------------------------------------
@@ -539,6 +615,95 @@ def test_failing_objective_writes_partial_random_csv(tmp_path, monkeypatch, caps
     assert [row[0] for row in rows[1:]] == ["1", "2"]
 
 
+# fault -> (algorithm, run status, error prefix).  With n_init = 3, the fifth
+# objective call is BO step t = 2, and the PosteriorState of step t = 3 is
+# the first built on 5 points.
+_FAULT_CASES = {
+    "raise": ("hubo", "incomplete", "evaluate failed at t=2: RuntimeError: boom"),
+    "nan": ("hubo", "incomplete", "evaluate failed at t=2: objective returned f=nan"),
+    "+inf": ("hubo", "incomplete", "evaluate failed at t=2: objective returned f=inf"),
+    "-inf": ("hubo", "incomplete", "evaluate failed at t=2: objective returned f=-inf"),
+    "x1e200": ("hubo", "incomplete",
+               "fit failed at t=1: GpFactorizationError: target variance is not finite"),
+    "x1e-200": ("hubo", "incomplete",
+                "fit failed at t=1: GpFactorizationError: fitted variances underflow"),
+    "constant": ("hubo", "ok", None),
+    "maximize-hubo": ("hubo", "incomplete", "maximize failed at t=3: GpFactorizationError:"),
+    "maximize-hdhubo": ("hdhubo", "incomplete", "maximize failed at t=3: GpFactorizationError:"),
+}
+_FIFTH_CALL = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+_EVERY_CALL = {"x1e200": lambda y: 1e200 * y, "x1e-200": lambda y: 1e-200 * y,
+               "constant": lambda y: 1.0}
+
+
+def _faulty_value(fault, y, n):
+    """The objective value of call n under `fault`, from the true value y."""
+    if n == 5 and fault == "raise":
+        raise RuntimeError("boom")
+    if n == 5 and fault in _FIFTH_CALL:
+        return _FIFTH_CALL[fault]
+    return _EVERY_CALL.get(fault, lambda y: y)(y)
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_CASES))
+def test_fault_matrix_through_hubo_run(tmp_path, monkeypatch, capsys, fault):
+    # Each built benchmark counts its own calls, so every run sees the same
+    # faults whichever worker process runs it.
+    algorithm, status, prefix = _FAULT_CASES[fault]
+    real_make, real_chol = cli.make_benchmark, gp._chol_with_jitter
+
+    def make(name, dim=None):
+        bench = real_make(name, dim)
+        calls = {"n": 0}
+
+        def fn(x):
+            calls["n"] += 1
+            return _faulty_value(fault, bench.fn(x), calls["n"])
+
+        return replace(bench, fn=fn)
+
+    def chol(K_noisy, signal_variance):
+        if fault.startswith("maximize") and K_noisy.shape[0] == 5:
+            raise gp.GpFactorizationError("injected")
+        return real_chol(K_noisy, signal_variance)
+
+    monkeypatch.setattr(cli, "make_benchmark", make)
+    monkeypatch.setattr(gp, "_chol_with_jitter", chol)
+    outcomes = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        code = cli.main(
+            [
+                "run",
+                "--set", "benchmark=beale",
+                "--set", f"algorithms={algorithm}",
+                "--set", "budget=6",
+                "--set", "repeats=2",
+                "--set", "restarts=5",
+                "--set", "max_evals=100",
+                "--set", f"workers={workers}",
+                "--set", f"out_dir={out}",
+            ]
+        )
+        assert code == (0 if status == "ok" else 3)
+        err = capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert len(manifest["runs"]) == 2
+        for entry in manifest["runs"]:
+            assert entry["status"] == status
+            assert entry["file"] == f"{algorithm}_r{entry['repeat']:03d}.csv"
+            assert (out / entry["file"]).exists()
+            if prefix is None:
+                assert entry["error"] is None
+            else:
+                assert entry["error"].startswith(prefix)
+                assert prefix in err
+            del entry["duration_s"]
+        csvs = {n: (out / n).read_bytes() for n in manifest["files"] if n.endswith(".csv")}
+        outcomes.append((manifest["runs"], manifest["files"], csvs))
+    assert outcomes[0] == outcomes[1]
+
+
 # ---------------------------------------------------------------------------
 # main() and exit codes
 # ---------------------------------------------------------------------------
@@ -568,6 +733,28 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--set", "oops"]) == 2  # not KEY=VALUE
     bad_seed = ["--set", "benchmark=beale", "--set", "seed=-1"]
     assert cli.main(["run", *bad_seed, "--set", f"out_dir={tmp_path}"]) == 2
+
+
+def test_main_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("benchmark = beale\n# caf\u00e9\n".encode("latin-1"))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}: 'utf-8' codec")
+
+
+def test_main_uncreatable_out_dir_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    for out_dir in (taken, taken / "sub"):
+        code = cli.main(
+            ["run", "--set", "benchmark=beale", "--set", "budget=1", "--set", f"out_dir={out_dir}"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create out_dir {out_dir}: [Errno"
+        )
+    assert taken.read_text() == "a file, not a directory\n"
 
 
 def test_main_set_overrides_config_file(tmp_path):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubo import cubes
 from hubo.cubes import HdConfig, HypercubeSet
@@ -170,6 +172,39 @@ def test_membership_clipped_by_parent():
     cs = HypercubeSet(np.array([[1.0, 0.5]]), 0.4, parent)
     assert cubes.membership(cs, np.array([1.0, 0.5]))  # on the parent face
     assert not cubes.membership(cs, np.array([1.1, 0.5]))  # in cube, out of parent
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 6),
+    t=st.integers(1, 6),
+    center=st.floats(-1e3, 1e3),
+    half_side=st.floats(1e-3, 1e3),
+    l_h_ratio=st.floats(1e-3, 3.0),
+    data=st.data(),
+)
+def test_point_on_clipped_cube_face_is_member(seed, dim, t, center, half_side, l_h_ratio, data):
+    # Each coordinate is the clipped cube's lower face, its upper face, or an
+    # arbitrary float clamped into [lo, hi] the way acquisition._search_rect
+    # clamps a moved coordinate.  driver.run raises RuntimeError for a chosen
+    # point that fails membership.
+    parent = SearchBox(np.full(dim, center), half_side, dim)
+    hd = HdConfig(lam=1.0, n0=1, l_h=l_h_ratio * parent.side)
+    cs = cubes.sample_cubes(parent, t, hd, np.random.default_rng(seed))
+    lo, hi = cs.clipped_bounds()
+    k = data.draw(st.integers(0, cs.n - 1), label="cube")
+    x = np.empty(dim)
+    for i in range(dim):
+        kind = data.draw(st.sampled_from(["lo", "hi", "clamped"]), label=f"kind {i}")
+        if kind == "lo":
+            x[i] = lo[k, i]
+        elif kind == "hi":
+            x[i] = hi[k, i]
+        else:
+            moved = data.draw(st.floats(allow_nan=False, allow_infinity=False), label=f"x {i}")
+            x[i] = np.minimum(np.maximum(moved, lo[k, i]), hi[k, i])
+    assert cubes.membership(cs, x)
 
 
 def test_membership_dim_mismatch():
