@@ -563,7 +563,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "diagnostics":
-        path = diagnostics(args.out)
+        try:
+            path = diagnostics(args.out)
+        except OSError as exc:
+            print(f"config error: cannot write the report to {args.out}: {exc}", file=sys.stderr)
+            return 2
         with open(path, encoding="utf-8") as fh:
             print(fh.read(), end="")
         print(f"report written to {path}")

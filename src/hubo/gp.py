@@ -3,17 +3,21 @@
 Provides the squared-exponential and Matern-5/2 kernels, exact posterior
 mean/variance through a Cholesky factorization with jitter escalation, the
 Gaussian log marginal likelihood, and a deterministic grid + coordinate
-descent MLE fit of (lengthscale, signal_variance, noise_variance).
+descent MLE fit of (lengthscale, signal_variance, noise_variance).  The fit
+scores its grid from one tridiagonal reduction (LAPACK dsytrd) per grid
+lengthscale, never an eigendecomposition, and each descent probe by one
+Cholesky factorization.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg import eigh  # noqa: F401  bench/hooks.py wraps gp.eigh
+from scipy.linalg.lapack import dpotrf, dsytrd, dtrtrs
 from scipy.spatial.distance import cdist, pdist, squareform
 
 __all__ = [
@@ -256,20 +260,69 @@ class FitConfig:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
 
+def _grid_lml(
+    unit_kernel: Callable[[float], np.ndarray], grids: list[np.ndarray], z: np.ndarray
+) -> np.ndarray:
+    """LML, less its constant -t/2 log(2 pi), of z under sf*Ku + nv*I at every
+    point (ls, sf, nv) of grids, shape (len(ls), len(sf), len(nv)); -inf where
+    that matrix is not positive definite.  unit_kernel(ls) returns a fresh Ku.
+
+    A Householder reflector P maps z to -+|z| e1, and LAPACK dsytrd reduces
+    P Ku P = H T H^T with H e1 = e1, so z^T (sf Ku + nv I)^-1 z =
+    |z|^2 [(sf T + nv I)^-1]_11 and both matrices share their determinant.
+    The pivots p of sf T + nv I = U D U^T (U unit upper bidiagonal), taken
+    bottom-up, give both: |z|^2 / p_0 and sum log p_i (the LML is Rasmussen
+    & Williams 2006, eq. 5.8; the reduction Golub & Van Loan, section 8.3).
+    Cost: one O(t^3) dsytrd per lengthscale, no eigenvectors, and one O(t)
+    recurrence vectorized over the whole grid.
+    """
+    t = len(z)
+    zz = float(z @ z)
+    v = z.copy()  # P = I - beta v v^T
+    v[0] += math.copysign(math.sqrt(zz), z[0])
+    beta = 2.0 / float(v @ v)
+    ls_grid, sf_grid, nv_grid = grids
+    sf, nv = sf_grid[:, None], nv_grid[None, :]
+    piv = np.empty((t, len(ls_grid), len(sf_grid), len(nv_grid)))
+    b2 = np.empty((t - 1,) + piv.shape[1:])
+    for k, ls in enumerate(ls_grid):
+        Ku = unit_kernel(float(ls))
+        w = beta * (Ku @ v)
+        q = w - (0.5 * beta * float(w @ v)) * v
+        Ku -= np.outer(v, q) + np.outer(q, v)  # P Ku P, a rank-2 update
+        # Ku is symmetric, so its transpose is the Fortran-ordered matrix itself
+        _, diag, off, _, info = dsytrd(Ku.T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise GpFactorizationError(f"tridiagonal reduction failed (LAPACK info {info})")
+        piv[:, k] = diag[:, None, None] * sf + nv
+        b2[:, k] = (off * off)[:, None, None] * (sf * sf)
+    # piv[i] = a[i] - b2[i] / piv[i + 1], in place on rows over the whole grid
+    rows, b2_rows = list(piv.reshape(t, -1)), list(b2.reshape(t - 1, -1))
+    quot = np.empty(len(rows[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(t - 2, -1, -1):
+            np.subtract(rows[i], np.divide(b2_rows[i], rows[i + 1], out=quot), out=rows[i])
+        scores = -0.5 * zz / piv[0] - 0.5 * np.sum(np.log(piv), axis=0)
+    scores[~np.all(piv > 0.0, axis=0)] = -math.inf  # also catches NaN pivots
+    return scores
+
+
 def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     """Maximize the LML over (lengthscale, signal_variance, noise_variance).
 
     Deterministic, on standardized targets: an 8x8x8 log-uniform grid scanned
     in ascending, lexicographic order (ties keep the first, i.e. smallest,
     parameters), then coordinate descent with multiplicative probes for at
-    most `refine_sweeps` sweeps.  The grid is spectral: K + nv*I =
-    Q diag(sf*w + nv) Q^T, so one `eigh` per grid lengthscale scores its whole
-    (sf, nv) sub-grid.  The descent scores the grid winner and each probe by a
-    Cholesky LML, once per distinct point.  Cost: `grid_size` eigh calls plus
-    one LAPACK factorization per distinct probe point, at most
-    1 + 6*`refine_sweeps`.  Constant targets return a floor-variance model; a
-    target variance that overflows, or a fitted variance that underflows to
-    a subnormal or zero, raises GpFactorizationError.
+    most `refine_sweeps` sweeps.  The grid is scored by `_grid_lml`: one
+    Householder reflector and one LAPACK dsytrd tridiagonal reduction per grid
+    lengthscale, then one pivot recurrence over all `grid_size`^3 points.  The
+    descent scores the grid winner and each probe by a Cholesky LML, once per
+    distinct point.  Cost: `grid_size` dsytrd calls, one O(t*`grid_size`^3)
+    recurrence and no eigendecomposition, plus one LAPACK factorization per
+    distinct probe point, at most 1 + 6*`refine_sweeps`.  Constant targets
+    return a floor-variance model; a target variance that overflows, or a
+    fitted variance that underflows to a subnormal or zero, raises
+    GpFactorizationError.
     """
     t = len(data)
     if t < 2:
@@ -300,18 +353,8 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     def unit_kernel(ls: float) -> np.ndarray:
         return _unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
 
-    def sub_grid(ls: float) -> np.ndarray:
-        """LML up to a constant at (ls, sf_i, nv_j) for every grid (sf, nv), from one eigh."""
-        w, Q = eigh(unit_kernel(ls), overwrite_a=True, check_finite=False)
-        proj = Q.T @ z
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lam = grids[1][:, None, None] * w + grids[2][None, :, None]
-            vals = -0.5 * np.sum(proj * proj / lam, axis=-1) - 0.5 * np.sum(np.log(lam), axis=-1)
-        vals[np.isnan(vals) | (lam[..., 0] <= 0.0)] = -math.inf  # ascending w
-        return vals
-
     # argmax keeps the first maximum in (ls, sf, nv) order: ties go to the smallest.
-    scores = np.stack([sub_grid(float(ls)) for ls in grids[0]])
+    scores = _grid_lml(unit_kernel, grids, z)
     best = np.unravel_index(int(np.argmax(scores)), scores.shape)
     if scores[best] == -math.inf:
         raise GpFactorizationError("no grid point has a finite log marginal likelihood")

@@ -818,3 +818,16 @@ def test_main_diagnostics_report(tmp_path, capsys):
     assert "ALL CHECKS PASSED" in content
     assert "FAIL" not in content.replace("PASS/FAIL", "")
     assert str(report) in capsys.readouterr().out
+
+
+def test_main_diagnostics_uncreatable_out_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    for out_dir in (taken, taken / "sub"):
+        assert cli.main(["diagnostics", "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"config error: cannot write the report to {out_dir}: [Errno"
+        )
+    assert taken.read_text() == "a file, not a directory\n"

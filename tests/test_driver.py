@@ -8,6 +8,7 @@ summation done in the tests.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,6 +310,86 @@ def test_maximize_failure_marks_trace_incomplete(monkeypatch, algorithm):
         "maximize failed at t=3: GpFactorizationError: "
         "factorization failed at maximum jitter 1e-05"
     )
+
+
+# fault -> (error prefix, records kept).  With n_init = 3, the fifth
+# objective call is BO step t = 2, and the PosteriorState of step t = 3 is
+# the first built on 5 points.  The same faults as
+# test_cli.test_fault_matrix_through_hubo_run, through run() directly.
+_RUN_FAULTS = {
+    "raise": ("evaluate failed at t=2: RuntimeError: boom", 4),
+    "nan": ("evaluate failed at t=2: objective returned f=nan", 4),
+    "+inf": ("evaluate failed at t=2: objective returned f=inf", 4),
+    "-inf": ("evaluate failed at t=2: objective returned f=-inf", 4),
+    "x1e200": ("fit failed at t=1: GpFactorizationError: target variance is not finite", 3),
+    "x1e-200": ("fit failed at t=1: GpFactorizationError: fitted variances underflow", 3),
+    "constant": (None, 3 + 6),
+    "maximize": ("maximize failed at t=3: GpFactorizationError: injected", 5),
+}
+
+
+@pytest.mark.parametrize("fault", list(_RUN_FAULTS))
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2"])
+def test_fault_matrix_through_run(monkeypatch, algorithm, fault):
+    from hubo.benchmarks import make_benchmark
+
+    prefix, kept = _RUN_FAULTS[fault]
+    bench = make_benchmark("beale")
+    cfg = small_2d_config(algorithm, budget_T=6)
+    clean = run(Objective(fn=bench.eval, dim=2), cfg)
+    calls = {"n": 0}
+
+    def fn(x):
+        calls["n"] += 1
+        y = bench.eval(x)
+        if calls["n"] == 5 and fault == "raise":
+            raise RuntimeError("boom")
+        if calls["n"] == 5 and fault in ("nan", "+inf", "-inf"):
+            return float(fault)
+        return {"x1e200": 1e200 * y, "x1e-200": 1e-200 * y, "constant": 1.0}.get(fault, y)
+
+    real_chol = gp._chol_with_jitter
+
+    def chol(K_noisy, signal_variance):
+        if fault == "maximize" and K_noisy.shape[0] == 5:
+            raise GpFactorizationError("injected")
+        return real_chol(K_noisy, signal_variance)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", chol)
+    trace = run(Objective(fn=fn, dim=2), cfg)
+    assert len(trace.records) == kept
+    if prefix is None:
+        assert not trace.incomplete and trace.error is None
+    else:
+        assert trace.incomplete and trace.error.startswith(prefix)
+    if fault in ("raise", "nan", "+inf", "-inf", "maximize"):
+        # the steps before the fault are the fault-free run's steps
+        for got, want in zip(trace.records, clean.records):
+            assert (got.t, got.y, got.side) == (want.t, want.y, want.side)
+            assert np.array_equal(got.x, want.x)
+
+
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo"])
+def test_maximizer_repeating_one_point_runs_to_completion(monkeypatch, algorithm):
+    # Every BO step observes the same point again, so from t = 3 on the fit
+    # sees duplicate rows and a singular unit kernel.
+    x_rep = np.array([0.25, 0.75])
+
+    def same_point(model, data, beta_t, region, mcfg):
+        return x_rep.copy(), 0.0
+
+    monkeypatch.setattr(driver, "maximize_over_box", same_point)
+    monkeypatch.setattr(driver, "maximize_over_cubes", same_point)
+    cfg = small_2d_config(algorithm, budget_T=15)
+    if algorithm == "hdhubo":
+        # cubes wider than the box cover all of it, so x_rep is always a member
+        cfg = replace(cfg, hd=HdConfig(lam=1.0, n0=1, l_h=10.0),
+                      beta=BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=10.0))
+    trace = run(sphere_2d(), cfg)
+    assert not trace.incomplete and trace.error is None
+    steps = trace.records[3:]
+    assert [rec.t for rec in steps] == list(range(1, 16))
+    assert all(np.array_equal(rec.x, x_rep) for rec in steps)
 
 
 def test_constant_objective_runs_to_completion():

@@ -565,23 +565,28 @@ def test_fit_tiny_scale_targets_raise_factorization_error(scale):
         gp.fit_mle(Dataset(X, y, 2), FitConfig(side_length=2.0))
 
 
-def test_fit_makes_one_eigh_per_grid_lengthscale(monkeypatch):
-    # The spectral trick pays only on the (signal, noise) sub-grid; every
-    # coordinate-descent probe is a Cholesky, never an eigendecomposition.
-    calls = {"n": 0}
+def test_fit_makes_one_tridiagonal_reduction_per_grid_lengthscale(monkeypatch):
+    # The grid needs no eigenvectors: one dsytrd per grid lengthscale scores
+    # its whole (signal, noise) sub-grid, nothing calls eigh, and every
+    # coordinate-descent probe is a Cholesky.
+    calls = {"dsytrd": 0, "eigh": 0}
 
-    def counting_eigh(*args, **kwargs):
-        calls["n"] += 1
-        return eigh(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(gp, "eigh", counting_eigh)
+        return wrapper
+
+    monkeypatch.setattr(gp, "dsytrd", counting("dsytrd", gp.dsytrd))
+    monkeypatch.setattr(gp, "eigh", counting("eigh", gp.eigh))
     rng = np.random.default_rng(11)
     X = rng.uniform(-1, 1, size=(30, 2))
     data = Dataset(X, np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1]), 2)
     for grid_size in (8, 5):
-        calls["n"] = 0
+        calls.update(dsytrd=0, eigh=0)
         gp.fit_mle(data, FitConfig(side_length=2.0, grid_size=grid_size))
-        assert calls["n"] == grid_size
+        assert calls == {"dsytrd": grid_size, "eigh": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -718,15 +723,69 @@ def test_fit_is_invariant_to_affine_target_maps(seed, t, a, b):
 
 
 # ---------------------------------------------------------------------------
-# fit_mle against the SciPy-wrapper, unmemoized Cholesky fit it replaced
+# fit_mle against the eigh-grid, SciPy-wrapper, unmemoized Cholesky fit it
+# replaced.  The two grids round differently, so the descent is compared
+# exactly from fit_mle's own grid winner, and the winners may differ only
+# on a tie within 1e-12.
 # ---------------------------------------------------------------------------
 
 
-def scipy_cholesky_fit_mle(data: Dataset, search: FitConfig, probes=None) -> GpModel:
-    """fit_mle as it was before the direct-LAPACK, memoized descent: SciPy's
-    `cholesky` and `solve_triangular`, and every probe scored anew.  Appends
-    each descent point it scores to `probes`, the grid winner first."""
-    t = len(data)
+def grid_inputs(data: Dataset, search: FitConfig):
+    """fit_mle's unit-kernel function, (ls, sf, nv) grids and standardized
+    targets z, for targets that are neither constant nor overflowing."""
+    resid = data.targets - float(np.mean(data.targets))
+    spread = float(np.max(np.abs(resid)))
+    z = resid / spread / float(np.std(resid / spread))
+    side = search.side_length
+    bounds = [(1e-2 * side, 10.0 * side), (1e-3, 1e3), (1e-6, 1.0)]
+    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
+    d2 = squareform(pdist(data.points, "sqeuclidean"))
+
+    def unit_kernel(ls: float) -> np.ndarray:
+        return gp._unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
+
+    return unit_kernel, grids, z
+
+
+def eigh_grid_lml(unit_kernel, grids, z) -> np.ndarray:
+    """The grid fit_mle scored before: one eigh per lengthscale,
+    Ku = Q diag(w) Q^T, so sf*Ku + nv*I has eigenvalues sf*w + nv."""
+    def sub_grid(ls: float) -> np.ndarray:
+        w, Q = eigh(unit_kernel(ls), check_finite=False)
+        proj = Q.T @ z
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lam = grids[1][:, None, None] * w + grids[2][None, :, None]
+            vals = -0.5 * np.sum(proj * proj / lam, axis=-1) - 0.5 * np.sum(np.log(lam), axis=-1)
+        vals[np.isnan(vals) | (lam[..., 0] <= 0.0)] = -math.inf
+        return vals
+
+    return np.stack([sub_grid(float(ls)) for ls in grids[0]])
+
+
+def grid_winner(data: Dataset, search: FitConfig) -> tuple:
+    """Index of fit_mle's grid winner, checked against the eigh grid's: where
+    the two differ, each grid scores them within 1e-12 of each other."""
+    unit_kernel, grids, z = grid_inputs(data, search)
+    new = gp._grid_lml(unit_kernel, grids, z)
+    ref = eigh_grid_lml(unit_kernel, grids, z)
+    new_best = np.unravel_index(int(np.argmax(new)), new.shape)
+    ref_best = np.unravel_index(int(np.argmax(ref)), ref.shape)
+    if new_best != ref_best:
+        for scores, win, lose in ((new, new_best, ref_best), (ref, ref_best, new_best)):
+            assert scores[win] - scores[lose] <= 1e-12 * max(1.0, abs(scores[win])), (
+                new_best, ref_best, scores[win], scores[lose]
+            )
+    return new_best
+
+
+def scipy_cholesky_fit_mle(
+    data: Dataset, search: FitConfig, probes=None, start=None
+) -> GpModel:
+    """fit_mle as it was before the direct-LAPACK, memoized descent: the eigh
+    grid, SciPy's `cholesky` and `solve_triangular`, and every probe scored
+    anew.  The descent starts from the grid index `start` when given, else
+    from the eigh grid's winner.  Appends each descent point it scores to
+    `probes`, the grid winner first."""
     mean = float(np.mean(data.targets))
     resid = data.targets - mean
     spread = float(np.max(np.abs(resid)))
@@ -741,28 +800,14 @@ def scipy_cholesky_fit_mle(data: Dataset, search: FitConfig, probes=None) -> GpM
             f"target variance is not finite in float64 (max |y - mean| = {spread:g})"
         )
 
-    z = resid / spread / z_std
+    unit_kernel, grids, z = grid_inputs(data, search)
     bounds = [(ls_lo, ls_hi), (1e-3, 1e3), (1e-6, 1.0)]
-    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
-    d2 = squareform(pdist(data.points, "sqeuclidean"))
-
-    def unit_kernel(ls: float) -> np.ndarray:
-        return gp._unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
-
-    def sub_grid(ls: float) -> np.ndarray:
-        w, Q = eigh(unit_kernel(ls), check_finite=False)
-        proj = Q.T @ z
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lam = grids[1][:, None, None] * w + grids[2][None, :, None]
-            vals = -0.5 * np.sum(proj * proj / lam, axis=-1) - 0.5 * np.sum(np.log(lam), axis=-1)
-        vals[np.isnan(vals) | (lam[..., 0] <= 0.0)] = -math.inf
-        return vals
-
-    scores = np.stack([sub_grid(float(ls)) for ls in grids[0]])
-    best = np.unravel_index(int(np.argmax(scores)), scores.shape)
-    if scores[best] == -math.inf:
-        raise GpFactorizationError("no grid point has a finite log marginal likelihood")
-    params = [float(grid[i]) for grid, i in zip(grids, best)]
+    if start is None:
+        scores = eigh_grid_lml(unit_kernel, grids, z)
+        start = np.unravel_index(int(np.argmax(scores)), scores.shape)
+        if scores[start] == -math.inf:
+            raise GpFactorizationError("no grid point has a finite log marginal likelihood")
+    params = [float(grid[i]) for grid, i in zip(grids, start)]
 
     def score(Ku: np.ndarray, ls: float, sf: float, nv: float) -> float:
         if probes is not None:
@@ -815,10 +860,15 @@ def scipy_cholesky_fit_mle(data: Dataset, search: FitConfig, probes=None) -> GpM
     return GpModel(kernel, noise_var, mean)
 
 
+def assert_fit_equals_reference_descent(data: Dataset, cfg: FitConfig) -> None:
+    start = grid_winner(data, cfg)
+    assert gp.fit_mle(data, cfg) == scipy_cholesky_fit_mle(data, cfg, start=start)
+
+
 def test_fit_equals_scipy_cholesky_fit_on_corpus():
     for name, data, side, family in fit_corpus():
         cfg = FitConfig(side_length=side, family=family)
-        assert gp.fit_mle(data, cfg) == scipy_cholesky_fit_mle(data, cfg), name
+        assert_fit_equals_reference_descent(data, cfg)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -835,8 +885,7 @@ def test_fit_equals_scipy_cholesky_fit_on_affine_maps(seed, t, a, b):
     y = np.sin(2.0 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(t)
     cfg = FitConfig(side_length=2.0)
     for targets in (y, a * y + b):
-        data = Dataset(X, targets, 2)
-        assert gp.fit_mle(data, cfg) == scipy_cholesky_fit_mle(data, cfg)
+        assert_fit_equals_reference_descent(Dataset(X, targets, 2), cfg)
 
 
 def test_fit_factorizes_each_distinct_probe_once(monkeypatch):
@@ -852,9 +901,62 @@ def test_fit_factorizes_each_distinct_probe_once(monkeypatch):
     for name, data, side, family in fit_corpus():
         cfg = FitConfig(side_length=side, family=family)
         probes: list = []
-        scipy_cholesky_fit_mle(data, cfg, probes)
+        scipy_cholesky_fit_mle(data, cfg, probes, start=grid_winner(data, cfg))
         calls["n"] = 0
         gp.fit_mle(data, cfg)
         assert calls["n"] == len(set(probes)), name
         saved += len(probes) - calls["n"]
     assert saved > 0
+
+
+# ---------------------------------------------------------------------------
+# _grid_lml against a dense Cholesky LML at every grid point
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    t=st.integers(2, 40),
+    d=st.integers(1, 4),
+    family=st.sampled_from(gp.KERNEL_FAMILIES),
+    n_dup=st.integers(0, 20),
+    spacing=st.sampled_from([1.0, 1e4]),
+)
+def test_grid_lml_matches_dense_cholesky_lml(seed, t, d, family, n_dup, spacing):
+    # spacing 1e4 puts every pair of distinct points so far apart that Ku
+    # rounds to I, up to the 1s that duplicate rows keep off the diagonal.
+    rng = np.random.default_rng(seed)
+    X = spacing * rng.uniform(-1.0, 1.0, size=(t, d))
+    n_dup = min(n_dup, t // 2)
+    X[t - n_dup:] = X[:n_dup]
+    y = np.sin(3.0 * X[:, 0] / spacing) + 0.1 * rng.standard_normal(t)
+    unit_kernel, grids, z = grid_inputs(Dataset(X, y, d), FitConfig(side_length=2.0, family=family))
+    scores = gp._grid_lml(unit_kernel, grids, z)
+    const = -0.5 * t * math.log(2.0 * math.pi)
+    for i, ls in enumerate(grids[0]):
+        Ku = unit_kernel(float(ls))
+        for (j, k), score in np.ndenumerate(scores[i]):
+            L = np.linalg.cholesky(grids[1][j] * Ku + grids[2][k] * np.eye(t))
+            v = solve_triangular(L, z, lower=True)
+            dense = float(-0.5 * v @ v - np.sum(np.log(np.diag(L)))) + const
+            assert abs(score + const - dense) <= 1e-5 * max(1.0, abs(dense)), (i, j, k)
+
+
+def test_grid_lml_is_minus_inf_exactly_where_not_positive_definite():
+    # An indefinite "unit kernel" with smallest eigenvalue -1e-3: sf*Ku + nv*I
+    # is positive definite iff nv > 1e-3 * sf.  Grid points within 10% of
+    # that boundary are left out.
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    w = np.concatenate([[-1e-3], np.geomspace(1e-2, 5.0, 11)])
+    Ku = (Q * w) @ Q.T
+    Ku = 0.5 * (Ku + Ku.T)
+    grids = [np.array([1.0, 2.0]), np.geomspace(1e-3, 1e3, 8), np.geomspace(1e-6, 1.0, 8)]
+    z = rng.standard_normal(12)
+    scores = gp._grid_lml(lambda ls: Ku.copy(), grids, z)
+    ratio = grids[2][None, :] / (1e-3 * grids[1][:, None])
+    clear = np.abs(np.log(ratio)) > math.log(1.1)
+    for sub in scores:
+        assert np.all(np.isneginf(sub[clear & (ratio < 1.0)]))
+        assert np.all(np.isfinite(sub[clear & (ratio > 1.0)]))

@@ -3,7 +3,7 @@
 Oracles used here: closed forms evaluated independently, repeated
 multiplication for volumes, iterated expansion for the closed-form side,
 brute-force scans for reachability horizons, and seeded random trajectories
-for the envelope containment property.
+plus a Hypothesis property for the envelope containment property.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubo import series, space
 from hubo.space import ExpansionConfig, SearchBox
@@ -309,6 +311,38 @@ def test_envelope_contains_random_trajectories():
             assert np.all(box.center >= cfg.c_min) and np.all(
                 box.center <= cfg.c_max
             )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 4),
+    a=st.floats(-10.0, 10.0),
+    width=st.floats(1e-2, 10.0),
+    alpha=st.floats(-1.0, -1e-3),
+    pads=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)),
+    T=st.integers(1, 60),
+    data=st.data(),
+)
+def test_expand_then_translate_stays_inside_envelope(dim, a, width, alpha, pads, T, data):
+    # C_initial = [a - pad_lo, b + pad_hi]^d holds X0 anywhere it fits; each
+    # step re-centers on a point of the expanded box, faces included.
+    b = a + width
+    unit = st.floats(0.0, 1.0)
+    frac = np.array(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
+    c_min, c_max = a - pads[0], b + pads[1]
+    x0 = c_min + 0.5 * width + frac * (c_max - c_min - width)
+    cfg = ExpansionConfig(a=a, b=b, alpha=alpha, c_min=c_min, c_max=c_max, dim=dim,
+                          x0_center=x0)
+    env_T = space.envelope(T, cfg)
+    box = space.initial_box(cfg)
+    for t in range(1, T + 1):
+        box = space.expand(box, t, cfg)
+        u = np.array(data.draw(st.lists(unit, min_size=dim, max_size=dim)))
+        box = space.translate(box, box.lower + u * box.side, cfg)
+        for env in (space.envelope(t, cfg), env_T):
+            tol = 1e-12 * (1.0 + float(np.max(np.abs([env.lower, env.upper]))))
+            assert np.all(box.lower >= env.lower - tol)
+            assert np.all(box.upper <= env.upper + tol)
 
 
 def test_envelope_requires_equal_widths():
