@@ -106,7 +106,6 @@ class MaximizerConfig:
 
     restarts: int = 20
     max_evals: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -203,6 +202,7 @@ def maximize_over_box(
     beta_t: float,
     box: SearchBox,
     cfg: MaximizerConfig,
+    seed: int,
 ) -> tuple[np.ndarray, float]:
     """Best acquisition point found inside the box within cfg's budget."""
     state = PosteriorState(model, data)
@@ -213,7 +213,7 @@ def maximize_over_box(
         box.upper.reshape(1, -1),
         cfg.restarts,
         cfg.max_evals,
-        [np.random.default_rng(cfg.seed)],
+        [np.random.default_rng(seed)],
     )
     return x, val
 
@@ -224,12 +224,13 @@ def maximize_over_cubes(
     beta_t: float,
     cube_set: HypercubeSet,
     cfg: MaximizerConfig,
+    seed: int,
 ) -> tuple[np.ndarray, float]:
     """Best acquisition point over the cube union.
 
     One lockstep search covers every clipped cube, each with a per-cube share
     of the budget (floors: 10 evaluations, 1 restart) and its own rng stream
-    derived from (seed, cube index), so the result does not depend on the
+    derived from (`seed`, cube index), so the result does not depend on the
     other cubes.  Ties go to the lower cube index.
     """
     state = PosteriorState(model, data)
@@ -241,7 +242,7 @@ def maximize_over_cubes(
     if kept.size == 0:
         raise ValueError("every cube was empty after clipping to the parent box")
     rngs = (
-        np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(int(ci),)))
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(ci),)))
         for ci in kept
     )
     x, val, _ = _search_rect(

@@ -71,7 +71,6 @@ TRACE_COLUMNS = (
     "log_dist",
     "side",
     "n_cubes",
-    "wall_ms",
 )
 
 SUMMARY_COLUMNS = (
@@ -337,15 +336,12 @@ def _write_csv(path: str, header, rows) -> None:
 
 def write_trace_csv(path: str, trace: RunTrace) -> None:
     """One row per observation; floats use repr so reruns are byte-identical.
-
-    wall_ms is part of the schema but deliberately left empty: wall time is
-    nondeterministic and would break the identical-rerun contract, so timings
-    live in the manifest instead.
-    """
+    Wall time is not a column, since it would differ between reruns; timings
+    live in the manifest."""
     _write_csv(path, TRACE_COLUMNS, (
         [rec.t, ";".join(map(_cell, rec.x)), _cell(rec.y), _cell(rec.best_y),
          _cell(rec.r_t), _cell(rec.R_t), _cell(rec.log_dist), _cell(rec.side),
-         "" if rec.n_cubes is None else rec.n_cubes, ""]
+         "" if rec.n_cubes is None else rec.n_cubes]
         for rec in trace.records
     ))
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import gamma_root
 from .space import SearchBox
 
 __all__ = [
@@ -161,11 +162,10 @@ def nearest_distance_bound(side: float, dim: int, n: int, delta: float) -> float
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    gamma_factor = math.exp(math.lgamma(dim / 2.0 + 1.0) / dim)
     return (
         2.0
         * side
         / math.sqrt(math.pi)
-        * gamma_factor
+        * gamma_root(dim)
         * (math.log(1.0 / delta) / n) ** (1.0 / dim)
     )

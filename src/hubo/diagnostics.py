@@ -20,6 +20,7 @@ from .space import (
     SearchBox,
     _coverage_need,
     expand,
+    initial_box,
     reachability_horizon,
     reachability_horizon_bound,
     side_length,
@@ -179,7 +180,7 @@ def _corner_containment(
     if t_steps < 1:
         return False
     for corner in (cfg.c_min, cfg.c_max):
-        box = SearchBox(cfg.x0_center, 0.5 * (cfg.b - cfg.a), cfg.dim)
+        box = initial_box(cfg)
         for t in range(1, t_steps + 1):
             box = translate(expand(box, t, cfg), corner, cfg)
         lo_ok = bool(np.all(box.lower <= target[0]))

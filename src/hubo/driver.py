@@ -11,7 +11,7 @@ fixed label, so traces are bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,7 +56,7 @@ class Objective:
     """A maximization target: deterministic f plus a Gaussian noise level.
 
     The driver adds the observation noise itself (y = f(x) + noise_std * z)
-    from its own stream; `fn` must be pure.  Optimum metadata is optional and
+    from its own stream; `fn` must be pure.  `optimum_value` is optional and
     only needed for regret.
     """
 
@@ -64,21 +64,12 @@ class Objective:
     dim: int
     noise_std: float = 0.0
     optimum_value: float | None = None
-    optimum_point: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.noise_std < 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.optimum_point is not None:
-            pt = np.asarray(self.optimum_point, dtype=np.float64).copy()
-            pt.setflags(write=False)
-            if pt.shape != (self.dim,):
-                raise ValueError(
-                    f"optimum_point has shape {pt.shape}, expected ({self.dim},)"
-                )
-            object.__setattr__(self, "optimum_point", pt)
 
     def eval(self, x: np.ndarray) -> float:
         return float(self.fn(x))
@@ -90,7 +81,6 @@ class Objective:
             dim=bench.dim,
             noise_std=noise_std,
             optimum_value=bench.optimum_value,
-            optimum_point=bench.optimum_point,
         )
 
 
@@ -127,6 +117,8 @@ class RunConfig:
             )
         if self.beta.dim != self.expansion.dim:
             raise ValueError("beta schedule and expansion disagree on dim")
+        if self.hd is not None and self.beta.l_h != self.hd.l_h:
+            raise ValueError("beta schedule and hd config disagree on l_h")
 
 
 @dataclass
@@ -155,8 +147,6 @@ class RunTrace:
 
     algorithm: str
     seed: int
-    dim: int
-    n_init: int
     records: list[IterationRecord] = field(default_factory=list)
     incomplete: bool = False
     error: str | None = None
@@ -232,7 +222,7 @@ def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
     rng_points = np.random.default_rng([seed, _STREAM_INIT])
     rng_noise = np.random.default_rng([seed, _STREAM_NOISE])
 
-    trace = RunTrace(algorithm="random", seed=seed, dim=obj.dim, n_init=0)
+    trace = RunTrace(algorithm="random", seed=seed)
     X = rng_points.uniform(lower, upper, size=(T, obj.dim))
     best = -math.inf
     for t in range(1, T + 1):
@@ -267,7 +257,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         # shows for run seeds >= 2**64; it keeps their cube draws unchanged
         rng_cubes = np.random.default_rng([cfg.seed, _STREAM_CUBES, 0])
 
-    trace = RunTrace(algorithm=cfg.algorithm, seed=cfg.seed, dim=d, n_init=cfg.n_init)
+    trace = RunTrace(algorithm=cfg.algorithm, seed=cfg.seed)
     box = initial_box(cfg.expansion)
     data = Dataset.empty(d)
     best_y = -math.inf
@@ -312,19 +302,19 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         else:
             beta_t = beta(t, cfg.beta)
 
-        mcfg = replace(cfg.maximizer, seed=_derive_seed(cfg.seed, _STREAM_MAXIMIZER, t))
+        mseed = _derive_seed(cfg.seed, _STREAM_MAXIMIZER, t)
         n_cubes: int | None = None
         try:
             if cfg.algorithm == "hdhubo":
                 cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
                 n_cubes = cube_set.n
-                x, _ = maximize_over_cubes(model, data, beta_t, cube_set, mcfg)
+                x, _ = maximize_over_cubes(model, data, beta_t, cube_set, cfg.maximizer, mseed)
                 if not membership(cube_set, x):
                     raise RuntimeError(
                         f"maximizer left the cube union at t={t}: {x.tolist()}"
                     )
             else:
-                x, _ = maximize_over_box(model, data, beta_t, box, mcfg)
+                x, _ = maximize_over_box(model, data, beta_t, box, cfg.maximizer, mseed)
                 if not box.contains(x):
                     raise RuntimeError(
                         f"maximizer left the search box at t={t}: {x.tolist()}"

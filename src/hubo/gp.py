@@ -40,6 +40,12 @@ KERNEL_FAMILIES = ("se", "matern52")
 _JITTER_BASE = 1e-10
 _JITTER_ESCALATIONS = 6
 
+# MLE fit: points per axis of the log-uniform (ls, sf, nv) grid, the cap on
+# coordinate-descent sweeps, and the variance of the constant-target model.
+_GRID_SIZE = 8
+_REFINE_SWEEPS = 20
+_VARIANCE_FLOOR = 1e-12
+
 
 class GpFactorizationError(RuntimeError):
     """Kernel matrix stayed non-positive-definite through all jitter levels."""
@@ -248,9 +254,6 @@ class FitConfig:
 
     side_length: float
     family: str = "se"
-    grid_size: int = 8
-    refine_sweeps: int = 20
-    variance_floor: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "side_length", float(self.side_length))
@@ -313,16 +316,15 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     Deterministic, on standardized targets: an 8x8x8 log-uniform grid scanned
     in ascending, lexicographic order (ties keep the first, i.e. smallest,
     parameters), then coordinate descent with multiplicative probes for at
-    most `refine_sweeps` sweeps.  The grid is scored by `_grid_lml`: one
-    Householder reflector and one LAPACK dsytrd tridiagonal reduction per grid
-    lengthscale, then one pivot recurrence over all `grid_size`^3 points.  The
-    descent scores the grid winner and each probe by a Cholesky LML, once per
-    distinct point.  Cost: `grid_size` dsytrd calls, one O(t*`grid_size`^3)
-    recurrence and no eigendecomposition, plus one LAPACK factorization per
-    distinct probe point, at most 1 + 6*`refine_sweeps`.  Constant targets
-    return a floor-variance model; a target variance that overflows, or a
-    fitted variance that underflows to a subnormal or zero, raises
-    GpFactorizationError.
+    most 20 sweeps.  The grid is scored by `_grid_lml`: one Householder
+    reflector and one LAPACK dsytrd tridiagonal reduction per grid
+    lengthscale, then one pivot recurrence over all 512 points.  The descent
+    scores the grid winner and each probe by a Cholesky LML, once per distinct
+    point.  Cost: 8 dsytrd calls, one O(512*t) recurrence and no
+    eigendecomposition, plus one LAPACK factorization per distinct probe
+    point, at most 1 + 6*20 = 121.  Constant targets return a floor-variance
+    model; a target variance that overflows, or a fitted variance that
+    underflows to a subnormal or zero, raises GpFactorizationError.
     """
     t = len(data)
     if t < 2:
@@ -335,10 +337,8 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     z_std = float(np.std(resid / spread)) if spread > 0.0 else 0.0
     ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
     if z_std == 0.0:
-        kernel = KernelSpec(
-            search.family, math.sqrt(ls_lo * ls_hi), search.variance_floor
-        )
-        return GpModel(kernel, search.variance_floor, mean)
+        kernel = KernelSpec(search.family, math.sqrt(ls_lo * ls_hi), _VARIANCE_FLOOR)
+        return GpModel(kernel, _VARIANCE_FLOOR, mean)
     var_y = spread * z_std * (spread * z_std)  # inf, not OverflowError, past 1e308
     if not math.isfinite(var_y):
         raise GpFactorizationError(
@@ -347,7 +347,7 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
 
     z = resid / spread / z_std
     bounds = [(ls_lo, ls_hi), (1e-3, 1e3), (1e-6, 1.0)]  # variances in units of var(y)
-    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
+    grids = [np.geomspace(lo, hi, _GRID_SIZE) for lo, hi in bounds]
     d2 = squareform(pdist(data.points, "sqeuclidean"))
 
     def unit_kernel(ls: float) -> np.ndarray:
@@ -373,8 +373,8 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     Ku = unit_kernel(params[0])
     best_val = score(Ku, params[1], params[2])
     scored = {tuple(params)}
-    steps = [(hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds]
-    for _ in range(search.refine_sweeps):
+    steps = [(hi / lo) ** (0.5 / (_GRID_SIZE - 1)) for lo, hi in bounds]
+    for _ in range(_REFINE_SWEEPS):
         moved = False
         for i in range(3):
             cand_best, cand_val = None, best_val

@@ -21,7 +21,6 @@ __all__ = [
     "p_series_bound",
     "gamma_root",
     "nearest_point_decay",
-    "PartialSumAccumulator",
 ]
 
 
@@ -42,10 +41,6 @@ def _check_alpha_bounded(alpha: float) -> float:
 
 def partial_sum(alpha: float, n: int) -> float:
     """Return sum_{j=1}^{n} j**alpha, accumulated left to right."""
-    n = _check_n(n)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
     return float(partial_sums(alpha, n)[-1])
 
 
@@ -130,22 +125,3 @@ def nearest_point_decay(alpha: float, lam: float, dim: int, t: float) -> float:
     if alpha == -1.0:
         return (2.0 + math.log(t)) * power
     return 2.0 / (alpha + 1.0) * power
-
-
-class PartialSumAccumulator:
-    """Running partial sum of j**alpha, updated in O(1) per term.
-
-    `space.reachability_horizon` advances t one step at a time; recomputing
-    the whole sum at each step would make its scan O(t^2).
-    """
-
-    def __init__(self, alpha: float):
-        self.alpha = float(alpha)
-        self.n = 0
-        self.value = 0.0
-
-    def add_next(self) -> float:
-        """Append the next term and return the updated sum."""
-        self.n += 1
-        self.value += float(self.n) ** self.alpha
-        return self.value

@@ -23,7 +23,6 @@ __all__ = [
     "expand",
     "translate",
     "side_length",
-    "volume",
     "envelope",
     "reachability_horizon",
     "reachability_horizon_bound",
@@ -167,16 +166,6 @@ def side_length(t: int, cfg: ExpansionConfig) -> float:
     return (cfg.b - cfg.a) * (1.0 + series.partial_sum(cfg.alpha, t))
 
 
-def volume(t: int, cfg: ExpansionConfig) -> float:
-    """Volume side**d after t expansions, via logs so huge d cannot overflow
-    mid-computation (the result itself may still be inf)."""
-    side = side_length(t, cfg)
-    log_vol = cfg.dim * math.log(side)
-    if log_vol > 709.0:  # ln(max float64) ~ 709.78
-        return math.inf
-    return math.exp(log_vol) if log_vol < -700.0 else side**cfg.dim
-
-
 def envelope(T: int, cfg: ExpansionConfig) -> SearchBox:
     """Hypercube containing every box a run can produce through step T.
 
@@ -222,10 +211,10 @@ def reachability_horizon(
     need = _coverage_need(a_g, b_g, cfg)
     half_side0 = 0.5 * (cfg.b - cfg.a)
 
-    acc = series.PartialSumAccumulator(cfg.alpha)
+    total = 0.0  # sum_{j<=t} j^alpha, one term per step keeps the scan O(t)
     for t in range(1, limit + 1):
-        half_side = half_side0 * (1.0 + acc.add_next())
-        if half_side >= need:
+        total += float(t) ** cfg.alpha
+        if half_side0 * (1.0 + total) >= need:
             return t
     return None
 

@@ -220,7 +220,7 @@ def test_box_maximizer_flat_surface():
     model = se_model(mean=1.25)
     box = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     x, val = acquisition.maximize_over_box(
-        model, Dataset.empty(2), 0.0, box, MaximizerConfig(seed=0)
+        model, Dataset.empty(2), 0.0, box, MaximizerConfig(), 0
     )
     assert box.contains(x)
     assert val == pytest.approx(1.25, rel=1e-12)
@@ -232,8 +232,7 @@ def test_box_maximizer_beats_dense_grid():
     model = se_model(ell=0.6, sv=1.5, nv=1e-4)
     data = Dataset(np.array([[0.3]]), np.array([1.2]), 1)
     box = SearchBox(center=np.zeros(1), half_side=2.0, dim=1)
-    cfg = MaximizerConfig(seed=11)
-    x, val = acquisition.maximize_over_box(model, data, 4.0, box, cfg)
+    x, val = acquisition.maximize_over_box(model, data, 4.0, box, MaximizerConfig(), 11)
     assert box.contains(x)
 
     grid = np.linspace(-2.0, 2.0, 100_001).reshape(-1, 1)
@@ -250,9 +249,9 @@ def test_box_maximizer_deterministic():
     model = se_model(ell=0.5, nv=0.01)
     data = Dataset(rng.uniform(-1, 1, (5, 2)), rng.normal(size=5), 2)
     box = SearchBox(center=np.zeros(2), half_side=1.5, dim=2)
-    cfg = MaximizerConfig(seed=77)
-    x1, v1 = acquisition.maximize_over_box(model, data, 2.0, box, cfg)
-    x2, v2 = acquisition.maximize_over_box(model, data, 2.0, box, cfg)
+    cfg = MaximizerConfig()
+    x1, v1 = acquisition.maximize_over_box(model, data, 2.0, box, cfg, 77)
+    x2, v2 = acquisition.maximize_over_box(model, data, 2.0, box, cfg, 77)
     assert np.array_equal(x1, x2)
     assert v1 == v2
 
@@ -268,10 +267,10 @@ def test_box_maximizer_monotone_in_budget():
         box = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
         seed = int(rng.integers(0, 2**31))
         _, v_small = acquisition.maximize_over_box(
-            model, data, 3.0, box, MaximizerConfig(restarts=4, max_evals=120, seed=seed)
+            model, data, 3.0, box, MaximizerConfig(restarts=4, max_evals=120), seed
         )
         _, v_large = acquisition.maximize_over_box(
-            model, data, 3.0, box, MaximizerConfig(restarts=4, max_evals=240, seed=seed)
+            model, data, 3.0, box, MaximizerConfig(restarts=4, max_evals=240), seed
         )
         assert v_large >= v_small - 1e-12
 
@@ -284,7 +283,7 @@ def test_box_maximizer_stays_in_box():
         center = rng.uniform(-1, 1, 3)
         box = SearchBox(center=center, half_side=float(rng.uniform(0.2, 2.0)), dim=3)
         x, _ = acquisition.maximize_over_box(
-            model, data, 2.0, box, MaximizerConfig(seed=int(rng.integers(1 << 30)))
+            model, data, 2.0, box, MaximizerConfig(), int(rng.integers(1 << 30))
         )
         assert box.contains(x)
 
@@ -299,8 +298,8 @@ def test_cube_maximizer_single_cube_equals_box_search():
     data = Dataset(np.array([[0.2, 0.2]]), np.array([1.0]), 2)
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     cs = HypercubeSet(np.array([[0.1, 0.1]]), 0.6, parent)
-    cfg = MaximizerConfig(seed=9)
-    x_c, v_c = acquisition.maximize_over_cubes(model, data, 1.5, cs, cfg)
+    cfg = MaximizerConfig()
+    x_c, v_c = acquisition.maximize_over_cubes(model, data, 1.5, cs, cfg, 9)
 
     lo, hi = cs.clipped_bounds()
     clipped = SearchBox(
@@ -313,7 +312,7 @@ def test_cube_maximizer_single_cube_equals_box_search():
     assert v_c == pytest.approx(
         ucb_at(model, data, 1.5, x_c), rel=1e-10
     )
-    x_b, v_b = acquisition.maximize_over_box(model, data, 1.5, clipped, cfg)
+    x_b, v_b = acquisition.maximize_over_box(model, data, 1.5, clipped, cfg, 9)
     assert abs(v_c - v_b) <= 1e-6 * (1.0 + abs(v_b))
 
 
@@ -324,7 +323,7 @@ def test_cube_maximizer_flat_surface():
         parent, 5, HdConfig(lam=1.0, n0=1, l_h=0.3), np.random.default_rng(1)
     )
     x, val = acquisition.maximize_over_cubes(
-        model, Dataset.empty(2), 0.0, cs, MaximizerConfig(seed=2)
+        model, Dataset.empty(2), 0.0, cs, MaximizerConfig(), 2
     )
     assert membership(cs, x)
     assert val == pytest.approx(-0.75, rel=1e-12)
@@ -339,8 +338,7 @@ def test_cube_maximizer_finds_better_cube_matches_grid():
     )
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     cs = HypercubeSet(np.array([[-0.6, -0.6], [0.7, 0.7]]), 0.5, parent)
-    cfg = MaximizerConfig(seed=3)
-    x, val = acquisition.maximize_over_cubes(model, data, 1.0, cs, cfg)
+    x, val = acquisition.maximize_over_cubes(model, data, 1.0, cs, MaximizerConfig(), 3)
     assert membership(cs, x)
 
     # Grid oracle over each clipped cube.
@@ -369,7 +367,7 @@ def test_cube_maximizer_rejects_fully_clipped_set():
     cs = HypercubeSet(np.array([[5.0, 5.0]]), 0.2, parent)
     with pytest.raises(ValueError):
         acquisition.maximize_over_cubes(
-            se_model(), Dataset.empty(2), 1.0, cs, MaximizerConfig(seed=0)
+            se_model(), Dataset.empty(2), 1.0, cs, MaximizerConfig(), 0
         )
 
 
@@ -381,9 +379,9 @@ def test_cube_maximizer_deterministic():
     cs = sample_cubes(
         parent, 7, HdConfig(lam=1.0, n0=1, l_h=0.25), np.random.default_rng(8)
     )
-    cfg = MaximizerConfig(seed=123)
-    x1, v1 = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg)
-    x2, v2 = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg)
+    cfg = MaximizerConfig()
+    x1, v1 = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg, 123)
+    x2, v2 = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg, 123)
     assert np.array_equal(x1, x2)
     assert v1 == v2
 
@@ -442,7 +440,9 @@ def reference_search_rect(predict, lo, hi, restarts, max_evals, rng, tol):
     return X[winner].copy(), best_val, used
 
 
-def reference_maximize_over_cubes(predict, cube_set: HypercubeSet, cfg: MaximizerConfig):
+def reference_maximize_over_cubes(
+    predict, cube_set: HypercubeSet, cfg: MaximizerConfig, seed: int
+):
     """One reference search per cube; a strictly better cube replaces the best."""
     n = cube_set.n
     lo_all, hi_all = cube_set.clipped_bounds()
@@ -452,7 +452,7 @@ def reference_maximize_over_cubes(predict, cube_set: HypercubeSet, cfg: Maximize
         if np.any(hi < lo):
             continue
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ci,))
+            np.random.SeedSequence(entropy=seed, spawn_key=(ci,))
         )
         x, val, _ = reference_search_rect(
             predict, lo, hi, max(1, cfg.restarts // n), max(10, cfg.max_evals // n),
@@ -494,23 +494,23 @@ def counted(predict):
 
 
 def cube_corpus():
-    """(name, cube set, cfg): budget truncation, floors, clipping, many cubes."""
+    """(name, cube set, cfg, seed): budget truncation, floors, clipping, many cubes."""
     parent = SearchBox(center=np.zeros(3), half_side=1.0, dim=3)
     rng = np.random.default_rng(42)
     edge = np.array([[0.95, 0.0, -0.2], [-1.1, 0.9, 0.3], [0.0, 0.0, 1.1]])
     return [
         ("one cube", HypercubeSet(np.array([[0.1, -0.2, 0.3]]), 0.6, parent),
-         MaximizerConfig(restarts=20, max_evals=1000, seed=1)),
+         MaximizerConfig(restarts=20, max_evals=1000), 1),
         ("budget not a multiple of restarts", HypercubeSet(rng.uniform(-1, 1, (3, 3)), 0.4, parent),
-         MaximizerConfig(restarts=7, max_evals=53, seed=2)),
+         MaximizerConfig(restarts=7, max_evals=53), 2),
         ("floors, more cubes than restarts", HypercubeSet(rng.uniform(-1, 1, (30, 3)), 0.2, parent),
-         MaximizerConfig(restarts=20, max_evals=100, seed=3)),
+         MaximizerConfig(restarts=20, max_evals=100), 3),
         ("clipped by the parent", HypercubeSet(edge, 0.5, parent),
-         MaximizerConfig(restarts=9, max_evals=200, seed=4)),
+         MaximizerConfig(restarts=9, max_evals=200), 4),
         ("one cube fully clipped", HypercubeSet(np.vstack([edge, [[3.0, 0.0, 0.0]]]), 0.5, parent),
-         MaximizerConfig(restarts=8, max_evals=91, seed=5)),
+         MaximizerConfig(restarts=8, max_evals=91), 5),
         ("sampled as in hdhubo", sample_cubes(parent, 12, HdConfig(lam=1.0, n0=1, l_h=0.3), rng),
-         MaximizerConfig(restarts=20, max_evals=1000, seed=6)),
+         MaximizerConfig(restarts=20, max_evals=1000), 6),
     ]
 
 
@@ -520,17 +520,17 @@ def zero_width_case():
     parent = SearchBox(center=np.zeros(3), half_side=1.0, dim=3)
     centers = np.array([[0.2, 0.1, -0.3], [1.25, -0.4, 0.5], [-0.6, 0.7, 0.0]])
     return ("zero-width coordinate", HypercubeSet(centers, 0.5, parent),
-            MaximizerConfig(restarts=6, max_evals=90, seed=8))
+            MaximizerConfig(restarts=6, max_evals=90), 8)
 
 
 @pytest.mark.parametrize("quantum", [0.0, 0.25])
 @pytest.mark.parametrize("case", cube_corpus(), ids=lambda c: c[0])
 def test_cube_maximizer_equals_per_cube_reference(case, quantum, monkeypatch):
-    _, cs, cfg = case
-    predict = sines(3, seed=cfg.seed, quantum=quantum)
+    _, cs, cfg, seed = case
+    predict = sines(3, seed=seed, quantum=quantum)
     monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: predict)
-    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg)
-    x_ref, val_ref = reference_maximize_over_cubes(predict, cs, cfg)
+    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg, seed)
+    x_ref, val_ref = reference_maximize_over_cubes(predict, cs, cfg, seed)
     assert np.array_equal(x, x_ref)
     assert val == val_ref
 
@@ -538,7 +538,7 @@ def test_cube_maximizer_equals_per_cube_reference(case, quantum, monkeypatch):
 def test_cube_maximizer_skips_zero_width_coordinate_like_reference(monkeypatch):
     # A bowl that peaks inside the zero-width cube, whose budget runs out
     # before it converges: a probe wasted on its flat coordinate moves x.
-    _, cs, cfg = zero_width_case()
+    _, cs, cfg, seed = zero_width_case()
     peak = np.array([1.0, -0.3, 0.45])
 
     def bowl(X):
@@ -548,8 +548,8 @@ def test_cube_maximizer_skips_zero_width_coordinate_like_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: bowl)
-    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg)
-    x_ref, val_ref = reference_maximize_over_cubes(bowl, cs, cfg)
+    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg, seed)
+    x_ref, val_ref = reference_maximize_over_cubes(bowl, cs, cfg, seed)
     assert x[0] == 1.0
     assert np.array_equal(x, x_ref)
     assert val == val_ref
@@ -559,11 +559,11 @@ def test_cube_maximizer_ties_go_to_lowest_cube_then_smallest_point(monkeypatch):
     # A flat surface ties every start; the first cube's smallest point wins.
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     cs = HypercubeSet(np.array([[3.0, 3.0], [0.5, 0.5], [-0.5, -0.5]]), 0.4, parent)
-    cfg = MaximizerConfig(restarts=6, max_evals=60, seed=7)
+    cfg = MaximizerConfig(restarts=6, max_evals=60)
     flat = lambda X: np.zeros(len(X))  # noqa: E731
     monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: flat)
-    x, _ = acquisition.maximize_over_cubes(se_model(), Dataset.empty(2), 1.0, cs, cfg)
-    x_ref, _ = reference_maximize_over_cubes(flat, cs, cfg)
+    x, _ = acquisition.maximize_over_cubes(se_model(), Dataset.empty(2), 1.0, cs, cfg, 7)
+    x_ref, _ = reference_maximize_over_cubes(flat, cs, cfg, 7)
     assert np.array_equal(x, x_ref)
     assert np.all(np.abs(x - 0.5) <= 0.2)
 
@@ -579,10 +579,10 @@ def test_cube_maximizer_matches_reference_with_gp_surface():
         cs = sample_cubes(
             parent, int(rng.integers(1, 40)), HdConfig(lam=1.0, n0=1, l_h=0.3), rng
         )
-        cfg = MaximizerConfig(seed=int(rng.integers(1 << 30)))
-        x, val = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg)
+        cfg, seed = MaximizerConfig(), int(rng.integers(1 << 30))
+        x, val = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg, seed)
         ref_predict = acquisition._ucb_batch(PosteriorState(model, data), 2.0)
-        x_ref, val_ref = reference_maximize_over_cubes(ref_predict, cs, cfg)
+        x_ref, val_ref = reference_maximize_over_cubes(ref_predict, cs, cfg, seed)
         assert np.array_equal(x, x_ref)
         assert val == pytest.approx(val_ref, rel=1e-12, abs=0.0)
 
@@ -593,12 +593,12 @@ def test_box_maximizer_bit_equal_to_reference():
         model = se_model(ell=0.5, nv=1e-3)
         data = Dataset(rng.uniform(-1, 1, (t, d)), rng.normal(size=t), d)
         box = SearchBox(center=rng.uniform(-0.5, 0.5, d), half_side=0.8, dim=d)
-        cfg = MaximizerConfig(restarts=restarts, max_evals=max_evals, seed=int(rng.integers(1 << 30)))
-        x, val = acquisition.maximize_over_box(model, data, 3.0, box, cfg)
+        cfg, seed = MaximizerConfig(restarts=restarts, max_evals=max_evals), int(rng.integers(1 << 30))
+        x, val = acquisition.maximize_over_box(model, data, 3.0, box, cfg, seed)
         x_ref, val_ref, _ = reference_search_rect(
             acquisition._ucb_batch(PosteriorState(model, data), 3.0),
             box.lower, box.upper, restarts, max_evals,
-            np.random.default_rng(cfg.seed), acquisition._STEP_TOLERANCE,
+            np.random.default_rng(seed), acquisition._STEP_TOLERANCE,
         )
         assert np.array_equal(x, x_ref)
         assert val == val_ref
@@ -610,11 +610,11 @@ def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
     # over cubes.  A per-cube loop would make the sum of the calls instead.
     # A cube that skips a zero-width coordinate while the others probe it
     # leaves a gap in its calls, so there the calls only lie in between.
-    _, cs, cfg = case
-    surface = sines(3, seed=cfg.seed)
+    _, cs, cfg, seed = case
+    surface = sines(3, seed=seed)
     predict, sizes = counted(surface)
     monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: predict)
-    acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg)
+    acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg, seed)
 
     n = cs.n
     lo, hi = cs.clipped_bounds()
@@ -627,7 +627,7 @@ def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
         one, one_sizes = counted(surface)
         reference_search_rect(
             one, lo[ci], hi[ci], max(1, cfg.restarts // n), max(10, cfg.max_evals // n),
-            np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ci,))),
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,))),
             acquisition._STEP_TOLERANCE,
         )
         alone.append(one_sizes)

@@ -276,17 +276,18 @@ def test_manifest_echoes_full_config(experiment):
 def test_trace_csv_schema(experiment):
     spec, _ = experiment
     rows = read_csv(os.path.join(spec.out_dir, "hubo_r000.csv"))
-    assert rows[0] == list(cli.TRACE_COLUMNS)
+    assert rows[0] == ["t", "x", "y", "best_y", "r_t", "R_t", "log_dist", "side", "n_cubes"]
+    assert list(cli.TRACE_COLUMNS) == rows[0]
     body = rows[1:]
     assert len(body) == spec.n_init + spec.budget_T
     t_col = [int(r[0]) for r in body]
     assert t_col == [0, 0, 0, 1, 2, 3]
     for r in body:
+        assert len(r) == 9
         x = [float(tok) for tok in r[1].split(";")]
         assert len(x) == 2
         float(r[2])  # y parses
         float(r[3])  # best_y parses
-        assert r[9] == ""  # wall_ms stays empty: timings live in the manifest
     # best_y nondecreasing
     best = [float(r[3]) for r in body]
     assert all(b >= a for a, b in zip(best, best[1:]))
@@ -361,7 +362,7 @@ def test_log_distance_of_two_digit_gap():
     # A best-so-far gap of 0.01 must appear as exactly -2 in the trace.
     from hubo.driver import IterationRecord, Objective, RunTrace, compute_regret
 
-    trace = RunTrace(algorithm="hubo", seed=0, dim=1, n_init=0)
+    trace = RunTrace(algorithm="hubo", seed=0)
     trace.records.append(
         IterationRecord(t=1, x=np.array([0.1]), y=-0.01, best_y=-0.01, side=1.0)
     )

@@ -35,7 +35,6 @@ def quadratic_objective() -> Objective:
         fn=lambda x: -((x[0] - 5.0) ** 2),
         dim=1,
         optimum_value=0.0,
-        optimum_point=np.array([5.0]),
     )
 
 
@@ -88,7 +87,6 @@ def sphere_2d() -> Objective:
         fn=lambda x: -float(np.sum((x - 1.5) ** 2)),
         dim=2,
         optimum_value=0.0,
-        optimum_point=np.array([1.5, 1.5]),
     )
 
 
@@ -102,8 +100,6 @@ def test_objective_validation():
         Objective(fn=lambda x: 0.0, dim=0)
     with pytest.raises(ValueError):
         Objective(fn=lambda x: 0.0, dim=1, noise_std=-0.1)
-    with pytest.raises(ValueError):
-        Objective(fn=lambda x: 0.0, dim=2, optimum_point=np.zeros(3))
 
 
 def test_objective_from_benchmark_copies_metadata():
@@ -114,7 +110,6 @@ def test_objective_from_benchmark_copies_metadata():
     assert obj.dim == 2
     assert obj.noise_std == 0.2
     assert obj.optimum_value == bench.optimum_value
-    np.testing.assert_allclose(obj.optimum_point, bench.optimum_point)
     assert obj.eval(np.array([3.0, 0.5])) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -134,6 +129,15 @@ def test_run_config_validation():
         )
     with pytest.raises(ValueError):
         hubo_config(budget_T=5, algorithm="sgd")
+
+
+def test_run_config_rejects_hd_and_beta_with_different_l_h():
+    # beta_t would be computed for a cube side the maximizer never searches
+    cfg = small_2d_config("hdhubo", budget_T=5)
+    with pytest.raises(ValueError, match="beta schedule and hd config disagree on l_h"):
+        replace(cfg, hd=HdConfig(lam=1.0, n0=1, l_h=0.2))
+    with pytest.raises(ValueError, match="beta schedule and hd config disagree on l_h"):
+        replace(cfg, beta=BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.05))
 
 
 def test_default_n_init():
@@ -375,7 +379,7 @@ def test_maximizer_repeating_one_point_runs_to_completion(monkeypatch, algorithm
     # sees duplicate rows and a singular unit kernel.
     x_rep = np.array([0.25, 0.75])
 
-    def same_point(model, data, beta_t, region, mcfg):
+    def same_point(model, data, beta_t, region, mcfg, seed):
         return x_rep.copy(), 0.0
 
     monkeypatch.setattr(driver, "maximize_over_box", same_point)
@@ -401,7 +405,7 @@ def test_constant_objective_runs_to_completion():
 
 
 def test_best_x_earliest_tie():
-    trace = RunTrace(algorithm="hubo", seed=0, dim=1, n_init=1)
+    trace = RunTrace(algorithm="hubo", seed=0)
     xs = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
     for t, (x, y) in enumerate(zip(xs, [5.0, 5.0, 4.0])):
         trace.records.append(
@@ -412,7 +416,7 @@ def test_best_x_earliest_tie():
 
 
 def test_empty_trace_best_values():
-    trace = RunTrace(algorithm="hubo", seed=0, dim=1, n_init=0)
+    trace = RunTrace(algorithm="hubo", seed=0)
     assert trace.best_y == -math.inf
     assert trace.best_x is None
 
@@ -529,7 +533,7 @@ def test_vol2_keeps_center_fixed():
 
 
 def synthetic_trace(xs: list[float], ts: list[int]) -> RunTrace:
-    trace = RunTrace(algorithm="hubo", seed=0, dim=1, n_init=sum(t == 0 for t in ts))
+    trace = RunTrace(algorithm="hubo", seed=0)
     best = -math.inf
     for t, xv in zip(ts, xs):
         y = -((xv - 5.0) ** 2)
@@ -605,7 +609,7 @@ def test_regret_requires_optimum():
 
 
 def test_sublinearity_sqrt_regret_is_decreasing():
-    trace = RunTrace(algorithm="hubo", seed=0, dim=1, n_init=0)
+    trace = RunTrace(algorithm="hubo", seed=0)
     for t in range(1, 50):
         rec = IterationRecord(
             t=t, x=np.zeros(1), y=0.0, best_y=0.0, side=1.0
@@ -618,7 +622,7 @@ def test_sublinearity_sqrt_regret_is_decreasing():
 
 
 def test_sublinearity_linear_regret_is_constant():
-    trace = RunTrace(algorithm="hubo", seed=0, dim=1, n_init=0)
+    trace = RunTrace(algorithm="hubo", seed=0)
     for t in range(1, 20):
         rec = IterationRecord(t=t, x=np.zeros(1), y=0.0, best_y=0.0, side=1.0)
         rec.R_t = float(t)

@@ -503,7 +503,7 @@ def test_fit_degenerate_targets_hit_variance_floor():
     data = Dataset(np.array([[0.0], [1.0]]), np.array([3.0, 3.0]), 1)
     cfg = FitConfig(side_length=1.0)
     model = gp.fit_mle(data, cfg)
-    assert model.kernel.signal_variance == pytest.approx(cfg.variance_floor)
+    assert model.kernel.signal_variance == pytest.approx(gp._VARIANCE_FLOOR)
     assert model.prior_mean == pytest.approx(3.0)
 
 
@@ -513,8 +513,8 @@ def test_fit_constant_targets_with_inexact_mean_hit_variance_floor():
     data = Dataset(np.array([[0.0], [0.5], [1.0]]), np.array([0.1, 0.1, 0.1]), 1)
     cfg = FitConfig(side_length=1.0)
     model = gp.fit_mle(data, cfg)
-    assert model.kernel.signal_variance == cfg.variance_floor
-    assert model.noise_variance == cfg.variance_floor
+    assert model.kernel.signal_variance == gp._VARIANCE_FLOOR
+    assert model.noise_variance == gp._VARIANCE_FLOOR
     assert model.prior_mean == pytest.approx(0.1)
 
 
@@ -583,10 +583,8 @@ def test_fit_makes_one_tridiagonal_reduction_per_grid_lengthscale(monkeypatch):
     rng = np.random.default_rng(11)
     X = rng.uniform(-1, 1, size=(30, 2))
     data = Dataset(X, np.sin(3 * X[:, 0]) * np.cos(2 * X[:, 1]), 2)
-    for grid_size in (8, 5):
-        calls.update(dsytrd=0, eigh=0)
-        gp.fit_mle(data, FitConfig(side_length=2.0, grid_size=grid_size))
-        assert calls == {"dsytrd": grid_size, "eigh": 0}
+    gp.fit_mle(data, FitConfig(side_length=2.0))
+    assert calls == {"dsytrd": gp._GRID_SIZE, "eigh": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +603,7 @@ def reference_fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
     resid = y - mean
     bounds = [(ls_lo, ls_hi), (1e-3 * var_y, 1e3 * var_y), (1e-6 * var_y, var_y)]
-    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
+    grids = [np.geomspace(lo, hi, gp._GRID_SIZE) for lo, hi in bounds]
     d2 = squareform(pdist(data.points, "sqeuclidean"))
     const = -0.5 * t * math.log(2.0 * math.pi)
 
@@ -630,8 +628,8 @@ def reference_fit_mle(data: Dataset, search: FitConfig) -> GpModel:
                     best_val, best, best_spec = val, [float(ls), float(sf), float(nv)], (w, proj)
     params = list(best)
     w, proj = best_spec
-    steps = [(hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds]
-    for _ in range(search.refine_sweeps):
+    steps = [(hi / lo) ** (0.5 / (gp._GRID_SIZE - 1)) for lo, hi in bounds]
+    for _ in range(gp._REFINE_SWEEPS):
         moved = False
         for i in range(3):
             cand_best, cand_val = None, best_val
@@ -738,7 +736,7 @@ def grid_inputs(data: Dataset, search: FitConfig):
     z = resid / spread / float(np.std(resid / spread))
     side = search.side_length
     bounds = [(1e-2 * side, 10.0 * side), (1e-3, 1e3), (1e-6, 1.0)]
-    grids = [np.geomspace(lo, hi, search.grid_size) for lo, hi in bounds]
+    grids = [np.geomspace(lo, hi, gp._GRID_SIZE) for lo, hi in bounds]
     d2 = squareform(pdist(data.points, "sqeuclidean"))
 
     def unit_kernel(ls: float) -> np.ndarray:
@@ -792,8 +790,8 @@ def scipy_cholesky_fit_mle(
     z_std = float(np.std(resid / spread)) if spread > 0.0 else 0.0
     ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
     if z_std == 0.0:
-        kernel = KernelSpec(search.family, math.sqrt(ls_lo * ls_hi), search.variance_floor)
-        return GpModel(kernel, search.variance_floor, mean)
+        kernel = KernelSpec(search.family, math.sqrt(ls_lo * ls_hi), gp._VARIANCE_FLOOR)
+        return GpModel(kernel, gp._VARIANCE_FLOOR, mean)
     var_y = spread * z_std * (spread * z_std)
     if not math.isfinite(var_y):
         raise GpFactorizationError(
@@ -825,8 +823,8 @@ def scipy_cholesky_fit_mle(
 
     Ku = unit_kernel(params[0])
     best_val = score(Ku, *params)
-    steps = [(hi / lo) ** (0.5 / (search.grid_size - 1)) for lo, hi in bounds]
-    for _ in range(search.refine_sweeps):
+    steps = [(hi / lo) ** (0.5 / (gp._GRID_SIZE - 1)) for lo, hi in bounds]
+    for _ in range(gp._REFINE_SWEEPS):
         moved = False
         for i in range(3):
             cand_best = None

@@ -228,24 +228,3 @@ def test_nearest_point_decay_validation():
         series.nearest_point_decay(-1.0, 1.0, 0, 2)
     with pytest.raises(ValueError):
         series.nearest_point_decay(-1.0, 1.0, 1, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# PartialSumAccumulator
-# ---------------------------------------------------------------------------
-
-
-def test_accumulator_matches_partial_sums():
-    alpha = -0.8
-    acc = series.PartialSumAccumulator(alpha)
-    sums = series.partial_sums(alpha, 200)
-    for n in range(1, 201):
-        value = acc.add_next()
-        assert value == pytest.approx(sums[n - 1], rel=1e-15)
-        assert acc.n == n
-
-
-def test_accumulator_starts_empty():
-    acc = series.PartialSumAccumulator(-1.0)
-    assert acc.n == 0
-    assert acc.value == 0.0

@@ -1,9 +1,9 @@
 """Tests for the expand-and-translate search-space geometry.
 
-Oracles used here: closed forms evaluated independently, repeated
-multiplication for volumes, iterated expansion for the closed-form side,
-brute-force scans for reachability horizons, and seeded random trajectories
-plus a Hypothesis property for the envelope containment property.
+Oracles used here: closed forms evaluated independently, iterated expansion
+for the closed-form side, brute-force scans for reachability horizons, and
+seeded random trajectories plus a Hypothesis property for the envelope
+containment property.
 """
 
 from __future__ import annotations
@@ -225,48 +225,6 @@ def test_side_length_matches_iterated_expand_with_translates():
 def test_side_length_rejects_negative_t():
     with pytest.raises(ValueError):
         space.side_length(-1, unit_cfg())
-
-
-# ---------------------------------------------------------------------------
-# volume
-# ---------------------------------------------------------------------------
-
-
-def test_volume_initial_cube():
-    cfg = ExpansionConfig(a=0.0, b=2.0, alpha=-1.0, c_min=0.0, c_max=2.0, dim=3)
-    assert space.volume(0, cfg) == pytest.approx(8.0)
-
-
-def test_volume_after_first_step():
-    cfg = unit_cfg(dim=2)
-    assert space.volume(1, cfg) == pytest.approx(4.0)
-
-
-def test_volume_matches_repeated_multiplication():
-    for dim in (1, 2, 5, 11, 20):
-        cfg = ExpansionConfig(
-            a=0.0, b=1.0, alpha=-0.5, c_min=0.0, c_max=1.0, dim=dim
-        )
-        for t in (0, 1, 10, 100):
-            side = space.side_length(t, cfg)
-            oracle = 1.0
-            for _ in range(dim):
-                oracle *= side
-            assert space.volume(t, cfg) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_volume_overflow_guard_returns_inf():
-    cfg = ExpansionConfig(a=0.0, b=10.0, alpha=-1.0, c_min=0.0, c_max=10.0, dim=500)
-    assert space.volume(1, cfg) == math.inf
-
-
-def test_volume_tiny_side_stays_nonnegative():
-    side0 = math.exp(-1.0)
-    cfg = ExpansionConfig(
-        a=0.0, b=side0, alpha=-1.0, c_min=0.0, c_max=1.0, dim=720
-    )
-    vol = space.volume(0, cfg)
-    assert 0.0 < vol < 1e-300
 
 
 # ---------------------------------------------------------------------------
