@@ -131,50 +131,43 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rngs):
 
     `lo` and `hi` are (K, d) bounds and `rngs` yields one generator per
     rectangle.  Each rectangle draws `restarts` uniform starts from its own
-    generator before any truncation, so its start set depends only on that
-    generator, never on the budget; a larger budget therefore replays the same
-    trajectory prefix and can only improve the result.  Each rectangle keeps
-    its own budget of `max_evals` evaluations, step sizes and stopping rule,
-    and follows the trajectory a search of it alone would; only the `predict`
-    calls are shared: one per (coordinate, sign) per sweep, with rows ordered
-    by rectangle, then by start.  The best value wins; ties go to the lowest
-    rectangle, then to the lexicographically smallest point.  Returns
-    (best point, best value, evaluations used over all rectangles).
+    generator, so its start set depends only on that generator, never on the
+    budget; a larger budget therefore replays the same trajectory prefix and
+    can only improve the result.  Each rectangle keeps its own budget of
+    `max_evals` evaluations, step sizes and stopping rule, and follows the
+    trajectory a search of it alone would; only the `predict` calls are
+    shared: one per (coordinate, sign) per sweep, with rows ordered by
+    rectangle, then by start.  The best value wins; ties go to the lowest
+    rectangle, then to the lexicographically smallest point.  Returns (best
+    point, best value, evaluations used over all rectangles).
     """
     K, d = lo.shape
-    n0 = min(restarts, max_evals)
-    X = np.concatenate(
-        [rng.uniform(l, h, size=(restarts, d))[:n0] for rng, l, h in zip(rngs, lo, hi)]
-    )
+    X = np.concatenate([rng.uniform(l, h, size=(restarts, d)) for rng, l, h in zip(rngs, lo, hi)])
     vals = predict(X)
-    rect = np.repeat(np.arange(K), n0)
-    # (d, K * n0): row i holds coordinate i's bounds for every start
+    rect = np.repeat(np.arange(K), restarts)
+    # (d, K * restarts): row i holds coordinate i's bounds for every start
     lo_rows = lo.T[:, rect]
     hi_rows = hi.T[:, rect]
     width_rows = hi_rows - lo_rows
     probed = (hi - lo).T != 0.0  # (d, K): zero-width coordinates are skipped
-    used = np.full(K, n0)
-    steps = np.full(K * n0, 0.25)
-    active = np.ones(K * n0, dtype=bool)
+    used = np.full(K, restarts)
+    steps = np.full(K * restarts, 0.25)
+    active = np.ones(K * restarts, dtype=bool)
 
     while True:
-        by_rect = active.reshape(K, n0)
+        by_rect = active.reshape(K, restarts)
         n_active = by_rect.sum(axis=1)
         if not np.any((used < max_evals) & (n_active > 0)):
             break
-        idx_all = np.flatnonzero(active)
         rank = (np.cumsum(by_rect, axis=1) - 1).ravel()
-        improved = np.zeros(K * n0, dtype=bool)
+        improved = np.zeros(K * restarts, dtype=bool)
         for i in range(d):
             for sign in (1.0, -1.0):
                 # each rectangle probes its first (budget-left) active starts
                 take = np.minimum(max_evals - used, n_active) * probed[i]
-                if np.array_equal(take, n_active):
-                    idx = idx_all
-                elif not np.any(take):
+                if not np.any(take):
                     break
-                else:
-                    idx = np.flatnonzero(active & (rank < take[rect]))
+                idx = np.flatnonzero(active & (rank < take[rect]))
                 cand = X[idx]
                 moved = cand[:, i] + sign * steps[idx] * width_rows[i][idx]
                 cand[:, i] = np.minimum(np.maximum(moved, lo_rows[i][idx]), hi_rows[i][idx])

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import gamma_root
 from .space import SearchBox
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "sample_cubes",
     "membership",
     "nearest_in_set",
-    "nearest_distance_bound",
 ]
 
 # t**lam within this distance of an integer is treated as that integer before
@@ -116,8 +114,6 @@ def membership(cube_set: HypercubeSet, x: np.ndarray) -> bool:
         raise ValueError(
             f"point has shape {x.shape}, expected ({cube_set.parent.dim},)"
         )
-    if not cube_set.parent.contains(x):
-        return False
     lo, hi = cube_set.clipped_bounds()
     return bool(np.any(np.all((x >= lo) & (x <= hi), axis=1)))
 
@@ -141,31 +137,3 @@ def nearest_in_set(
     idx = int(np.argmin(dists))  # argmin returns the first (lowest-index) tie
     return candidates[idx].copy(), float(dists[idx])
 
-
-def nearest_distance_bound(side: float, dim: int, n: int, delta: float) -> float:
-    """Radius that n uniform cube centers reach with probability >= 1 - delta.
-
-    For any fixed point of a box with the given side, the Euclidean distance
-    to the nearest of n i.i.d. uniform centers is below this radius with
-    probability at least 1 - delta:
-
-        (2 * side / sqrt(pi)) * Gamma(d/2 + 1)^(1/d) * (ln(1/delta) / n)^(1/d)
-
-    The factor 2 covers the worst corner position, where only a 2^-d fraction
-    of the ball around the point lies inside the box.
-    """
-    if side <= 0.0:
-        raise ValueError(f"side must be > 0, got {side}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return (
-        2.0
-        * side
-        / math.sqrt(math.pi)
-        * gamma_root(dim)
-        * (math.log(1.0 / delta) / n) ** (1.0 / dim)
-    )

@@ -37,7 +37,6 @@ __all__ = [
     "run",
     "random_search",
     "compute_regret",
-    "sublinearity_diagnostic",
 ]
 
 ALGORITHMS = ("hubo", "hdhubo", "vol2")
@@ -156,12 +155,6 @@ class RunTrace:
         self.incomplete = True
         self.error = f"{phase} failed at t={t}: {message}"
         return self
-
-    @property
-    def best_y(self) -> float:
-        if not self.records:
-            return -math.inf
-        return self.records[-1].best_y
 
     @property
     def best_x(self) -> np.ndarray | None:
@@ -296,12 +289,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         else:
             box = translate(expand(box, t, cfg.expansion), best_x, cfg.expansion)
 
-        if cfg.beta.variant == "hubo":
-            # vol2 substitutes its current geometric side here as well
-            beta_t = beta(t, cfg.beta, side=box.side)
-        else:
-            beta_t = beta(t, cfg.beta)
-
+        beta_t = beta(t, cfg.beta, side=box.side)  # the hdhubo schedule ignores side
         mseed = _derive_seed(cfg.seed, _STREAM_MAXIMIZER, t)
         n_cubes: int | None = None
         try:
@@ -351,14 +339,3 @@ def compute_regret(trace: RunTrace, obj: Objective) -> RunTrace:
             rec.R_t = total
     return trace
 
-
-def sublinearity_diagnostic(trace: RunTrace) -> list[tuple[int, float]]:
-    """The average-regret series (t, R_t/t) over BO rows; needs regret filled."""
-    pts = [
-        (rec.t, rec.R_t / rec.t)
-        for rec in trace.records
-        if rec.t >= 1 and rec.R_t is not None
-    ]
-    if not pts:
-        raise ValueError("trace has no filled regret rows; run compute_regret first")
-    return pts

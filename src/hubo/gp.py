@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh  # noqa: F401  bench/hooks.py wraps gp.eigh
 from scipy.linalg.lapack import dpotrf, dsytrd, dtrtrs
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "KernelSpec",
@@ -83,8 +83,10 @@ class Dataset:
     dim: int
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim).copy()
+        points = np.array(self.points, dtype=np.float64)
         targets = np.asarray(self.targets, dtype=np.float64).reshape(-1).copy()
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"points must have shape (n, {self.dim}), got {points.shape}")
         points.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -130,10 +132,9 @@ class GpModel:
             )
 
 
-def _unit_kernel_from_sqdist(d2: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+def _unit_kernel_from_sqdist(d2: np.ndarray, family: str, ell: float) -> np.ndarray:
     """Unit-signal kernel values from squared distances."""
-    ell = kernel.lengthscale
-    if kernel.family == "se":
+    if family == "se":
         return np.exp(d2 / (-2.0 * ell * ell))
     r = np.sqrt(d2)
     z = (math.sqrt(5.0) / ell) * r
@@ -143,18 +144,11 @@ def _unit_kernel_from_sqdist(d2: np.ndarray, kernel: KernelSpec) -> np.ndarray:
 def kernel_matrix(
     kernel: KernelSpec, X: np.ndarray, X2: np.ndarray | None = None
 ) -> np.ndarray:
-    """Kernel matrix; the symmetric case computes each pair once and mirrors."""
-    X = np.asarray(X, dtype=np.float64)
-    if X2 is None:
-        if len(X) == 0:
-            return np.empty((0, 0))
-        d2 = squareform(pdist(X, "sqeuclidean"))
-        return kernel.signal_variance * _unit_kernel_from_sqdist(d2, kernel)
-    X2 = np.asarray(X2, dtype=np.float64)
-    if len(X) == 0 or len(X2) == 0:
-        return np.empty((len(X), len(X2)))
-    d2 = cdist(X, X2, "sqeuclidean")
-    return kernel.signal_variance * _unit_kernel_from_sqdist(d2, kernel)
+    """Kernel matrix between the rows of X and of X2 (X itself when omitted)."""
+    d2 = cdist(X, X if X2 is None else X2, "sqeuclidean")
+    return kernel.signal_variance * _unit_kernel_from_sqdist(
+        d2, kernel.family, kernel.lengthscale
+    )
 
 
 def cholesky(K: np.ndarray) -> np.ndarray | None:
@@ -348,10 +342,10 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     z = resid / spread / z_std
     bounds = [(ls_lo, ls_hi), (1e-3, 1e3), (1e-6, 1.0)]  # variances in units of var(y)
     grids = [np.geomspace(lo, hi, _GRID_SIZE) for lo, hi in bounds]
-    d2 = squareform(pdist(data.points, "sqeuclidean"))
+    d2 = cdist(data.points, data.points, "sqeuclidean")
 
     def unit_kernel(ls: float) -> np.ndarray:
-        return _unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
+        return _unit_kernel_from_sqdist(d2, search.family, ls)
 
     # argmax keeps the first maximum in (ls, sf, nv) order: ties go to the smallest.
     scores = _grid_lml(unit_kernel, grids, z)

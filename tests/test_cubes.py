@@ -291,33 +291,3 @@ def test_nearest_matches_dense_grid_oracle():
     # one grid diagonal.
     assert dist <= grid_dist + 1e-12
     assert grid_dist - dist <= math.sqrt(2.0) * spacing
-
-
-# ---------------------------------------------------------------------------
-# nearest_distance_bound
-# ---------------------------------------------------------------------------
-
-
-def test_nearest_distance_bound_frozen_reference():
-    # (2*side/sqrt(pi)) * Gamma(d/2+1)^(1/d) * (ln(1/delta)/n)^(1/d) at
-    # side=2, d=2, n=50, delta=0.2; mpmath 40-digit value.
-    assert cubes.nearest_distance_bound(2.0, 2, 50, 0.2) == pytest.approx(
-        0.4048901080448476, abs=1e-14
-    )
-
-
-def test_nearest_distance_bound_shrinks_with_n():
-    vals = [cubes.nearest_distance_bound(1.0, 3, n, 0.1) for n in (1, 10, 100, 1000)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_nearest_distance_bound_validation():
-    with pytest.raises(ValueError):
-        cubes.nearest_distance_bound(0.0, 2, 10, 0.1)
-    with pytest.raises(ValueError):
-        cubes.nearest_distance_bound(1.0, 0, 10, 0.1)
-    with pytest.raises(ValueError):
-        cubes.nearest_distance_bound(1.0, 2, 0, 0.1)
-    for delta in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            cubes.nearest_distance_bound(1.0, 2, 10, delta)

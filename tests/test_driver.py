@@ -8,7 +8,9 @@ summation done in the tests.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from hubo.driver import (
     compute_regret,
     default_n_init,
     run,
-    sublinearity_diagnostic,
 )
 from hubo.gp import GpFactorizationError
 from hubo.space import ExpansionConfig
@@ -214,7 +215,7 @@ def test_hubo_finds_quadratic_optimum():
     # x* = 5 sits far outside X0 = [0, 1] but inside C_initial = [-10, 10];
     # the expanding box must reach and localize it.
     trace = run(quadratic_objective(), hubo_config(budget_T=60))
-    assert trace.best_y == pytest.approx(0.0, abs=0.05)
+    assert trace.records[-1].best_y == pytest.approx(0.0, abs=0.05)
 
 
 def test_noise_stream_changes_observations_not_points_at_init():
@@ -412,12 +413,10 @@ def test_best_x_earliest_tie():
             IterationRecord(t=t, x=x, y=y, best_y=5.0, side=1.0)
         )
     np.testing.assert_allclose(trace.best_x, [1.0])
-    assert trace.best_y == 5.0
 
 
 def test_empty_trace_best_values():
     trace = RunTrace(algorithm="hubo", seed=0)
-    assert trace.best_y == -math.inf
     assert trace.best_x is None
 
 
@@ -604,34 +603,17 @@ def test_regret_requires_optimum():
 
 
 # ---------------------------------------------------------------------------
-# sublinearity_diagnostic
+# README library example
 # ---------------------------------------------------------------------------
 
 
-def test_sublinearity_sqrt_regret_is_decreasing():
-    trace = RunTrace(algorithm="hubo", seed=0)
-    for t in range(1, 50):
-        rec = IterationRecord(
-            t=t, x=np.zeros(1), y=0.0, best_y=0.0, side=1.0
-        )
-        rec.R_t = math.sqrt(t)
-        trace.records.append(rec)
-    series_vals = [v for _, v in sublinearity_diagnostic(trace)]
-    assert all(b < a for a, b in zip(series_vals, series_vals[1:]))
-    assert series_vals[0] == pytest.approx(1.0)
-
-
-def test_sublinearity_linear_regret_is_constant():
-    trace = RunTrace(algorithm="hubo", seed=0)
-    for t in range(1, 20):
-        rec = IterationRecord(t=t, x=np.zeros(1), y=0.0, best_y=0.0, side=1.0)
-        rec.R_t = float(t)
-        trace.records.append(rec)
-    series_vals = [v for _, v in sublinearity_diagnostic(trace)]
-    assert all(v == pytest.approx(1.0) for v in series_vals)
-
-
-def test_sublinearity_requires_filled_regret():
-    trace = synthetic_trace([1.0], [1])
-    with pytest.raises(ValueError):
-        sublinearity_diagnostic(trace)
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    trace = namespace["trace"]
+    assert not trace.incomplete and len(trace.records) == 3 + 60
+    assert trace.records[-1].R_t is not None
+    assert capsys.readouterr().out.strip()

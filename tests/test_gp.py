@@ -100,6 +100,16 @@ def test_dataset_validation():
         Dataset(np.array([[math.nan]]), np.array([0.0]), 1)
 
 
+@pytest.mark.parametrize(
+    "points", [np.arange(6.0).reshape(2, 3), np.arange(6.0), np.zeros((3, 2, 1)), np.zeros((3, 1))]
+)
+def test_dataset_rejects_points_of_the_wrong_shape(points):
+    # e.g. two 3-D points must not be read as the three 2-D points
+    # [[0, 1], [2, 3], [4, 5]]
+    with pytest.raises(ValueError, match=r"points must have shape \(n, 2\)"):
+        Dataset(points, np.zeros(3), 2)
+
+
 # ---------------------------------------------------------------------------
 # kernel_matrix
 # ---------------------------------------------------------------------------
@@ -156,6 +166,22 @@ def test_kernel_matrix_exactly_symmetric():
     for family in ("se", "matern52"):
         K = gp.kernel_matrix(KernelSpec(family, 1.1, 0.9), X)
         assert np.array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("family", ["se", "matern52"])
+def test_kernel_matrix_symmetric_case_is_the_cross_case(family):
+    rng = np.random.default_rng(10)
+    k = KernelSpec(family, 0.7, 1.3)
+    for t, d in [(1, 1), (2, 3), (17, 6), (60, 10)]:
+        X = rng.normal(size=(t, d))
+        K = gp.kernel_matrix(k, X)
+        assert np.array_equal(K, gp.kernel_matrix(k, X, X))
+        assert np.array_equal(K, K.T)
+    X = rng.normal(size=(4, 3))
+    empty = np.empty((0, 3))
+    assert gp.kernel_matrix(k, empty).shape == (0, 0)
+    assert gp.kernel_matrix(k, empty, X).shape == (0, 4)
+    assert gp.kernel_matrix(k, X, empty).shape == (4, 0)
 
 
 def test_kernel_matrix_cross_matches_eval():
@@ -608,7 +634,7 @@ def reference_fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     const = -0.5 * t * math.log(2.0 * math.pi)
 
     def spectrum(ls):
-        Ku = gp._unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
+        Ku = gp._unit_kernel_from_sqdist(d2, search.family, ls)
         w, Q = eigh(Ku, check_finite=False)
         return w, Q.T @ resid
 
@@ -740,7 +766,7 @@ def grid_inputs(data: Dataset, search: FitConfig):
     d2 = squareform(pdist(data.points, "sqeuclidean"))
 
     def unit_kernel(ls: float) -> np.ndarray:
-        return gp._unit_kernel_from_sqdist(d2, KernelSpec(search.family, ls, 1.0))
+        return gp._unit_kernel_from_sqdist(d2, search.family, ls)
 
     return unit_kernel, grids, z
 
