@@ -58,7 +58,7 @@ class BetaSchedule:
             raise ValueError(f"unknown beta variant {self.variant!r}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.s1 <= 0.0 or self.s2 <= 0.0:
+        if not (self.s1 > 0.0 and self.s2 > 0.0):
             raise ValueError("s1 and s2 must be > 0")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
@@ -70,7 +70,7 @@ class BetaSchedule:
             if not (-1.0 <= self.alpha < 0.0):
                 raise ValueError(f"alpha must lie in [-1, 0), got {self.alpha}")
         else:
-            if self.l_h is None or self.l_h <= 0.0:
+            if self.l_h is None or not self.l_h > 0.0:
                 raise ValueError("hdhubo beta needs l_h > 0")
 
 

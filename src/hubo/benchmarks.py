@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .space import ExpansionConfig
+from .space import ExpansionConfig, _frozen, _point
 
 __all__ = [
     "BenchmarkFunction",
@@ -49,19 +49,14 @@ class BenchmarkFunction:
 
     def __post_init__(self):
         for field_name in ("lower", "upper", "optimum_point"):
-            arr = np.asarray(getattr(self, field_name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, field_name, arr)
+            object.__setattr__(self, field_name, _frozen(getattr(self, field_name)))
         if self.lower.shape != (self.dim,) or self.upper.shape != (self.dim,):
             raise ValueError("domain bounds must have shape (dim,)")
         if not np.all(self.upper > self.lower):
             raise ValueError("need upper > lower in every dimension")
 
     def eval(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
-        return float(self.fn(x))
+        return float(self.fn(_point(x, self.dim)))
 
 
 def beale(x: np.ndarray) -> float:
@@ -223,9 +218,7 @@ class InitialSpace:
 
     def __post_init__(self):
         for field_name in ("x0_center", "c_min", "c_max"):
-            arr = np.asarray(getattr(self, field_name), dtype=np.float64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, field_name, arr)
+            object.__setattr__(self, field_name, _frozen(getattr(self, field_name)))
 
     @property
     def side(self) -> float:

@@ -48,6 +48,7 @@ from .driver import (
     random_search,
     run,
 )
+from .gp import KERNEL_FAMILIES
 
 __all__ = [
     "ConfigError",
@@ -257,7 +258,7 @@ _CONFIG = (
     # empty: max(3, dim + 1)
     ("n_init", "", _n_init, lambda v: v >= 2, "n_init must be >= 2, got {}"),
     ("kernel", "se", _lowered,
-     lambda v: v in ("se", "matern52"), "kernel must be se or matern52, got {!r}"),
+     lambda v: v in KERNEL_FAMILIES, "kernel must be se or matern52, got {!r}"),
     ("workers", "1", _as_int, lambda v: v >= 1, "workers must be >= 1, got {}"),
     ("out_dir", "results", None, bool, "out_dir must not be empty"),
 )
@@ -318,7 +319,7 @@ def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrac
         )
         trace = run(obj, cfg)
 
-    if obj.optimum_value is not None and not trace.incomplete:
+    if not trace.incomplete:
         compute_regret(trace, obj)
     return trace
 
@@ -427,21 +428,17 @@ def _summarize(run_metas: list[dict]) -> list[dict]:
     rows = []
     for i in range(n_rows):
         best = np.array([c["best_y"][i] for c in columns], dtype=np.float64)
+        log_dist = np.array([c["log_dist"][i] for c in columns], dtype=np.float64)
         mean_b, std_b, se_b = _mean_std_stderr(best)
-        row = {
+        mean_l, _, se_l = _mean_std_stderr(log_dist)
+        rows.append({
             "t": columns[0]["t"][i],
             "mean_best_y": mean_b,
             "std_best_y": std_b,
             "stderr_best_y": se_b,
-            "mean_log_dist": None,
-            "stderr_log_dist": None,
-        }
-        log_dists = [c["log_dist"][i] for c in columns]
-        if all(v is not None for v in log_dists):
-            mean_l, _, se_l = _mean_std_stderr(np.array(log_dists, dtype=np.float64))
-            row["mean_log_dist"] = mean_l
-            row["stderr_log_dist"] = se_l
-        rows.append(row)
+            "mean_log_dist": mean_l,
+            "stderr_log_dist": se_l,
+        })
     return rows
 
 
@@ -489,11 +486,9 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         summary_rows = _summarize(ok)
         summary_file = f"{algorithm}_summary.csv"
         write_summary_csv(os.path.join(spec.out_dir, summary_file), summary_rows)
-        files.append(summary_file)
-        if all(row["mean_log_dist"] is not None for row in summary_rows):
-            ld_file = f"{algorithm}_log_distance.csv"
-            emit_log_distance(summary_rows, os.path.join(spec.out_dir, ld_file))
-            files.append(ld_file)
+        ld_file = f"{algorithm}_log_distance.csv"
+        emit_log_distance(summary_rows, os.path.join(spec.out_dir, ld_file))
+        files.extend((summary_file, ld_file))
 
     config = asdict(spec)
     for key, name in _FIELD_NAMES.items():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import SearchBox
+from .space import SearchBox, _frozen, _point
 
 __all__ = [
     "HdConfig",
@@ -40,7 +40,7 @@ class HdConfig:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "n0", int(self.n0))
         object.__setattr__(self, "l_h", float(self.l_h))
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
@@ -57,8 +57,7 @@ class HypercubeSet:
     parent: SearchBox
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.float64).copy()
-        centers.setflags(write=False)
+        centers = _frozen(self.centers)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "l_h", float(self.l_h))
         if centers.ndim != 2 or centers.shape[1] != self.parent.dim:
@@ -109,11 +108,7 @@ def membership(cube_set: HypercubeSet, x: np.ndarray) -> bool:
     optimizers use, so a point constructed on a cube face stays a member
     instead of failing by one rounding ulp.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cube_set.parent.dim,):
-        raise ValueError(
-            f"point has shape {x.shape}, expected ({cube_set.parent.dim},)"
-        )
+    x = _point(x, cube_set.parent.dim)
     lo, hi = cube_set.clipped_bounds()
     return bool(np.any(np.all((x >= lo) & (x <= hi), axis=1)))
 
@@ -126,11 +121,7 @@ def nearest_in_set(
     Per cube the closest point is x_star clamped into the cube clipped to the
     parent; the minimum over cubes wins, ties going to the lowest cube index.
     """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x_star.shape != (cube_set.parent.dim,):
-        raise ValueError(
-            f"point has shape {x_star.shape}, expected ({cube_set.parent.dim},)"
-        )
+    x_star = _point(x_star, cube_set.parent.dim)
     lo, hi = cube_set.clipped_bounds()
     candidates = np.clip(x_star, lo, hi)
     dists = np.sqrt(np.sum((candidates - x_star) ** 2, axis=1))

@@ -67,7 +67,7 @@ class Objective:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.noise_std < 0.0:
+        if not self.noise_std >= 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
     def eval(self, x: np.ndarray) -> float:

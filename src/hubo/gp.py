@@ -1,12 +1,11 @@
 """Gaussian-process regression surrogate.
 
 Provides the squared-exponential and Matern-5/2 kernels, exact posterior
-mean/variance through a Cholesky factorization with jitter escalation, the
-Gaussian log marginal likelihood, and a deterministic grid + coordinate
-descent MLE fit of (lengthscale, signal_variance, noise_variance).  The fit
-scores its grid from one tridiagonal reduction (LAPACK dsytrd) per grid
-lengthscale, never an eigendecomposition, and each descent probe by one
-Cholesky factorization.
+mean/variance through a Cholesky factorization with jitter escalation, and
+a deterministic grid + coordinate descent MLE fit of (lengthscale,
+signal_variance, noise_variance).  The fit scores its grid from one
+tridiagonal reduction (LAPACK dsytrd) per grid lengthscale, never an
+eigendecomposition, and each descent probe by one Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "GpFactorizationError",
     "kernel_matrix",
     "PosteriorState",
-    "log_marginal_likelihood",
     "fit_mle",
 ]
 
@@ -126,7 +124,7 @@ class GpModel:
     def __post_init__(self):
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
         object.__setattr__(self, "prior_mean", float(self.prior_mean))
-        if self.noise_variance < 0.0:
+        if not self.noise_variance >= 0.0:
             raise ValueError(
                 f"noise_variance must be >= 0, got {self.noise_variance}"
             )
@@ -222,16 +220,6 @@ class PosteriorState:
         variances = sv - np.sum(v * v, axis=0)
         # roundoff can push variances a hair below zero; never return negative
         return means, np.maximum(variances, 0.0)
-
-
-def log_marginal_likelihood(model: GpModel, data: Dataset) -> float:
-    """Gaussian LML of the data under the model, targets centered by prior_mean."""
-    if len(data) == 0:
-        raise ValueError("log_marginal_likelihood needs a nonempty dataset")
-    K = kernel_matrix(model.kernel, data.points)
-    _add_to_diagonal(K, model.noise_variance)
-    L, _ = _chol_with_jitter(K, model.kernel.signal_variance)
-    return _lml_from_cholesky(L, data.targets - model.prior_mean)
 
 
 def _lml_from_cholesky(L: np.ndarray, resid: np.ndarray) -> float:

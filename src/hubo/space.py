@@ -29,6 +29,24 @@ __all__ = [
 ]
 
 
+def _point(x, dim: int, name: str = "point") -> np.ndarray:
+    """x as a float64 array, which must have shape (dim,)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (dim,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({dim},)")
+    return x
+
+
+def _frozen(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A read-only float64 copy of values, broadcast to shape when one is given."""
+    arr = np.asarray(values, dtype=np.float64)
+    if shape is not None:
+        arr = np.broadcast_to(arr, shape)
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SearchBox:
     """Axis-aligned hypercube: center +/- half_side in every dimension."""
@@ -38,15 +56,12 @@ class SearchBox:
     dim: int
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64).copy()
-        center.setflags(write=False)
+        object.__setattr__(self, "dim", int(self.dim))
+        center = _frozen(_point(self.center, self.dim, "center"))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_side", float(self.half_side))
-        object.__setattr__(self, "dim", int(self.dim))
-        if center.shape != (self.dim,):
-            raise ValueError(
-                f"center has shape {center.shape}, expected ({self.dim},)"
-            )
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"center must be finite, got {center}")
         if not self.half_side > 0.0:
             raise ValueError(f"half_side must be > 0, got {self.half_side}")
 
@@ -64,9 +79,7 @@ class SearchBox:
 
     def contains(self, x: np.ndarray) -> bool:
         """Closed-box membership: faces count as inside."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dim},)")
+        x = _point(x, self.dim)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
@@ -101,26 +114,20 @@ class ExpansionConfig:
         if not (-1.0 <= self.alpha < 0.0):
             raise ValueError(f"alpha must lie in [-1, 0), got {self.alpha}")
 
-        c_min = np.broadcast_to(
-            np.asarray(self.c_min, dtype=np.float64), (self.dim,)
-        ).copy()
-        c_max = np.broadcast_to(
-            np.asarray(self.c_max, dtype=np.float64), (self.dim,)
-        ).copy()
-        if self.x0_center is None:
-            x0 = np.full(self.dim, 0.5 * (self.a + self.b))
-        else:
-            x0 = np.broadcast_to(
-                np.asarray(self.x0_center, dtype=np.float64), (self.dim,)
-            ).copy()
-        for arr in (c_min, c_max, x0):
-            arr.setflags(write=False)
+        shape = (self.dim,)
+        c_min = _frozen(self.c_min, shape)
+        c_max = _frozen(self.c_max, shape)
+        x0 = _frozen(
+            0.5 * (self.a + self.b) if self.x0_center is None else self.x0_center, shape
+        )
         object.__setattr__(self, "c_min", c_min)
         object.__setattr__(self, "c_max", c_max)
         object.__setattr__(self, "x0_center", x0)
 
         if not np.all(c_max > c_min):
             raise ValueError("need c_max > c_min in every dimension")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0_center must be finite, got {x0}")
         half0 = 0.5 * (self.b - self.a)
         if np.any(x0 - half0 < c_min - 1e-12) or np.any(x0 + half0 > c_max + 1e-12):
             raise ValueError("X0 must be contained in [c_min, c_max]^d")
@@ -150,10 +157,7 @@ def translate(box: SearchBox, best_x: np.ndarray, cfg: ExpansionConfig) -> Searc
     best_x, so this is "move the center as close to the incumbent as the
     domain allows".
     """
-    best_x = np.asarray(best_x, dtype=np.float64)
-    if best_x.shape != (box.dim,):
-        raise ValueError(f"best_x has shape {best_x.shape}, expected ({box.dim},)")
-    center = np.clip(best_x, cfg.c_min, cfg.c_max)
+    center = np.clip(_point(best_x, box.dim, "best_x"), cfg.c_min, cfg.c_max)
     return SearchBox(center, box.half_side, box.dim)
 
 

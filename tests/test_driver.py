@@ -103,6 +103,38 @@ def test_objective_validation():
         Objective(fn=lambda x: 0.0, dim=1, noise_std=-0.1)
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # beta_t would read max(0, nan) = 0 at every step: pure exploitation
+        (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s1=NAN),
+         "s1 and s2 must be > 0"),
+        (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s2=NAN),
+         "s1 and s2 must be > 0"),
+        (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=NAN),
+         "hdhubo beta needs l_h > 0"),
+        # nan > 0 is False, so the run would be noiseless
+        (lambda: Objective(fn=lambda x: 0.0, dim=1, noise_std=NAN),
+         "noise_std must be >= 0, got nan"),
+        (lambda: HdConfig(lam=NAN, n0=1, l_h=0.1), "lam must be >= 0, got nan"),
+        (lambda: ExpansionConfig(a=0.0, b=1.0, alpha=-1.0, c_min=-1.0, c_max=2.0, dim=2,
+                                 x0_center=[NAN, 0.5]),
+         "x0_center must be finite"),
+        (lambda: space.SearchBox(center=[NAN, 0.0], half_side=1.0, dim=2),
+         "center must be finite"),
+        (lambda: gp.GpModel(gp.KernelSpec("se", 1.0, 1.0), noise_variance=NAN),
+         "noise_variance must be >= 0, got nan"),
+    ],
+    ids=["s1", "s2", "l_h", "noise_std", "lam", "x0_center", "center", "noise_variance"],
+)
+def test_nan_settings_are_rejected(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_objective_from_benchmark_copies_metadata():
     from hubo.benchmarks import make_benchmark
 

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hubo import series, space
+from hubo import cubes, series, space
+from hubo.benchmarks import BenchmarkFunction, InitialSpace, make_benchmark
+from hubo.cubes import HypercubeSet
 from hubo.space import ExpansionConfig, SearchBox
 
 
@@ -55,6 +57,77 @@ def test_box_validation():
         SearchBox(center=np.zeros(2), half_side=0.0, dim=2)
     with pytest.raises(ValueError):
         SearchBox(center=np.zeros(3), half_side=1.0, dim=2)
+
+
+# ---------------------------------------------------------------------------
+# Input contracts owned by space._point and space._frozen
+# ---------------------------------------------------------------------------
+
+
+def box2() -> SearchBox:
+    return SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: box2().contains(np.zeros(3)), "point has shape (3,), expected (2,)"),
+        (
+            lambda: space.translate(box2(), np.zeros((2, 1)), unit_cfg(dim=2)),
+            "best_x has shape (2, 1), expected (2,)",
+        ),
+        (
+            lambda: SearchBox(center=np.zeros(3), half_side=1.0, dim=2.0),
+            "center has shape (3,), expected (2,)",
+        ),
+        (
+            lambda: cubes.membership(HypercubeSet([[0.0, 0.0]], 0.4, box2()), np.zeros(1)),
+            "point has shape (1,), expected (2,)",
+        ),
+        (
+            lambda: cubes.nearest_in_set(HypercubeSet([[0.0, 0.0]], 0.4, box2()), 0.0),
+            "point has shape (), expected (2,)",
+        ),
+        (
+            lambda: make_benchmark("beale").eval(np.zeros(3)),
+            "point has shape (3,), expected (2,)",
+        ),
+    ],
+    ids=["contains", "translate", "SearchBox", "membership", "nearest_in_set", "eval"],
+)
+def test_point_shape_errors_name_the_argument(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_coordinate_arrays_are_read_only_float64_copies():
+    center = np.array([1, 2])
+    box = SearchBox(center=center, half_side=1.0, dim=2)
+    center[0] = 9  # the box keeps its own copy
+    scalar_cfg = ExpansionConfig(a=0, b=1, alpha=-1.0, c_min=-1, c_max=2, dim=2)
+    x0_cfg = ExpansionConfig(a=0, b=1, alpha=-1.0, c_min=-1, c_max=2, dim=2, x0_center=1)
+    cube_set = HypercubeSet([[0, 0], [1, 1]], 0.4, box)
+    bench = BenchmarkFunction("sq", 2, [0, 0], [1, 1], lambda x: 0.0, 0.0, [0, 0])
+    ispace = InitialSpace(dim=2, a=0, b=1, x0_center=[0, 0], c_min=[-1, -1], c_max=[1, 1])
+    arrays = {
+        "SearchBox.center": (box.center, [1.0, 2.0]),
+        "ExpansionConfig.c_min": (scalar_cfg.c_min, [-1.0, -1.0]),
+        "ExpansionConfig.c_max": (scalar_cfg.c_max, [2.0, 2.0]),
+        "ExpansionConfig.x0_center default": (scalar_cfg.x0_center, [0.5, 0.5]),
+        "ExpansionConfig.x0_center": (x0_cfg.x0_center, [1.0, 1.0]),
+        "HypercubeSet.centers": (cube_set.centers, [[0.0, 0.0], [1.0, 1.0]]),
+        "BenchmarkFunction.lower": (bench.lower, [0.0, 0.0]),
+        "BenchmarkFunction.upper": (bench.upper, [1.0, 1.0]),
+        "BenchmarkFunction.optimum_point": (bench.optimum_point, [0.0, 0.0]),
+        "InitialSpace.x0_center": (ispace.x0_center, [0.0, 0.0]),
+        "InitialSpace.c_min": (ispace.c_min, [-1.0, -1.0]),
+        "InitialSpace.c_max": (ispace.c_max, [1.0, 1.0]),
+    }
+    for name, (arr, expected) in arrays.items():
+        assert arr.dtype == np.float64, name
+        assert not arr.flags.writeable, name
+        np.testing.assert_array_equal(arr, expected, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
