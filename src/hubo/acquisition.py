@@ -60,6 +60,8 @@ class BetaSchedule:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if not (self.s1 > 0.0 and self.s2 > 0.0):
             raise ValueError("s1 and s2 must be > 0")
+        if not (math.isfinite(self.s1) and math.isfinite(self.s2)):
+            raise ValueError("s1 and s2 must be finite")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.variant == "hubo":
@@ -72,6 +74,8 @@ class BetaSchedule:
         else:
             if self.l_h is None or not self.l_h > 0.0:
                 raise ValueError("hdhubo beta needs l_h > 0")
+            if not math.isfinite(self.l_h):
+                raise ValueError("l_h must be finite")
 
 
 def beta(t: int, sched: BetaSchedule, side: float | None = None) -> float:

@@ -348,7 +348,8 @@ def write_trace_csv(path: str, trace: RunTrace) -> None:
 
 
 def _task_meta(task: tuple[ExperimentSpec, str, int]) -> dict:
-    """A task's metadata before it runs: status ok, no columns yet."""
+    """A task's metadata before it runs: status ok, no columns yet.  Its
+    manifest entry is this dict without `columns`."""
     spec, algorithm, repeat = task
     return {
         "algorithm": algorithm,
@@ -497,11 +498,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     manifest = {
         "config": config,
         "files": sorted(files) + ["manifest.json"],
-        "runs": [
-            {key: m[key] for key in
-             ("algorithm", "repeat", "seed", "file", "status", "error", "duration_s")}
-            for m in metas
-        ],
+        "runs": [{key: v for key, v in m.items() if key != "columns"} for m in metas],
     }
     with open(os.path.join(spec.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

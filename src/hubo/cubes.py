@@ -42,10 +42,14 @@ class HdConfig:
         object.__setattr__(self, "l_h", float(self.l_h))
         if not self.lam >= 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if not self.l_h > 0.0:
             raise ValueError(f"l_h must be > 0, got {self.l_h}")
+        if not math.isfinite(self.l_h):
+            raise ValueError(f"l_h must be finite, got {self.l_h}")
 
 
 @dataclass(frozen=True)

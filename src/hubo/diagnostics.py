@@ -3,7 +3,8 @@
 Each check re-derives one of the paper's guarantees numerically: the
 hyperharmonic partial-sum sandwich, the p-series bound, the gamma-root
 growth constant, the nearest-cube distance decay and its Monte-Carlo bound,
-and reachability of a target cube by the expanding box.
+and reachability of a target cube by the expanding box.  Each check appends
+one line per verdict, prefixed PASS or FAIL; the last line counts them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .space import (
 __all__ = ["diagnostics"]
 
 
-def _check_sandwich(lines: list[str]) -> bool:
+def _check_sandwich(lines: list[str]) -> None:
     """Partial-sum bounds: lower < sum (< upper for n >= 2) on a dense sweep."""
-    ok = True
     ns = np.unique(np.concatenate([
         np.arange(1, 1001),
         np.geomspace(1000, 100_000, 200).astype(np.int64),
@@ -47,30 +47,25 @@ def _check_sandwich(lines: list[str]) -> bool:
         passed = lower_margin > 0.0 and upper_margin > 0.0 and bool(
             np.all(upper[~strict] - sums[~strict] >= 0.0)
         )
-        ok &= passed
         lines.append(
             f"{'PASS' if passed else 'FAIL'} partial-sum sandwich alpha={alpha} "
             f"n<=1e5 min_lower_margin={lower_margin:.3e} "
             f"min_upper_margin={upper_margin:.3e}"
         )
-    return ok
 
 
-def _check_p_series(lines: list[str]) -> bool:
-    ok = True
+def _check_p_series(lines: list[str]) -> None:
     for p in (1.5, 2.0, 3.0):
         bound = series.p_series_bound(p)
         total = float(np.sum(np.arange(1, 1_000_001, dtype=np.float64) ** (-p)))
         passed = total < bound
-        ok &= passed
         lines.append(
             f"{'PASS' if passed else 'FAIL'} p-series p={p} "
             f"sum(1e6 terms)={total:.6f} < bound={bound:.6f}"
         )
-    return ok
 
 
-def _check_gamma_root(lines: list[str]) -> bool:
+def _check_gamma_root(lines: list[str]) -> None:
     margins = [
         math.sqrt(d + 2) - series.gamma_root(d) for d in range(1, 201)
     ]
@@ -80,7 +75,6 @@ def _check_gamma_root(lines: list[str]) -> bool:
         f"{'PASS' if passed else 'FAIL'} gamma-root bound d<=200 "
         f"min_margin={margin:.3e}"
     )
-    return passed
 
 
 def _nearest_distances(
@@ -112,13 +106,11 @@ def _unit_expansion(alpha: float, dim: int) -> ExpansionConfig:
     )
 
 
-def _check_decay_regimes(lines: list[str]) -> bool:
-    ok = True
+def _check_decay_regimes(lines: list[str]) -> None:
     # shrinking regime: lambda > d(alpha+1)
     ts = (20, 80, 320)
     medians = [_median_distance(t, -1.0, 1.0) for t in ts]
     shrinking = medians[0] > medians[1] > medians[2]
-    ok &= shrinking
     lines.append(
         f"{'PASS' if shrinking else 'FAIL'} nearest-distance decay "
         f"(alpha=-1, lambda=1, d=2): medians at t={ts} = "
@@ -127,25 +119,21 @@ def _check_decay_regimes(lines: list[str]) -> bool:
     # violated regime: lambda = 0 < d(alpha+1) = 1 -> expected non-decreasing
     medians = [_median_distance(t, -0.5, 0.0) for t in ts]
     flagged = not (medians[0] > medians[1] > medians[2])
-    ok &= flagged
     lines.append(
         f"{'PASS' if flagged else 'FAIL'} regime flag (alpha=-0.5, lambda=0, "
         f"d=2, lambda <= d(alpha+1)): medians at t={ts} = "
         f"{', '.join(f'{m:.4f}' for m in medians)} flagged non-decreasing "
         f"(expected)"
     )
-    return ok
 
 
-def _check_reachability(lines: list[str]) -> bool:
-    ok = True
+def _check_reachability(lines: list[str]) -> None:
     cfg = _unit_expansion(-1.0, 2)
     target = (-2.0, 3.0)
     t0 = reachability_horizon(target[0], target[1], cfg)
     contained_at_t0 = t0 is not None and _corner_containment(target, cfg, t0)
     contained_before = t0 is not None and _corner_containment(target, cfg, t0 - 1)
     passed = t0 is not None and contained_at_t0 and not contained_before
-    ok &= passed
     lines.append(
         f"{'PASS' if passed else 'FAIL'} reachability simulation target="
         f"[{target[0]}, {target[1]}]^2 alpha=-1: T0={t0}, adversarial-corner "
@@ -161,7 +149,6 @@ def _check_reachability(lines: list[str]) -> bool:
     required = need / (0.5 * (cfg.b - cfg.a)) - 1.0
     certified = math.log(t_cert + 1.0) >= required
     simulated = reachability_horizon(far[0], far[1], cfg, limit=10**6)
-    ok &= certified and simulated is None
     lines.append(
         f"{'PASS' if certified and simulated is None else 'FAIL'} reachability "
         f"closed form target=[{far[0]}, {far[1]}]^2 alpha=-1: certified "
@@ -169,7 +156,6 @@ def _check_reachability(lines: list[str]) -> bool:
         f"bound ln(T0+1)={math.log(t_cert + 1.0):.3f} >= required sum "
         f"{required:.3f}; simulation within 1e6 steps correctly returns None"
     )
-    return ok
 
 
 def _corner_containment(
@@ -190,9 +176,8 @@ def _corner_containment(
     return True
 
 
-def _check_mc_bound(lines: list[str]) -> bool:
+def _check_mc_bound(lines: list[str]) -> None:
     """Empirical violation rate of the nearest-distance bound vs its delta."""
-    ok = True
     delta = 0.2
     dim = 2
     lam = 1.0
@@ -212,29 +197,23 @@ def _check_mc_bound(lines: list[str]) -> bool:
         violations = int(np.sum(~(dists < bound)))
         rate = violations / n_seeds
         passed = rate <= delta
-        ok &= passed
         lines.append(
             f"{'PASS' if passed else 'FAIL'} nearest-distance bound t={t} "
             f"d=2 lambda=1 delta={delta}: violation rate {rate:.3f} <= {delta} "
             f"(bound={bound:.4f})"
         )
-    return ok
 
 
 def diagnostics(out_dir: str) -> str:
     """Run every analytic self-check and write report.txt; returns its path."""
     os.makedirs(out_dir, exist_ok=True)
     lines: list[str] = []
-    all_ok = True
-    all_ok &= _check_sandwich(lines)
-    all_ok &= _check_p_series(lines)
-    all_ok &= _check_gamma_root(lines)
-    all_ok &= _check_decay_regimes(lines)
-    all_ok &= _check_reachability(lines)
-    all_ok &= _check_mc_bound(lines)
+    for check in (_check_sandwich, _check_p_series, _check_gamma_root,
+                  _check_decay_regimes, _check_reachability, _check_mc_bound):
+        check(lines)
     n_pass = sum(1 for line in lines if line.startswith("PASS"))
     lines.append(
-        f"{'ALL CHECKS PASSED' if all_ok else 'CHECK FAILURES'} "
+        f"{'ALL CHECKS PASSED' if n_pass == len(lines) else 'CHECK FAILURES'} "
         f"({n_pass}/{len(lines)} passed)"
     )
     path = os.path.join(out_dir, "report.txt")

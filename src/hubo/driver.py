@@ -69,6 +69,8 @@ class Objective:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not self.noise_std >= 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not math.isfinite(self.noise_std):
+            raise ValueError(f"noise_std must be finite, got {self.noise_std}")
 
     def eval(self, x: np.ndarray) -> float:
         return float(self.fn(x))
@@ -140,19 +142,21 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Chronological record of a run; `incomplete` is set when the objective
-    failed or a GP factorization broke down and the trace stops early, and `error`
-    then names the phase and the step t."""
+    """Chronological record of a run.  `error` is set when the objective
+    failed or a GP factorization broke down and the trace stops early; it
+    names the phase and the step t.  `incomplete` is derived from it."""
 
     algorithm: str
     seed: int
     records: list[IterationRecord] = field(default_factory=list)
-    incomplete: bool = False
     error: str | None = None
+
+    @property
+    def incomplete(self) -> bool:
+        return self.error is not None
 
     def fail(self, phase: str, t: int, message: str) -> "RunTrace":
         """Mark the trace as ended early by `phase` at step t."""
-        self.incomplete = True
         self.error = f"{phase} failed at t={t}: {message}"
         return self
 

@@ -114,13 +114,15 @@ def nearest_point_decay(alpha: float, lam: float, dim: int, t: float) -> float:
     """
     alpha = _check_alpha_bounded(alpha)
     lam = float(lam)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     t = float(t)
-    if t < 1.0:
+    if not t >= 1.0:
         raise ValueError(f"t must be >= 1, got {t}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     power = t ** (-lam / dim)
     if alpha == -1.0:
         return (2.0 + math.log(t)) * power

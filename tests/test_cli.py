@@ -821,6 +821,17 @@ def test_main_diagnostics_report(tmp_path, capsys):
     assert str(report) in capsys.readouterr().out
 
 
+def test_diagnostics_report_counts_fail_lines(tmp_path, monkeypatch):
+    from hubo import diagnostics, series
+
+    monkeypatch.setattr(series, "p_series_bound", lambda p: 0.0)
+    diagnostics.diagnostics(str(tmp_path))
+    lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(" p=")[0] for line in lines if " p-series " in line] == ["FAIL p-series"] * 3
+    assert sum(line.startswith("FAIL") for line in lines) == 3
+    assert lines[-1] == "CHECK FAILURES (12/15 passed)"
+
+
 def test_main_diagnostics_uncreatable_out_is_config_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")

@@ -104,6 +104,7 @@ def test_objective_validation():
 
 
 NAN = math.nan
+INF = math.inf
 
 
 @pytest.mark.parametrize(
@@ -127,8 +128,21 @@ NAN = math.nan
          "center must be finite"),
         (lambda: gp.GpModel(gp.KernelSpec("se", 1.0, 1.0), noise_variance=NAN),
          "noise_variance must be >= 0, got nan"),
+        # inf: beta_t = inf makes UCB meaningless, lam = inf overflows
+        # math.ceil at t = 2, and noise_std = inf fails the run at t = 0
+        (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s1=INF),
+         "s1 and s2 must be finite"),
+        (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s2=INF),
+         "s1 and s2 must be finite"),
+        (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=INF),
+         "l_h must be finite"),
+        (lambda: Objective(fn=lambda x: 0.0, dim=1, noise_std=INF),
+         "noise_std must be finite, got inf"),
+        (lambda: HdConfig(lam=INF, n0=1, l_h=0.1), "lam must be finite, got inf"),
+        (lambda: HdConfig(lam=1.0, n0=1, l_h=INF), "l_h must be finite, got inf"),
     ],
-    ids=["s1", "s2", "l_h", "noise_std", "lam", "x0_center", "center", "noise_variance"],
+    ids=["s1", "s2", "l_h", "noise_std", "lam", "x0_center", "center", "noise_variance",
+         "s1-inf", "s2-inf", "l_h-inf", "noise_std-inf", "lam-inf", "hd-l_h-inf"],
 )
 def test_nan_settings_are_rejected(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -395,7 +395,7 @@ def random_well_conditioned(rng, t: int, d: int, family: str):
     return model, Dataset(X, rng.normal(size=t), d)
 
 
-def dense_lml(model: GpModel, data: Dataset) -> float:
+def slogdet_lml(model: GpModel, data: Dataset) -> float:
     """Gaussian LML of the data under the model by dense solve and slogdet."""
     t = len(data)
     K = gp.kernel_matrix(model.kernel, data.points) + model.noise_variance * np.eye(t)
@@ -446,7 +446,7 @@ def test_lml_matches_dense_slogdet_oracle(seed, t, d, family):
     model, data = random_well_conditioned(rng, t, d, family)
     K = gp.kernel_matrix(model.kernel, data.points) + model.noise_variance * np.eye(t)
     got = cholesky_lml(K, data.targets - model.prior_mean)
-    assert got == pytest.approx(dense_lml(model, data), rel=1e-9, abs=1e-9)
+    assert got == pytest.approx(slogdet_lml(model, data), rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,7 @@ def test_fit_beats_grid_corner_models():
     data = Dataset(X, y, 1)
 
     fitted = gp.fit_mle(data, FitConfig(side_length=5.0))
-    best = dense_lml(fitted, data)
+    best = slogdet_lml(fitted, data)
     vy = float(np.var(y))
     mean_y = float(np.mean(y))
     for ell in (1e-2 * 5.0, 10.0 * 5.0):
@@ -531,7 +531,7 @@ def test_fit_beats_grid_corner_models():
                     noise_variance=nv,
                     prior_mean=mean_y,
                 )
-                assert best >= dense_lml(corner, data) - 1e-9
+                assert best >= slogdet_lml(corner, data) - 1e-9
 
 
 def test_fit_degenerate_targets_hit_variance_floor():

@@ -228,3 +228,10 @@ def test_nearest_point_decay_validation():
         series.nearest_point_decay(-1.0, 1.0, 0, 2)
     with pytest.raises(ValueError):
         series.nearest_point_decay(-1.0, 1.0, 1, 0.5)
+    # NaN fails no `x < bound` check, and t = inf gives (2 + inf) * 0 = nan
+    with pytest.raises(ValueError, match="lam must be >= 0, got nan"):
+        series.nearest_point_decay(-1.0, math.nan, 1, 2)
+    with pytest.raises(ValueError, match="t must be >= 1, got nan"):
+        series.nearest_point_decay(-1.0, 1.0, 1, math.nan)
+    with pytest.raises(ValueError, match="t must be finite, got inf"):
+        series.nearest_point_decay(-1.0, 1.0, 1, math.inf)
