@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
+from .contracts import count, real
 from .cubes import HypercubeSet
 from .gp import Dataset, GpModel, PosteriorState
 from .space import SearchBox
@@ -56,26 +57,20 @@ class BetaSchedule:
     def __post_init__(self):
         if self.variant not in ("hubo", "hdhubo"):
             raise ValueError(f"unknown beta variant {self.variant!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.s1 > 0.0 and self.s2 > 0.0):
-            raise ValueError("s1 and s2 must be > 0")
-        if not (math.isfinite(self.s1) and math.isfinite(self.s2)):
-            raise ValueError("s1 and s2 must be finite")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.variant == "hubo":
-            if self.a is None or self.b is None or self.alpha is None:
-                raise ValueError("hubo beta needs a, b, and alpha")
-            if not self.b > self.a:
+        real("delta", self.delta, 0.0, 1.0, "()")
+        real("s1", self.s1, 0.0, ends="(]")
+        real("s2", self.s2, 0.0, ends="(]")
+        count("dim", self.dim, 1)
+        # beta_t's tail sqrt(log(k * dim * s1 / delta)) needs k * dim * s1 > delta
+        k = 4.0 if self.variant == "hubo" else 6.0
+        if not k * self.dim * self.s1 > self.delta:
+            raise ValueError(f"s1 must be > delta / ({k:g} * dim), got {self.s1}")
+        if self.variant == "hubo":  # real() rejects a missing a, b, alpha or l_h
+            if not real("b", self.b) > real("a", self.a):
                 raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
-            if not (-1.0 <= self.alpha < 0.0):
-                raise ValueError(f"alpha must lie in [-1, 0), got {self.alpha}")
+            real("alpha", self.alpha, -1.0, 0.0, "[)")
         else:
-            if self.l_h is None or not self.l_h > 0.0:
-                raise ValueError("hdhubo beta needs l_h > 0")
-            if not math.isfinite(self.l_h):
-                raise ValueError("l_h must be finite")
+            real("l_h", self.l_h, 0.0, ends="(]")
 
 
 def beta(t: int, sched: BetaSchedule, side: float | None = None) -> float:
@@ -85,23 +80,22 @@ def beta(t: int, sched: BetaSchedule, side: float | None = None) -> float:
     (b-a)(1 + sum j^alpha) so callers tracking it incrementally avoid an O(t)
     recomputation; when omitted it is computed from the schedule.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = count("t", t, 1)
     d = sched.dim
+    k = 4.0 if sched.variant == "hubo" else 6.0
+    tail = math.sqrt(math.log(k * d * sched.s1 / sched.delta))
     if sched.variant == "hubo":
         if side is None:
             side = (sched.b - sched.a) * (1.0 + series.partial_sum(sched.alpha, t))
         pi_t = math.pi**2 * t * t / 6.0
-        tail = math.sqrt(math.log(4.0 * d * sched.s1 / sched.delta))
-        val = 2.0 * math.log(4.0 * pi_t / sched.delta) + 4.0 * d * math.log(
-            d * t * sched.s2 * side * tail
-        )
+        head, weight = 2.0 * math.log(4.0 * pi_t / sched.delta), 4.0 * d
+        scale = d * t * sched.s2 * side * tail
     else:
-        tail = math.sqrt(math.log(6.0 * d * sched.s1 / sched.delta))
-        val = 2.0 * math.log(math.pi**2 * t * t / sched.delta) + 2.0 * d * math.log(
-            2.0 * sched.s2 * sched.l_h * d * tail * t * t
-        )
-    return max(0.0, val)
+        head, weight = 2.0 * math.log(math.pi**2 * t * t / sched.delta), 2.0 * d
+        scale = 2.0 * sched.s2 * sched.l_h * d * tail * t * t
+    # log 0 is -inf, where scale underflows; NaN and inf pass through to the caller
+    val = head + weight * (math.log(scale) if scale > 0.0 else -math.inf)
+    return max(val, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,8 @@ class MaximizerConfig:
     max_evals: int = 1000
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_evals < self.restarts:
+        count("restarts", self.restarts, 1)
+        if count("max_evals", self.max_evals, 1) < self.restarts:
             raise ValueError(
                 f"max_evals ({self.max_evals}) must be >= restarts ({self.restarts})"
             )
@@ -153,7 +146,6 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rngs):
     lo_rows = lo.T[:, rect]
     hi_rows = hi.T[:, rect]
     width_rows = hi_rows - lo_rows
-    probed = (hi - lo).T != 0.0  # (d, K): zero-width coordinates are skipped
     used = np.full(K, restarts)
     steps = np.full(K * restarts, 0.25)
     active = np.ones(K * restarts, dtype=bool)
@@ -168,7 +160,7 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rngs):
         for i in range(d):
             for sign in (1.0, -1.0):
                 # each rectangle probes its first (budget-left) active starts
-                take = np.minimum(max_evals - used, n_active) * probed[i]
+                take = np.minimum(max_evals - used, n_active)
                 if not np.any(take):
                     break
                 idx = np.flatnonzero(active & (rank < take[rect]))
@@ -234,18 +226,14 @@ def maximize_over_cubes(
     predict = _ucb_batch(state, beta_t)
     n = cube_set.n
     lo, hi = cube_set.clipped_bounds()
-    # a cube entirely outside the parent is dropped; defensive
-    kept = np.flatnonzero(np.all(hi >= lo, axis=1))
-    if kept.size == 0:
-        raise ValueError("every cube was empty after clipping to the parent box")
     rngs = (
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(ci),)))
-        for ci in kept
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+        for ci in range(n)
     )
     x, val, _ = _search_rect(
         predict,
-        lo[kept],
-        hi[kept],
+        lo,
+        hi,
         max(1, cfg.restarts // n),
         max(10, cfg.max_evals // n),
         rngs,

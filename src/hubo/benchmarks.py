@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .space import ExpansionConfig, _frozen, _point
+from .contracts import count, frozen, point, real
+from .space import ExpansionConfig
 
 __all__ = [
     "BenchmarkFunction",
@@ -48,15 +49,14 @@ class BenchmarkFunction:
     optimum_point: np.ndarray
 
     def __post_init__(self):
-        for field_name in ("lower", "upper", "optimum_point"):
-            object.__setattr__(self, field_name, _frozen(getattr(self, field_name)))
-        if self.lower.shape != (self.dim,) or self.upper.shape != (self.dim,):
-            raise ValueError("domain bounds must have shape (dim,)")
+        dim = count("dim", self.dim, 1)
+        for key in ("lower", "upper", "optimum_point"):
+            object.__setattr__(self, key, frozen(point(getattr(self, key), dim, key), name=key))
         if not np.all(self.upper > self.lower):
             raise ValueError("need upper > lower in every dimension")
 
     def eval(self, x: np.ndarray) -> float:
-        return float(self.fn(_point(x, self.dim)))
+        return float(self.fn(point(x, self.dim)))
 
 
 def beale(x: np.ndarray) -> float:
@@ -191,8 +191,8 @@ def make_benchmark(name: str, dim: int | None = None) -> BenchmarkFunction:
         dim = fixed
     elif dim is None:
         raise ValueError(f"{name} needs an explicit dim")
-    elif dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    else:
+        dim = count("dim", dim, 1)
     return BenchmarkFunction(
         name, dim, np.full(dim, low), np.full(dim, high), fn, optimum_value,
         np.broadcast_to(optimum_point, (dim,)),
@@ -217,8 +217,8 @@ class InitialSpace:
     c_max: np.ndarray
 
     def __post_init__(self):
-        for field_name in ("x0_center", "c_min", "c_max"):
-            object.__setattr__(self, field_name, _frozen(getattr(self, field_name)))
+        for key in ("x0_center", "c_min", "c_max"):
+            object.__setattr__(self, key, frozen(getattr(self, key), name=key))
 
     @property
     def side(self) -> float:
@@ -243,8 +243,7 @@ def initial_space(bench: BenchmarkFunction, fraction: float, seed: int) -> Initi
     whole of X0 stays inside the domain.  C_initial is concentric with ten
     times the side, clipped to the domain (which always keeps X0 inside it).
     """
-    if not (0.0 < fraction <= 1.0):
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
+    real("fraction", fraction, 0.0, 1.0, "(]")
     widths = bench.upper - bench.lower
     if not np.all(widths == widths[0]):
         raise ValueError("benchmark domain must have equal per-dimension widths")

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import SearchBox, _frozen, _point
+from .contracts import count, frozen, point, real
+from .space import SearchBox
 
 __all__ = [
     "HdConfig",
@@ -37,39 +38,28 @@ class HdConfig:
     l_h: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "n0", int(self.n0))
-        object.__setattr__(self, "l_h", float(self.l_h))
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if self.n0 < 1:
-            raise ValueError(f"n0 must be >= 1, got {self.n0}")
-        if not self.l_h > 0.0:
-            raise ValueError(f"l_h must be > 0, got {self.l_h}")
-        if not math.isfinite(self.l_h):
-            raise ValueError(f"l_h must be finite, got {self.l_h}")
+        object.__setattr__(self, "lam", real("lam", self.lam, 0.0))
+        object.__setattr__(self, "n0", count("n0", self.n0, 1))
+        object.__setattr__(self, "l_h", real("l_h", self.l_h, 0.0, ends="(]"))
 
 
 @dataclass(frozen=True)
 class HypercubeSet:
-    """N cubes of side l_h inside a parent box; membership clips to the parent."""
+    """N >= 1 cubes of side l_h centered in a parent box (faces included);
+    membership clips them to the parent, so no clipped cube is empty."""
 
     centers: np.ndarray
     l_h: float
     parent: SearchBox
 
     def __post_init__(self):
-        centers = _frozen(self.centers)
+        centers = frozen(self.centers, name="centers")
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "l_h", float(self.l_h))
-        if centers.ndim != 2 or centers.shape[1] != self.parent.dim:
-            raise ValueError(
-                f"centers must have shape (N, {self.parent.dim}), got {centers.shape}"
-            )
-        if centers.shape[0] < 1:
-            raise ValueError("a HypercubeSet needs at least one cube")
+        object.__setattr__(self, "l_h", real("l_h", self.l_h, 0.0, ends="(]"))
+        if centers.ndim != 2 or centers.shape[0] < 1 or centers.shape[1] != self.parent.dim:
+            raise ValueError(f"centers has shape {centers.shape}, expected (N, {self.parent.dim})")
+        if not np.all((centers >= self.parent.lower) & (centers <= self.parent.upper)):
+            raise ValueError("centers must lie in the parent box")
 
     @property
     def n(self) -> int:
@@ -85,9 +75,7 @@ class HypercubeSet:
 
 def num_cubes(t: int, cfg: HdConfig) -> int:
     """N_t = n0 * ceil(t**lam), with a near-integer guard on the power."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    power = float(t) ** cfg.lam
+    power = float(count("t", t, 1)) ** cfg.lam
     rounded = round(power)
     if abs(power - rounded) <= _NEAR_INT_TOL:
         ceiling = int(rounded)
@@ -112,7 +100,7 @@ def membership(cube_set: HypercubeSet, x: np.ndarray) -> bool:
     optimizers use, so a point constructed on a cube face stays a member
     instead of failing by one rounding ulp.
     """
-    x = _point(x, cube_set.parent.dim)
+    x = point(x, cube_set.parent.dim)
     lo, hi = cube_set.clipped_bounds()
     return bool(np.any(np.all((x >= lo) & (x <= hi), axis=1)))
 
@@ -125,7 +113,7 @@ def nearest_in_set(
     Per cube the closest point is x_star clamped into the cube clipped to the
     parent; the minimum over cubes wins, ties going to the lowest cube index.
     """
-    x_star = _point(x_star, cube_set.parent.dim)
+    x_star = point(x_star, cube_set.parent.dim)
     lo, hi = cube_set.clipped_bounds()
     candidates = np.clip(x_star, lo, hi)
     dists = np.sqrt(np.sum((candidates - x_star) ** 2, axis=1))

@@ -23,8 +23,9 @@ from .acquisition import (
     maximize_over_box,
     maximize_over_cubes,
 )
+from .contracts import count, frozen, real
 from .cubes import HdConfig, membership, sample_cubes
-from .gp import Dataset, FitConfig, GpFactorizationError, fit_mle
+from .gp import KERNEL_FAMILIES, Dataset, FitConfig, GpFactorizationError, fit_mle
 from .space import ExpansionConfig, SearchBox, expand, initial_box, translate
 
 __all__ = [
@@ -65,12 +66,8 @@ class Objective:
     optimum_value: float | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.noise_std >= 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not math.isfinite(self.noise_std):
-            raise ValueError(f"noise_std must be finite, got {self.noise_std}")
+        count("dim", self.dim, 1)
+        real("noise_std", self.noise_std, 0.0)
 
     def eval(self, x: np.ndarray) -> float:
         return float(self.fn(x))
@@ -104,10 +101,11 @@ class RunConfig:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
-        if self.budget_T < 0:
-            raise ValueError(f"budget_T must be >= 0, got {self.budget_T}")
-        if self.n_init < 2:
-            raise ValueError(f"n_init must be >= 2, got {self.n_init}")
+        count("budget_T", self.budget_T, 0)
+        count("n_init", self.n_init, 2)
+        count("seed", self.seed, 0)
+        if self.kernel_family not in KERNEL_FAMILIES:
+            raise ValueError(f"unknown kernel family {self.kernel_family!r}")
         if (self.hd is not None) != (self.algorithm == "hdhubo"):
             raise ValueError("hd config must be present exactly for hdhubo runs")
         expected_variant = "hdhubo" if self.algorithm == "hdhubo" else "hubo"
@@ -143,8 +141,9 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     """Chronological record of a run.  `error` is set when the objective
-    failed or a GP factorization broke down and the trace stops early; it
-    names the phase and the step t.  `incomplete` is derived from it."""
+    failed, a GP factorization broke down or beta_t was not finite and the
+    trace stops early; it names the phase and the step t.  `incomplete` is
+    derived from it."""
 
     algorithm: str
     seed: int
@@ -211,11 +210,12 @@ def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
     a BO run, an objective that raises or returns a non-finite value ends the
     trace early with incomplete=True and an `error` naming t.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    side = float(np.max(upper - lower))
+    count("T", T, 1)
+    count("seed", seed, 0)
+    lower, upper = frozen(lower, (obj.dim,), "lower"), frozen(upper, (obj.dim,), "upper")
+    if not np.all(upper >= lower):
+        raise ValueError(f"need upper >= lower, got lower={lower}, upper={upper}")
+    side = real("upper - lower", np.max(upper - lower))
     rng_points = np.random.default_rng([seed, _STREAM_INIT])
     rng_noise = np.random.default_rng([seed, _STREAM_NOISE])
 
@@ -237,9 +237,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     Each step refits the GP by MLE, updates the search region per the
     algorithm, maximizes UCB inside it, and observes f plus fresh noise.  If
-    the objective raises or returns a non-finite value, or the fit or the
-    maximizer's posterior raises GpFactorizationError, the partial trace is
-    returned with incomplete=True.
+    the objective raises or returns a non-finite value, the fit or the
+    maximizer's posterior raises GpFactorizationError, or beta_t is not
+    finite, the partial trace is returned with incomplete=True.
     """
     d = obj.dim
     if cfg.expansion.dim != d:
@@ -294,6 +294,8 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             box = translate(expand(box, t, cfg.expansion), best_x, cfg.expansion)
 
         beta_t = beta(t, cfg.beta, side=box.side)  # the hdhubo schedule ignores side
+        if not math.isfinite(beta_t):
+            return trace.fail("beta", t, f"beta_t is {beta_t}")
         mseed = _derive_seed(cfg.seed, _STREAM_MAXIMIZER, t)
         n_cubes: int | None = None
         try:

@@ -19,6 +19,8 @@ from scipy.linalg import eigh  # noqa: F401  bench/hooks.py wraps gp.eigh
 from scipy.linalg.lapack import dpotrf, dsytrd, dtrtrs
 from scipy.spatial.distance import cdist
 
+from .contracts import count, frozen, real
+
 __all__ = [
     "KernelSpec",
     "Dataset",
@@ -58,18 +60,12 @@ class KernelSpec:
     signal_variance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lengthscale", float(self.lengthscale))
-        object.__setattr__(self, "signal_variance", float(self.signal_variance))
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
-        if not self.lengthscale > 0.0:
-            raise ValueError(f"lengthscale must be > 0, got {self.lengthscale}")
-        if not self.signal_variance > 0.0:
-            raise ValueError(
-                f"signal_variance must be > 0, got {self.signal_variance}"
-            )
+        for name in ("lengthscale", "signal_variance"):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0.0, ends="(]"))
 
 
 @dataclass(frozen=True)
@@ -81,21 +77,17 @@ class Dataset:
     dim: int
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64).reshape(-1).copy()
+        object.__setattr__(self, "dim", count("dim", self.dim, 1))
+        points = frozen(self.points, name="points")
+        targets = frozen(np.reshape(self.targets, -1), name="targets")
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"points must have shape (n, {self.dim}), got {points.shape}")
-        points.setflags(write=False)
-        targets.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "dim", int(self.dim))
         if len(points) != len(targets):
             raise ValueError(
                 f"{len(points)} points vs {len(targets)} targets"
             )
-        if not np.all(np.isfinite(points)) or not np.all(np.isfinite(targets)):
-            raise ValueError("points and targets must be finite")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "targets", targets)
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -122,12 +114,9 @@ class GpModel:
     prior_mean: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_variance", float(self.noise_variance))
-        object.__setattr__(self, "prior_mean", float(self.prior_mean))
-        if not self.noise_variance >= 0.0:
-            raise ValueError(
-                f"noise_variance must be >= 0, got {self.noise_variance}"
-            )
+        noise_variance = real("noise_variance", self.noise_variance, 0.0)
+        object.__setattr__(self, "noise_variance", noise_variance)
+        object.__setattr__(self, "prior_mean", real("prior_mean", self.prior_mean))
 
 
 def _unit_kernel_from_sqdist(d2: np.ndarray, family: str, ell: float) -> np.ndarray:
@@ -238,9 +227,8 @@ class FitConfig:
     family: str = "se"
 
     def __post_init__(self):
-        object.__setattr__(self, "side_length", float(self.side_length))
-        if not self.side_length > 0.0:
-            raise ValueError(f"side_length must be > 0, got {self.side_length}")
+        side_length = real("side_length", self.side_length, 0.0, ends="(]")
+        object.__setattr__(self, "side_length", side_length)
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
@@ -318,6 +306,10 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     # back to the value and every residual is the same tiny nonzero number
     z_std = float(np.std(resid / spread)) if spread > 0.0 else 0.0
     ls_lo, ls_hi = 1e-2 * search.side_length, 10.0 * search.side_length
+    if not 0.0 < ls_lo * ls_hi < math.inf:  # the floor model's lengthscale is its root
+        raise GpFactorizationError(
+            f"box side {search.side_length:g} puts the lengthscales out of float64 range"
+        )
     if z_std == 0.0:
         kernel = KernelSpec(search.family, math.sqrt(ls_lo * ls_hi), _VARIANCE_FLOOR)
         return GpModel(kernel, _VARIANCE_FLOOR, mean)

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .contracts import count, real
+
 __all__ = [
     "partial_sum",
     "partial_sums",
@@ -22,21 +24,6 @@ __all__ = [
     "gamma_root",
     "nearest_point_decay",
 ]
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError(f"n must be an integer, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(n)
-
-
-def _check_alpha_bounded(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (-1.0 <= alpha < 0.0):
-        raise ValueError(f"alpha must lie in [-1, 0), got {alpha}")
-    return alpha
 
 
 def partial_sum(alpha: float, n: int) -> float:
@@ -50,10 +37,8 @@ def partial_sums(alpha: float, n: int) -> np.ndarray:
     partial_sums(alpha, n)[k-1] == partial_sum(alpha, k); useful for sweeping
     bound checks over every n without O(n^2) work.
     """
-    n = _check_n(n)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    n = count("n", n, 1)
+    alpha = real("alpha", alpha)
     terms = np.arange(1, n + 1, dtype=np.float64) ** alpha
     return np.cumsum(terms)
 
@@ -64,8 +49,8 @@ def partial_sum_lower_bound(alpha: float, n: int) -> float:
     ((n+1)^(alpha+1) - 1)/(alpha+1) for -1 < alpha < 0, and ln(n+1) at
     alpha = -1.
     """
-    alpha = _check_alpha_bounded(alpha)
-    n = _check_n(n)
+    alpha = real("alpha", alpha, -1.0, 0.0, "[)")
+    n = count("n", n, 1)
     if alpha == -1.0:
         return math.log(n + 1)
     return ((n + 1.0) ** (alpha + 1.0) - 1.0) / (alpha + 1.0)
@@ -77,8 +62,8 @@ def partial_sum_upper_bound(alpha: float, n: int) -> float:
     1 + (n^(1+alpha) - 1)/(1+alpha) for -1 < alpha < 0, and 1 + ln(n) at
     alpha = -1.  Strict for n >= 2; equal to the sum at n = 1.
     """
-    alpha = _check_alpha_bounded(alpha)
-    n = _check_n(n)
+    alpha = real("alpha", alpha, -1.0, 0.0, "[)")
+    n = count("n", n, 1)
     if alpha == -1.0:
         return 1.0 + math.log(n)
     return 1.0 + (float(n) ** (1.0 + alpha) - 1.0) / (1.0 + alpha)
@@ -86,9 +71,7 @@ def partial_sum_upper_bound(alpha: float, n: int) -> float:
 
 def p_series_bound(p_exponent: float) -> float:
     """Upper bound 1/(p-1) + 1 on every finite sum_{k=1}^{n} k**(-p), p > 1."""
-    p = float(p_exponent)
-    if p <= 1.0:
-        raise ValueError(f"p_exponent must be > 1, got {p}")
+    p = real("p_exponent", p_exponent, 1.0, ends="(]")
     return 1.0 / (p - 1.0) + 1.0
 
 
@@ -98,10 +81,7 @@ def gamma_root(d: int) -> float:
     Stays strictly below sqrt(d + 2) for 1 <= d <= 200, which is the margin
     the diagnostics rely on.
     """
-    if not isinstance(d, (int, np.integer)):
-        raise TypeError(f"d must be an integer, got {type(d).__name__}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = count("d", d, 1)
     return math.exp(math.lgamma(d / 2.0 + 1.0) / d)
 
 
@@ -112,17 +92,10 @@ def nearest_point_decay(alpha: float, lam: float, dim: int, t: float) -> float:
     2/(alpha+1) * t**(-lam/dim).  Tends to 0 as t grows whenever
     lam > dim*(alpha+1).
     """
-    alpha = _check_alpha_bounded(alpha)
-    lam = float(lam)
-    if not lam >= 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    t = float(t)
-    if not t >= 1.0:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    alpha = real("alpha", alpha, -1.0, 0.0, "[)")
+    lam = real("lam", lam, 0.0)
+    dim = count("dim", dim, 1)
+    t = real("t", t, 1.0)
     power = t ** (-lam / dim)
     if alpha == -1.0:
         return (2.0 + math.log(t)) * power

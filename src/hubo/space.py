@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
+from .contracts import count, frozen, point, real
 
 __all__ = [
     "SearchBox",
@@ -29,24 +30,6 @@ __all__ = [
 ]
 
 
-def _point(x, dim: int, name: str = "point") -> np.ndarray:
-    """x as a float64 array, which must have shape (dim,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dim,):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({dim},)")
-    return x
-
-
-def _frozen(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """A read-only float64 copy of values, broadcast to shape when one is given."""
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        arr = np.broadcast_to(arr, shape)
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class SearchBox:
     """Axis-aligned hypercube: center +/- half_side in every dimension."""
@@ -56,14 +39,10 @@ class SearchBox:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.dim))
-        center = _frozen(_point(self.center, self.dim, "center"))
+        object.__setattr__(self, "dim", count("dim", self.dim, 1))
+        center = frozen(point(self.center, self.dim, "center"), name="center")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_side", float(self.half_side))
-        if not np.all(np.isfinite(center)):
-            raise ValueError(f"center must be finite, got {center}")
-        if not self.half_side > 0.0:
-            raise ValueError(f"half_side must be > 0, got {self.half_side}")
+        object.__setattr__(self, "half_side", real("half_side", self.half_side, 0.0, ends="(]"))
 
     @property
     def side(self) -> float:
@@ -79,7 +58,7 @@ class SearchBox:
 
     def contains(self, x: np.ndarray) -> bool:
         """Closed-box membership: faces count as inside."""
-        x = _point(x, self.dim)
+        x = point(x, self.dim)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
@@ -103,31 +82,25 @@ class ExpansionConfig:
     x0_center: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "dim", int(self.dim))
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "a", real("a", self.a))
+        object.__setattr__(self, "b", real("b", self.b))
+        object.__setattr__(self, "alpha", real("alpha", self.alpha, -1.0, 0.0, "[)"))
+        object.__setattr__(self, "dim", count("dim", self.dim, 1))
         if not self.b > self.a:
             raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
-        if not (-1.0 <= self.alpha < 0.0):
-            raise ValueError(f"alpha must lie in [-1, 0), got {self.alpha}")
+        real("b - a", self.b - self.a)
 
         shape = (self.dim,)
-        c_min = _frozen(self.c_min, shape)
-        c_max = _frozen(self.c_max, shape)
-        x0 = _frozen(
-            0.5 * (self.a + self.b) if self.x0_center is None else self.x0_center, shape
-        )
+        c_min = frozen(self.c_min, shape, "c_min")
+        c_max = frozen(self.c_max, shape, "c_max")
+        x0 = 0.5 * (self.a + self.b) if self.x0_center is None else self.x0_center
+        x0 = frozen(x0, shape, "x0_center")
         object.__setattr__(self, "c_min", c_min)
         object.__setattr__(self, "c_max", c_max)
         object.__setattr__(self, "x0_center", x0)
 
         if not np.all(c_max > c_min):
             raise ValueError("need c_max > c_min in every dimension")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError(f"x0_center must be finite, got {x0}")
         half0 = 0.5 * (self.b - self.a)
         if np.any(x0 - half0 < c_min - 1e-12) or np.any(x0 + half0 > c_max + 1e-12):
             raise ValueError("X0 must be contained in [c_min, c_max]^d")
@@ -144,8 +117,7 @@ def initial_box(cfg: ExpansionConfig) -> SearchBox:
 
 def expand(box: SearchBox, t: int, cfg: ExpansionConfig) -> SearchBox:
     """Grow every face of the step-(t-1) box outward by ((b-a)/2) * t**alpha."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = count("t", t, 1)
     increment = 0.5 * (cfg.b - cfg.a) * float(t) ** cfg.alpha
     return SearchBox(box.center, box.half_side + increment, box.dim)
 
@@ -157,15 +129,13 @@ def translate(box: SearchBox, best_x: np.ndarray, cfg: ExpansionConfig) -> Searc
     best_x, so this is "move the center as close to the incumbent as the
     domain allows".
     """
-    center = np.clip(_point(best_x, box.dim, "best_x"), cfg.c_min, cfg.c_max)
+    center = np.clip(point(best_x, box.dim, "best_x"), cfg.c_min, cfg.c_max)
     return SearchBox(center, box.half_side, box.dim)
 
 
 def side_length(t: int, cfg: ExpansionConfig) -> float:
     """Closed-form side of the box after t expansions: (b-a)(1 + sum j^alpha)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
+    if count("t", t, 0) == 0:
         return cfg.b - cfg.a
     return (cfg.b - cfg.a) * (1.0 + series.partial_sum(cfg.alpha, t))
 
@@ -176,8 +146,7 @@ def envelope(T: int, cfg: ExpansionConfig) -> SearchBox:
     [c_min - side(T)/2, c_max + side(T)/2]^d: any center in C_initial plus the
     largest possible half-side.  Requires C_initial to have equal widths.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    count("T", T, 1)
     widths = cfg.c_max - cfg.c_min
     if not np.all(widths == widths[0]):
         raise ValueError("envelope requires C_initial with equal per-dimension widths")
@@ -190,8 +159,7 @@ def _coverage_need(a_g: float, b_g: float, cfg: ExpansionConfig) -> float:
     """Half-side the box must reach to contain [a_g, b_g]^d from the worst
     admissible center: max over dimensions of max(c_max_i - a_g, b_g - c_min_i).
     [a_g, b_g] is widened to include the C_initial midpoints if needed."""
-    a_g = float(a_g)
-    b_g = float(b_g)
+    a_g, b_g = real("a_g", a_g), real("b_g", b_g)
     if not b_g > a_g:
         raise ValueError(f"need b_g > a_g, got [{a_g}, {b_g}]")
     c0 = 0.5 * (cfg.c_min + cfg.c_max)

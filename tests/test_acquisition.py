@@ -38,10 +38,12 @@ def mean_at(model: GpModel, data: Dataset, x: np.ndarray) -> float:
 
 
 def test_schedule_requires_variant_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="b must be a real number, got None"):
         BetaSchedule(variant="hubo", delta=0.1, dim=1)  # missing a, b, alpha
-    with pytest.raises(ValueError):
-        BetaSchedule(variant="hdhubo", delta=0.1, dim=1)  # missing l_h
+    with pytest.raises(TypeError, match="alpha must be a real number, got None"):
+        BetaSchedule(variant="hubo", delta=0.1, dim=1, a=0.0, b=1.0)
+    with pytest.raises(TypeError, match="l_h must be a real number, got None"):
+        BetaSchedule(variant="hdhubo", delta=0.1, dim=1)
     with pytest.raises(ValueError):
         BetaSchedule(variant="other", delta=0.1, dim=1, l_h=0.1)
 
@@ -361,16 +363,6 @@ def test_cube_maximizer_finds_better_cube_matches_grid():
     assert val >= best_grid - 1e-3
 
 
-def test_cube_maximizer_rejects_fully_clipped_set():
-    # Defensive path: every cube lies strictly outside the parent box.
-    parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
-    cs = HypercubeSet(np.array([[5.0, 5.0]]), 0.2, parent)
-    with pytest.raises(ValueError):
-        acquisition.maximize_over_cubes(
-            se_model(), Dataset.empty(2), 1.0, cs, MaximizerConfig(), 0
-        )
-
-
 def test_cube_maximizer_deterministic():
     model = se_model(ell=0.5, nv=0.01)
     rng = np.random.default_rng(6)
@@ -408,8 +400,6 @@ def reference_search_rect(predict, lo, hi, restarts, max_evals, rng, tol):
         for i in range(d):
             if used >= max_evals:
                 break
-            if widths[i] == 0.0:
-                continue
             for sign in (1.0, -1.0):
                 idx = np.flatnonzero(active)
                 if idx.size == 0 or used >= max_evals:
@@ -449,8 +439,6 @@ def reference_maximize_over_cubes(
     best_x, best_val = None, -math.inf
     for ci in range(n):
         lo, hi = lo_all[ci], hi_all[ci]
-        if np.any(hi < lo):
-            continue
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(ci,))
         )
@@ -460,8 +448,6 @@ def reference_maximize_over_cubes(
         )
         if val > best_val:
             best_x, best_val = x, val
-    if best_x is None:
-        raise ValueError("every cube was empty after clipping to the parent box")
     return best_x, best_val
 
 
@@ -497,7 +483,7 @@ def cube_corpus():
     """(name, cube set, cfg, seed): budget truncation, floors, clipping, many cubes."""
     parent = SearchBox(center=np.zeros(3), half_side=1.0, dim=3)
     rng = np.random.default_rng(42)
-    edge = np.array([[0.95, 0.0, -0.2], [-1.1, 0.9, 0.3], [0.0, 0.0, 1.1]])
+    edge = np.array([[0.95, 0.0, -0.2], [-1.0, 0.9, 0.3], [0.0, 0.0, 1.0]])  # two on a face
     return [
         ("one cube", HypercubeSet(np.array([[0.1, -0.2, 0.3]]), 0.6, parent),
          MaximizerConfig(restarts=20, max_evals=1000), 1),
@@ -507,24 +493,23 @@ def cube_corpus():
          MaximizerConfig(restarts=20, max_evals=100), 3),
         ("clipped by the parent", HypercubeSet(edge, 0.5, parent),
          MaximizerConfig(restarts=9, max_evals=200), 4),
-        ("one cube fully clipped", HypercubeSet(np.vstack([edge, [[3.0, 0.0, 0.0]]]), 0.5, parent),
-         MaximizerConfig(restarts=8, max_evals=91), 5),
         ("sampled as in hdhubo", sample_cubes(parent, 12, HdConfig(lam=1.0, n0=1, l_h=0.3), rng),
          MaximizerConfig(restarts=20, max_evals=1000), 6),
     ]
 
 
 def zero_width_case():
-    # Cube 1 is clipped to the parent's face x0 = 1: zero width along x0,
-    # which its search skips while the other cubes probe it.
-    parent = SearchBox(center=np.zeros(3), half_side=1.0, dim=3)
-    centers = np.array([[0.2, 0.1, -0.3], [1.25, -0.4, 0.5], [-0.6, 0.7, 0.0]])
+    # Floats near 1e17 are 16 apart, so the parent's first side rounds to
+    # zero width there and so does every cube's; the search probes that
+    # coordinate like any other, as the reference does.
+    parent = SearchBox(center=np.array([1e17, 0.0, 0.0]), half_side=1.0, dim=3)
+    centers = np.array([[1e17, 0.1, -0.3], [1e17, -0.4, 0.5], [1e17, 0.7, 0.0]])
     return ("zero-width coordinate", HypercubeSet(centers, 0.5, parent),
             MaximizerConfig(restarts=6, max_evals=90), 8)
 
 
 @pytest.mark.parametrize("quantum", [0.0, 0.25])
-@pytest.mark.parametrize("case", cube_corpus(), ids=lambda c: c[0])
+@pytest.mark.parametrize("case", cube_corpus() + [zero_width_case()], ids=lambda c: c[0])
 def test_cube_maximizer_equals_per_cube_reference(case, quantum, monkeypatch):
     _, cs, cfg, seed = case
     predict = sines(3, seed=seed, quantum=quantum)
@@ -535,30 +520,11 @@ def test_cube_maximizer_equals_per_cube_reference(case, quantum, monkeypatch):
     assert val == val_ref
 
 
-def test_cube_maximizer_skips_zero_width_coordinate_like_reference(monkeypatch):
-    # A bowl that peaks inside the zero-width cube, whose budget runs out
-    # before it converges: a probe wasted on its flat coordinate moves x.
-    _, cs, cfg, seed = zero_width_case()
-    peak = np.array([1.0, -0.3, 0.45])
-
-    def bowl(X):
-        out = np.zeros(len(X))
-        for j in range(3):
-            out -= (X[:, j] - peak[j]) ** 2
-        return out
-
-    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: bowl)
-    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg, seed)
-    x_ref, val_ref = reference_maximize_over_cubes(bowl, cs, cfg, seed)
-    assert x[0] == 1.0
-    assert np.array_equal(x, x_ref)
-    assert val == val_ref
-
-
 def test_cube_maximizer_ties_go_to_lowest_cube_then_smallest_point(monkeypatch):
-    # A flat surface ties every start; the first cube's smallest point wins.
+    # A flat surface ties every start; the first cube's smallest point wins,
+    # though the second cube holds smaller points.
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
-    cs = HypercubeSet(np.array([[3.0, 3.0], [0.5, 0.5], [-0.5, -0.5]]), 0.4, parent)
+    cs = HypercubeSet(np.array([[0.5, 0.5], [-0.5, -0.5], [1.0, 1.0]]), 0.4, parent)
     cfg = MaximizerConfig(restarts=6, max_evals=60)
     flat = lambda X: np.zeros(len(X))  # noqa: E731
     monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: flat)
@@ -608,8 +574,6 @@ def test_box_maximizer_bit_equal_to_reference():
 def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
     # Calls: as many as the longest single-cube search makes.  Rows: the sum
     # over cubes.  A per-cube loop would make the sum of the calls instead.
-    # A cube that skips a zero-width coordinate while the others probe it
-    # leaves a gap in its calls, so there the calls only lie in between.
     _, cs, cfg, seed = case
     surface = sines(3, seed=seed)
     predict, sizes = counted(surface)
@@ -619,11 +583,7 @@ def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
     n = cs.n
     lo, hi = cs.clipped_bounds()
     alone = []
-    flat = False
     for ci in range(n):
-        if np.any(hi[ci] < lo[ci]):
-            continue
-        flat |= bool(np.any(hi[ci] == lo[ci]))
         one, one_sizes = counted(surface)
         reference_search_rect(
             one, lo[ci], hi[ci], max(1, cfg.restarts // n), max(10, cfg.max_evals // n),
@@ -632,7 +592,4 @@ def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
         )
         alone.append(one_sizes)
     assert sum(sizes) == sum(sum(s) for s in alone)
-    if not flat:
-        assert len(sizes) == max(len(s) for s in alone)
-    else:
-        assert max(len(s) for s in alone) <= len(sizes) < sum(len(s) for s in alone)
+    assert len(sizes) == max(len(s) for s in alone)

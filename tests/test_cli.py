@@ -343,21 +343,6 @@ def test_single_repeat_has_zero_stderr(tmp_path):
         assert float(r[5]) == 0.0  # stderr_log_dist
 
 
-def test_emit_log_distance_requires_optimum():
-    rows = [
-        {
-            "t": 1,
-            "mean_best_y": 0.0,
-            "std_best_y": 0.0,
-            "stderr_best_y": 0.0,
-            "mean_log_dist": None,
-            "stderr_log_dist": None,
-        }
-    ]
-    with pytest.raises(ValueError):
-        cli.emit_log_distance(rows, "unused.csv")
-
-
 def test_log_distance_of_two_digit_gap():
     # A best-so-far gap of 0.01 must appear as exactly -2 in the trace.
     from hubo.driver import IterationRecord, Objective, RunTrace, compute_regret

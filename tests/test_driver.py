@@ -112,11 +112,11 @@ INF = math.inf
     [
         # beta_t would read max(0, nan) = 0 at every step: pure exploitation
         (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s1=NAN),
-         "s1 and s2 must be > 0"),
+         "s1 must be > 0, got nan"),
         (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s2=NAN),
-         "s1 and s2 must be > 0"),
+         "s2 must be > 0, got nan"),
         (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=NAN),
-         "hdhubo beta needs l_h > 0"),
+         "l_h must be > 0, got nan"),
         # nan > 0 is False, so the run would be noiseless
         (lambda: Objective(fn=lambda x: 0.0, dim=1, noise_std=NAN),
          "noise_std must be >= 0, got nan"),
@@ -131,9 +131,9 @@ INF = math.inf
         # inf: beta_t = inf makes UCB meaningless, lam = inf overflows
         # math.ceil at t = 2, and noise_std = inf fails the run at t = 0
         (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s1=INF),
-         "s1 and s2 must be finite"),
+         "s1 must be finite, got inf"),
         (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.1, s2=INF),
-         "s1 and s2 must be finite"),
+         "s2 must be finite, got inf"),
         (lambda: BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=INF),
          "l_h must be finite"),
         (lambda: Objective(fn=lambda x: 0.0, dim=1, noise_std=INF),

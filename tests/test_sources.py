@@ -1,7 +1,10 @@
-"""Source-tree guard: no module defines the same top-level name twice.
+"""Source-tree guards: no module defines the same top-level name twice or
+imports a name it never reads.
 
 A second top-level `def` or `class` of one name silently replaces the first,
 so every caller in the module runs the later one, whatever its name promises.
+An unused import is a dependency that nothing needs, often what is left of a
+helper that moved.
 """
 
 from __future__ import annotations
@@ -20,6 +23,51 @@ def duplicate_definitions(source: str) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             lines.setdefault(node.name, []).append(node.lineno)
     return [f"{name}: lines {', '.join(map(str, at))}" for name, at in lines.items() if len(at) > 1]
+
+
+def unused_imports(source: str) -> list[str]:
+    """'name: line n' for each imported name the module never reads.
+
+    Names listed in `__all__` and imports marked `# noqa: F401` are exempt.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported: set[str] = set()
+    for node in tree.body:
+        if [getattr(t, "id", None) for t in getattr(node, "targets", [])] == ["__all__"]:
+            exported = set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                found.append(f"{name}: line {alias.lineno}")
+    return found
+
+
+def test_unused_imports_finds_an_unread_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nfrom math import (\n    inf,\n    nan,\n)\n"
+        "from scipy import linalg  # noqa: F401\n"
+        "__all__ = ['nan']\n"
+        "def f():\n    import sys\n    return np.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["os: line 2", "inf: line 5", "sys: line 11"]
+
+
+def test_no_module_has_an_unused_import():
+    found = {
+        str(path.relative_to(ROOT)): unused
+        for path in SOURCES
+        if (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not found, found
 
 
 def test_duplicate_definitions_finds_a_shadowed_function():

@@ -60,7 +60,7 @@ def test_box_validation():
 
 
 # ---------------------------------------------------------------------------
-# Input contracts owned by space._point and space._frozen
+# Input contracts owned by contracts.point and contracts.frozen
 # ---------------------------------------------------------------------------
 
 
@@ -77,7 +77,7 @@ def box2() -> SearchBox:
             "best_x has shape (2, 1), expected (2,)",
         ),
         (
-            lambda: SearchBox(center=np.zeros(3), half_side=1.0, dim=2.0),
+            lambda: SearchBox(center=np.zeros(3), half_side=1.0, dim=2),
             "center has shape (3,), expected (2,)",
         ),
         (
@@ -107,7 +107,7 @@ def test_coordinate_arrays_are_read_only_float64_copies():
     center[0] = 9  # the box keeps its own copy
     scalar_cfg = ExpansionConfig(a=0, b=1, alpha=-1.0, c_min=-1, c_max=2, dim=2)
     x0_cfg = ExpansionConfig(a=0, b=1, alpha=-1.0, c_min=-1, c_max=2, dim=2, x0_center=1)
-    cube_set = HypercubeSet([[0, 0], [1, 1]], 0.4, box)
+    cube_set = HypercubeSet([[0, 1], [1, 2]], 0.4, box)
     bench = BenchmarkFunction("sq", 2, [0, 0], [1, 1], lambda x: 0.0, 0.0, [0, 0])
     ispace = InitialSpace(dim=2, a=0, b=1, x0_center=[0, 0], c_min=[-1, -1], c_max=[1, 1])
     arrays = {
@@ -116,7 +116,7 @@ def test_coordinate_arrays_are_read_only_float64_copies():
         "ExpansionConfig.c_max": (scalar_cfg.c_max, [2.0, 2.0]),
         "ExpansionConfig.x0_center default": (scalar_cfg.x0_center, [0.5, 0.5]),
         "ExpansionConfig.x0_center": (x0_cfg.x0_center, [1.0, 1.0]),
-        "HypercubeSet.centers": (cube_set.centers, [[0.0, 0.0], [1.0, 1.0]]),
+        "HypercubeSet.centers": (cube_set.centers, [[0.0, 1.0], [1.0, 2.0]]),
         "BenchmarkFunction.lower": (bench.lower, [0.0, 0.0]),
         "BenchmarkFunction.upper": (bench.upper, [1.0, 1.0]),
         "BenchmarkFunction.optimum_point": (bench.optimum_point, [0.0, 0.0]),
