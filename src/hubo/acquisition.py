@@ -27,12 +27,24 @@ __all__ = [
     "BetaSchedule",
     "MaximizerConfig",
     "beta",
+    "check_s1",
     "maximize_over_box",
     "maximize_over_cubes",
 ]
 
 # A start stops once its relative step falls below this.
 _STEP_TOLERANCE = 1e-6
+
+# beta_t's tail is sqrt(log(k * dim * s1 / delta)), with k per variant.
+_TAIL_K = {"hubo": 4.0, "hdhubo": 6.0}
+
+
+def check_s1(variant: str, dim: int, s1: float, delta: float) -> None:
+    """Raise ValueError unless k * dim * s1 > delta, the condition for beta_t's
+    tail to be the root of a positive number."""
+    k = _TAIL_K[variant]
+    if not k * dim * s1 > delta:
+        raise ValueError(f"s1 must be > delta / ({k:g} * dim), got {s1}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +73,7 @@ class BetaSchedule:
         real("s1", self.s1, 0.0, ends="(]")
         real("s2", self.s2, 0.0, ends="(]")
         count("dim", self.dim, 1)
-        # beta_t's tail sqrt(log(k * dim * s1 / delta)) needs k * dim * s1 > delta
-        k = 4.0 if self.variant == "hubo" else 6.0
-        if not k * self.dim * self.s1 > self.delta:
-            raise ValueError(f"s1 must be > delta / ({k:g} * dim), got {self.s1}")
+        check_s1(self.variant, self.dim, self.s1, self.delta)
         if self.variant == "hubo":  # real() rejects a missing a, b, alpha or l_h
             if not real("b", self.b) > real("a", self.a):
                 raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
@@ -82,8 +91,7 @@ def beta(t: int, sched: BetaSchedule, side: float | None = None) -> float:
     """
     t = count("t", t, 1)
     d = sched.dim
-    k = 4.0 if sched.variant == "hubo" else 6.0
-    tail = math.sqrt(math.log(k * d * sched.s1 / sched.delta))
+    tail = math.sqrt(math.log(_TAIL_K[sched.variant] * d * sched.s1 / sched.delta))
     if sched.variant == "hubo":
         if side is None:
             side = (sched.b - sched.a) * (1.0 + series.partial_sum(sched.alpha, t))
@@ -123,29 +131,30 @@ def _ucb_batch(state: PosteriorState, beta_t: float):
     return predict
 
 
-def _search_rect(predict, lo, hi, restarts, max_evals, rngs):
+def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     """Multi-start coordinate pattern search over K rectangles in lockstep.
 
-    `lo` and `hi` are (K, d) bounds and `rngs` yields one generator per
-    rectangle.  Each rectangle draws `restarts` uniform starts from its own
-    generator, so its start set depends only on that generator, never on the
-    budget; a larger budget therefore replays the same trajectory prefix and
-    can only improve the result.  Each rectangle keeps its own budget of
-    `max_evals` evaluations, step sizes and stopping rule, and follows the
-    trajectory a search of it alone would; only the `predict` calls are
-    shared: one per (coordinate, sign) per sweep, with rows ordered by
-    rectangle, then by start.  The best value wins; ties go to the lowest
-    rectangle, then to the lexicographically smallest point.  Returns (best
-    point, best value, evaluations used over all rectangles).
+    `lo` and `hi` are (K, d) bounds.  Rectangle k starts from rows
+    k * restarts, ..., (k + 1) * restarts - 1 of one draw U = rng.random((K *
+    restarts, d)), scaled as lo[k] + (hi - lo)[k] * U, which for K = 1 is
+    Generator.uniform(lo, hi) bit for bit.  Its starts thus never depend on
+    another rectangle's bounds or on the budget; a larger budget replays the
+    same trajectory prefix and can only improve the result.  Each rectangle
+    keeps its own budget of `max_evals` evaluations, step sizes and stopping
+    rule, and follows the trajectory a search of it alone from those starts
+    would; only the `predict` calls are shared: one per (coordinate, sign) per
+    sweep, with rows ordered by rectangle, then by start.  The best value
+    wins; ties go to the lowest rectangle, then to the lexicographically
+    smallest point.  Returns (best point, best value, evaluations used over
+    all rectangles).
     """
     K, d = lo.shape
-    X = np.concatenate([rng.uniform(l, h, size=(restarts, d)) for rng, l, h in zip(rngs, lo, hi)])
-    vals = predict(X)
     rect = np.repeat(np.arange(K), restarts)
+    width = hi - lo
+    X = lo[rect] + width[rect] * rng.random((K * restarts, d))
+    vals = predict(X)
     # (d, K * restarts): row i holds coordinate i's bounds for every start
-    lo_rows = lo.T[:, rect]
-    hi_rows = hi.T[:, rect]
-    width_rows = hi_rows - lo_rows
+    lo_rows, hi_rows, width_rows = lo.T[:, rect], hi.T[:, rect], width.T[:, rect]
     used = np.full(K, restarts)
     steps = np.full(K * restarts, 0.25)
     active = np.ones(K * restarts, dtype=bool)
@@ -202,7 +211,7 @@ def maximize_over_box(
         box.upper.reshape(1, -1),
         cfg.restarts,
         cfg.max_evals,
-        [np.random.default_rng(seed)],
+        np.random.default_rng(seed),
     )
     return x, val
 
@@ -218,24 +227,21 @@ def maximize_over_cubes(
     """Best acquisition point over the cube union.
 
     One lockstep search covers every clipped cube, each with a per-cube share
-    of the budget (floors: 10 evaluations, 1 restart) and its own rng stream
-    derived from (`seed`, cube index), so the result does not depend on the
-    other cubes.  Ties go to the lower cube index.
+    r of the budget (floors: 10 evaluations, 1 restart).  Its starts come from
+    one uniform draw of default_rng(`seed`): cube ci takes rows ci * r to
+    (ci + 1) * r - 1, so its search does not depend on the other cubes'
+    bounds.  Ties go to the lower cube index.
     """
     state = PosteriorState(model, data)
     predict = _ucb_batch(state, beta_t)
     n = cube_set.n
     lo, hi = cube_set.clipped_bounds()
-    rngs = (
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-        for ci in range(n)
-    )
     x, val, _ = _search_rect(
         predict,
         lo,
         hi,
         max(1, cfg.restarts // n),
         max(10, cfg.max_evals // n),
-        rngs,
+        np.random.default_rng(seed),
     )
     return x, val

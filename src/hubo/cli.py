@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .acquisition import BetaSchedule, MaximizerConfig
+from .acquisition import BetaSchedule, MaximizerConfig, check_s1
 from .benchmarks import BENCHMARK_NAMES, fixed_dim, initial_space, make_benchmark
 from .cubes import HdConfig
 from .diagnostics import diagnostics
@@ -196,6 +196,13 @@ def _s2(key: str, text: str, fields: dict) -> float:
     s2 = _as_float(key, text)
     if fields["s1"] <= 0.0 or s2 <= 0.0:
         raise ConfigError("s1 and s2 must be > 0")
+    for algo in fields["algorithms"]:
+        if algo != "random":  # vol2 runs on the hubo schedule
+            variant = "hdhubo" if algo == "hdhubo" else "hubo"
+            try:
+                check_s1(variant, fields["dim"], fields["s1"], fields["delta"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
     return s2
 
 

@@ -74,8 +74,15 @@ class HypercubeSet:
 
 
 def num_cubes(t: int, cfg: HdConfig) -> int:
-    """N_t = n0 * ceil(t**lam), with a near-integer guard on the power."""
-    power = float(count("t", t, 1)) ** cfg.lam
+    """N_t = n0 * ceil(t**lam), with a near-integer guard on the power.
+
+    Raises ValueError when t**lam overflows float64, so N_t is not a count.
+    """
+    t = count("t", t, 1)
+    try:
+        power = float(t) ** cfg.lam
+    except OverflowError:
+        raise ValueError(f"N_t is not finite at t={t}, lam={cfg.lam:g}") from None
     rounded = round(power)
     if abs(power - rounded) <= _NEAR_INT_TOL:
         ceiling = int(rounded)

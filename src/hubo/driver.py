@@ -141,9 +141,9 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     """Chronological record of a run.  `error` is set when the objective
-    failed, a GP factorization broke down or beta_t was not finite and the
-    trace stops early; it names the phase and the step t.  `incomplete` is
-    derived from it."""
+    failed, a GP factorization broke down, or beta_t or the cube count was
+    not finite and the trace stops early; it names the phase and the step t.
+    `incomplete` is derived from it."""
 
     algorithm: str
     seed: int
@@ -158,17 +158,6 @@ class RunTrace:
         """Mark the trace as ended early by `phase` at step t."""
         self.error = f"{phase} failed at t={t}: {message}"
         return self
-
-    @property
-    def best_x(self) -> np.ndarray | None:
-        """The earliest point achieving the final incumbent value."""
-        if not self.records:
-            return None
-        target = self.records[-1].best_y
-        for rec in self.records:
-            if rec.best_y == target:
-                return rec.x
-        return None
 
 
 def default_n_init(dim: int) -> int:
@@ -238,8 +227,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     Each step refits the GP by MLE, updates the search region per the
     algorithm, maximizes UCB inside it, and observes f plus fresh noise.  If
     the objective raises or returns a non-finite value, the fit or the
-    maximizer's posterior raises GpFactorizationError, or beta_t is not
-    finite, the partial trace is returned with incomplete=True.
+    maximizer's posterior raises GpFactorizationError, beta_t is not finite,
+    or hdhubo's cube count N_t is not a finite count, the partial trace is
+    returned with incomplete=True.
     """
     d = obj.dim
     if cfg.expansion.dim != d:
@@ -298,10 +288,14 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             return trace.fail("beta", t, f"beta_t is {beta_t}")
         mseed = _derive_seed(cfg.seed, _STREAM_MAXIMIZER, t)
         n_cubes: int | None = None
+        if cfg.algorithm == "hdhubo":
+            try:
+                cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
+            except ValueError as exc:  # N_t is not a finite count
+                return trace.fail("cubes", t, f"ValueError: {exc}")
+            n_cubes = cube_set.n
         try:
             if cfg.algorithm == "hdhubo":
-                cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
-                n_cubes = cube_set.n
                 x, _ = maximize_over_cubes(model, data, beta_t, cube_set, cfg.maximizer, mseed)
                 if not membership(cube_set, x):
                     raise RuntimeError(

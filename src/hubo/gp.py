@@ -215,7 +215,7 @@ def _lml_from_cholesky(L: np.ndarray, resid: np.ndarray) -> float:
     """Gaussian LML of resid given the lower Cholesky factor L of its covariance."""
     v = _solve_lower(L, resid)
     return float(
-        -0.5 * v @ v - np.sum(np.log(np.diag(L))) - 0.5 * len(resid) * math.log(2.0 * math.pi)
+        -0.5 * v @ v - np.sum(np.log(L.diagonal())) - 0.5 * len(resid) * math.log(2.0 * math.pi)
     )
 
 
@@ -256,19 +256,22 @@ def _grid_lml(
     beta = 2.0 / float(v @ v)
     ls_grid, sf_grid, nv_grid = grids
     sf, nv = sf_grid[:, None], nv_grid[None, :]
-    piv = np.empty((t, len(ls_grid), len(sf_grid), len(nv_grid)))
-    b2 = np.empty((t - 1,) + piv.shape[1:])
+    diags, offs = np.empty((t, len(ls_grid))), np.empty((t - 1, len(ls_grid)))
     for k, ls in enumerate(ls_grid):
         Ku = unit_kernel(float(ls))
         w = beta * (Ku @ v)
         q = w - (0.5 * beta * float(w @ v)) * v
-        Ku -= np.outer(v, q) + np.outer(q, v)  # P Ku P, a rank-2 update
+        vq = np.outer(v, q)
+        vq += vq.T
+        Ku -= vq  # P Ku P, a rank-2 update
         # Ku is symmetric, so its transpose is the Fortran-ordered matrix itself
-        _, diag, off, _, info = dsytrd(Ku.T, lower=1, overwrite_a=1)
+        _, diags[:, k], offs[:, k], _, info = dsytrd(Ku.T, lower=1, overwrite_a=1)
         if info != 0:
             raise GpFactorizationError(f"tridiagonal reduction failed (LAPACK info {info})")
-        piv[:, k] = diag[:, None, None] * sf + nv
-        b2[:, k] = (off * off)[:, None, None] * (sf * sf)
+    piv = np.empty((t, len(ls_grid), len(sf_grid), len(nv_grid)))
+    np.add(diags[:, :, None, None] * sf, nv, out=piv)
+    b2 = np.empty((t - 1,) + piv.shape[1:])
+    np.multiply((offs * offs)[:, :, None, None], sf * sf, out=b2)  # broadcast over nv
     # piv[i] = a[i] - b2[i] / piv[i + 1], in place on rows over the whole grid
     rows, b2_rows = list(piv.reshape(t, -1)), list(b2.reshape(t - 1, -1))
     quot = np.empty(len(rows[0]))
@@ -334,10 +337,15 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
         raise GpFactorizationError("no grid point has a finite log marginal likelihood")
     params = [float(grid[i]) for grid, i in zip(grids, best)]
 
+    # Every probe is factorized in place in one Fortran-ordered buffer.  Ku is
+    # symmetric, so writing Ku.T * sf into it streams through both arrays.
+    buf = np.empty((t, t), order="F")
+    diagonal = buf.ravel(order="K")[:: t + 1]
+
     def score(Ku: np.ndarray, sf: float, nv: float) -> float:
-        K = np.multiply(Ku, sf, order="F")  # Fortran order: factorized in place
-        _add_to_diagonal(K, nv)
-        L = cholesky(K)
+        np.multiply(Ku.T, sf, out=buf)
+        np.add(diagonal, nv, out=diagonal)
+        L = cholesky(buf)
         return -math.inf if L is None else _lml_from_cholesky(L, z)
 
     # Coordinate descent around the grid winner, multiplicative steps starting

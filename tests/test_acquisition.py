@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hubo import acquisition, gp, series
 from hubo.acquisition import BetaSchedule, MaximizerConfig
@@ -308,8 +310,8 @@ def test_cube_maximizer_single_cube_equals_box_search():
         center=0.5 * (lo[0] + hi[0]), half_side=0.5 * float(hi[0][0] - lo[0][0]),
         dim=2,
     )
-    # Same seed stream as the per-cube search (spawn key 0), so values match
-    # up to the budget floors; assert agreement on the value level.
+    # One cube draws its starts from the box search's stream, but the clipped
+    # box's bounds may round differently; assert agreement on the value level.
     assert membership(cs, x_c)
     assert v_c == pytest.approx(
         ucb_at(model, data, 1.5, x_c), rel=1e-10
@@ -383,13 +385,13 @@ def test_cube_maximizer_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def reference_search_rect(predict, lo, hi, restarts, max_evals, rng, tol):
-    """The single-rectangle pattern search that the lockstep search replaced."""
+def reference_search_rect(predict, lo, hi, starts, max_evals, tol):
+    """The single-rectangle pattern search that the lockstep search replaced,
+    from the given start rows."""
     d = len(lo)
     widths = hi - lo
-    X = rng.uniform(lo, hi, size=(restarts, d))
-    n0 = min(restarts, max_evals)
-    X = X[:n0]
+    n0 = min(len(starts), max_evals)
+    X = starts[:n0].copy()
     vals = predict(X)
     used = n0
     steps = np.full(n0, 0.25)
@@ -430,6 +432,15 @@ def reference_search_rect(predict, lo, hi, restarts, max_evals, rng, tol):
     return X[winner].copy(), best_val, used
 
 
+def cube_starts(cube_set: HypercubeSet, cfg: MaximizerConfig, seed: int):
+    """Each cube's start rows: cube ci scales rows ci * r ... (ci + 1) * r - 1
+    of one uniform draw into its clipped bounds."""
+    n, r = cube_set.n, max(1, cfg.restarts // cube_set.n)
+    U = np.random.default_rng(seed).random((n * r, cube_set.parent.dim))
+    lo, hi = cube_set.clipped_bounds()
+    return [lo[ci] + (hi[ci] - lo[ci]) * U[ci * r:(ci + 1) * r] for ci in range(n)]
+
+
 def reference_maximize_over_cubes(
     predict, cube_set: HypercubeSet, cfg: MaximizerConfig, seed: int
 ):
@@ -437,14 +448,10 @@ def reference_maximize_over_cubes(
     n = cube_set.n
     lo_all, hi_all = cube_set.clipped_bounds()
     best_x, best_val = None, -math.inf
-    for ci in range(n):
-        lo, hi = lo_all[ci], hi_all[ci]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(ci,))
-        )
+    for ci, starts in enumerate(cube_starts(cube_set, cfg, seed)):
         x, val, _ = reference_search_rect(
-            predict, lo, hi, max(1, cfg.restarts // n), max(10, cfg.max_evals // n),
-            rng, acquisition._STEP_TOLERANCE,
+            predict, lo_all[ci], hi_all[ci], starts, max(10, cfg.max_evals // n),
+            acquisition._STEP_TOLERANCE,
         )
         if val > best_val:
             best_x, best_val = x, val
@@ -561,10 +568,12 @@ def test_box_maximizer_bit_equal_to_reference():
         box = SearchBox(center=rng.uniform(-0.5, 0.5, d), half_side=0.8, dim=d)
         cfg, seed = MaximizerConfig(restarts=restarts, max_evals=max_evals), int(rng.integers(1 << 30))
         x, val = acquisition.maximize_over_box(model, data, 3.0, box, cfg, seed)
+        # starts from Generator.uniform: the box search's scaled unit draw
+        # must reproduce them bit for bit
+        starts = np.random.default_rng(seed).uniform(box.lower, box.upper, (restarts, d))
         x_ref, val_ref, _ = reference_search_rect(
             acquisition._ucb_batch(PosteriorState(model, data), 3.0),
-            box.lower, box.upper, restarts, max_evals,
-            np.random.default_rng(seed), acquisition._STEP_TOLERANCE,
+            box.lower, box.upper, starts, max_evals, acquisition._STEP_TOLERANCE,
         )
         assert np.array_equal(x, x_ref)
         assert val == val_ref
@@ -583,13 +592,33 @@ def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
     n = cs.n
     lo, hi = cs.clipped_bounds()
     alone = []
-    for ci in range(n):
+    for ci, starts in enumerate(cube_starts(cs, cfg, seed)):
         one, one_sizes = counted(surface)
         reference_search_rect(
-            one, lo[ci], hi[ci], max(1, cfg.restarts // n), max(10, cfg.max_evals // n),
-            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,))),
+            one, lo[ci], hi[ci], starts, max(10, cfg.max_evals // n),
             acquisition._STEP_TOLERANCE,
         )
         alone.append(one_sizes)
     assert sum(sizes) == sum(sum(s) for s in alone)
     assert len(sizes) == max(len(s) for s in alone)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    center=st.floats(-1e300, 1e300),
+    half_side=st.floats(0.0, 1e300, exclude_min=True),
+    dim=st.integers(1, 4),
+    restarts=st.integers(1, 25),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(center=1e17, half_side=1.0, dim=3, restarts=6, seed=8)  # zero-width sides
+def test_scaled_unit_draw_equals_generator_uniform(center, half_side, dim, restarts, seed):
+    # The search's starts lo + (hi - lo) * U are Generator.uniform's own
+    # arithmetic, so the box search's starts equal uniform(lo, hi)'s.
+    centers = np.linspace(center, 0.5 * center, dim)
+    box = SearchBox(center=centers, half_side=half_side, dim=dim)
+    lo, hi = box.lower, box.upper
+    assume(np.all(np.isfinite(hi - lo)))  # uniform() rejects an infinite range
+    scaled = lo + (hi - lo) * np.random.default_rng(seed).random((restarts, dim))
+    drawn = np.random.default_rng(seed).uniform(lo, hi, (restarts, dim))
+    assert scaled.tobytes() == drawn.tobytes()

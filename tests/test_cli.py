@@ -211,6 +211,13 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
          "alpha must lie in [-1, 0), got 0.0"),
         ({"workers": "0", "benchmark": "nope"},
          f"benchmark must be one of {_NAMES}, got 'nope'"),
+        # beta_t's tail needs k * dim * s1 > delta: k = 4 for hubo and vol2, 6 for hdhubo
+        ({"benchmark": "beale", "s1": "0.01", "delta": "0.5"},
+         "s1 must be > delta / (4 * dim), got 0.01"),
+        ({"benchmark": "beale", "algorithms": "random,vol2", "s1": "0.05", "delta": "0.5"},
+         "s1 must be > delta / (4 * dim), got 0.05"),
+        ({"benchmark": "beale", "algorithms": "hdhubo", "s1": "0.04", "delta": "0.5"},
+         "s1 must be > delta / (6 * dim), got 0.04"),
     ],
 )
 def test_resolve_spec_error_message(raw, message):
@@ -719,6 +726,23 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--set", "oops"]) == 2  # not KEY=VALUE
     bad_seed = ["--set", "benchmark=beale", "--set", "seed=-1"]
     assert cli.main(["run", *bad_seed, "--set", f"out_dir={tmp_path}"]) == 2
+
+
+def test_main_s1_that_beta_rejects_is_config_error(tmp_path, capsys):
+    # rejected before any run starts, as BetaSchedule would reject it in each run
+    out_dir = tmp_path / "out"
+    tail = ["--set", "benchmark=beale", "--set", "s1=0.01", "--set", "delta=0.5"]
+    assert cli.main(["run", *tail, "--set", f"out_dir={out_dir}"]) == 2
+    assert capsys.readouterr().err == "config error: s1 must be > delta / (4 * dim), got 0.01\n"
+    assert not out_dir.exists()
+    # hdhubo's k = 6 admits it: 6 * 2 * 0.05 > 0.5 > 4 * 2 * 0.05
+    spec = resolve_spec({"benchmark": "beale", "algorithms": "hdhubo", "s1": "0.05",
+                         "delta": "0.5"})
+    assert spec.s1 == 0.05
+    # random search uses no beta_t
+    spec = resolve_spec({"benchmark": "beale", "algorithms": "random", "s1": "0.01",
+                         "delta": "0.5"})
+    assert spec.s1 == 0.01
 
 
 def test_main_non_utf8_config_file_is_config_error(tmp_path, capsys):

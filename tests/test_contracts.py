@@ -180,6 +180,16 @@ def test_infinite_beta_ends_the_run():
     assert trace.error == "beta failed at t=1: beta_t is inf"
 
 
+def test_cube_count_past_float64_ends_the_run():
+    # t**lam overflows at t = 2, so N_t is no count; t = 1 has one cube
+    sched = BetaSchedule(variant="hdhubo", delta=0.1, dim=1, l_h=0.1)
+    cfg = run_config(beta=sched, algorithm="hdhubo", hd=HdConfig(lam=1e300, n0=1, l_h=0.1))
+    trace = run(Objective(fn=sphere, dim=1), cfg)
+    assert trace.error == "cubes failed at t=2: ValueError: N_t is not finite at t=2, lam=1e+300"
+    assert [rec.t for rec in trace.records] == [0, 0, 1]
+    assert trace.records[-1].n_cubes == 1
+
+
 def test_beta_scale_that_underflows_gives_zero_beta():
     # 2 * s2 * l_h * dim * tail * t * t rounds to 0: its log is -inf
     sched = BetaSchedule(variant="hdhubo", delta=0.1, dim=1, s2=1e-300, l_h=1e-300)
@@ -276,8 +286,9 @@ def test_every_config_constructs_or_runs(data):
     if algorithm == "hdhubo":
         schedule = built(BetaSchedule, variant="hdhubo", l_h=l_h, **sched)
         # lam and n0 set the cube count n0 * ceil(t**lam), so they bound the
-        # work too: a huge lam is left out (see CHANGES.md's FOUND on lam)
-        lam = data.draw(hostile_or(st.floats(0.0, 2.0), [NAN, INF, -INF, -1.0]), "lam")
+        # work too: a lam that gives a finite but huge count is left out, and
+        # 1e300 makes t**lam overflow from t = 2
+        lam = data.draw(hostile_or(st.floats(0.0, 2.0), [NAN, INF, -INF, -1.0, 1e300]), "lam")
         hd = built(HdConfig, lam=lam, n0=data.draw(counts(1, 3), "n0"), l_h=l_h)
     else:
         alpha = data.draw(reals(-1.0, -0.01), "beta alpha")

@@ -451,21 +451,6 @@ def test_constant_objective_runs_to_completion():
     assert len(trace.records) == 3 + 5
 
 
-def test_best_x_earliest_tie():
-    trace = RunTrace(algorithm="hubo", seed=0)
-    xs = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
-    for t, (x, y) in enumerate(zip(xs, [5.0, 5.0, 4.0])):
-        trace.records.append(
-            IterationRecord(t=t, x=x, y=y, best_y=5.0, side=1.0)
-        )
-    np.testing.assert_allclose(trace.best_x, [1.0])
-
-
-def test_empty_trace_best_values():
-    trace = RunTrace(algorithm="hubo", seed=0)
-    assert trace.best_x is None
-
-
 # ---------------------------------------------------------------------------
 # run (hdhubo)
 # ---------------------------------------------------------------------------
