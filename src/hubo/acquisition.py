@@ -27,7 +27,6 @@ __all__ = [
     "BetaSchedule",
     "MaximizerConfig",
     "beta",
-    "check_s1",
     "maximize_over_box",
     "maximize_over_cubes",
 ]
@@ -37,14 +36,6 @@ _STEP_TOLERANCE = 1e-6
 
 # beta_t's tail is sqrt(log(k * dim * s1 / delta)), with k per variant.
 _TAIL_K = {"hubo": 4.0, "hdhubo": 6.0}
-
-
-def check_s1(variant: str, dim: int, s1: float, delta: float) -> None:
-    """Raise ValueError unless k * dim * s1 > delta, the condition for beta_t's
-    tail to be the root of a positive number."""
-    k = _TAIL_K[variant]
-    if not k * dim * s1 > delta:
-        raise ValueError(f"s1 must be > delta / ({k:g} * dim), got {s1}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,9 @@ class BetaSchedule:
         real("s1", self.s1, 0.0, ends="(]")
         real("s2", self.s2, 0.0, ends="(]")
         count("dim", self.dim, 1)
-        check_s1(self.variant, self.dim, self.s1, self.delta)
+        k = _TAIL_K[self.variant]  # beta_t's tail is the root of a positive number
+        if not k * self.dim * self.s1 > self.delta:
+            raise ValueError(f"s1 must be > delta / ({k:g} * dim), got {self.s1}")
         if self.variant == "hubo":  # real() rejects a missing a, b, alpha or l_h
             if not real("b", self.b) > real("a", self.a):
                 raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
@@ -194,6 +187,13 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     return X[winner].copy(), best_val, int(used.sum())
 
 
+def _maximize(model, data, beta_t, lo, hi, restarts, max_evals, seed):
+    """The best UCB point over the (K, d) rectangles [lo, hi], as (x, value)."""
+    predict = _ucb_batch(PosteriorState(model, data), beta_t)
+    x, val, _ = _search_rect(predict, lo, hi, restarts, max_evals, np.random.default_rng(seed))
+    return x, val
+
+
 def maximize_over_box(
     model: GpModel,
     data: Dataset,
@@ -203,17 +203,8 @@ def maximize_over_box(
     seed: int,
 ) -> tuple[np.ndarray, float]:
     """Best acquisition point found inside the box within cfg's budget."""
-    state = PosteriorState(model, data)
-    predict = _ucb_batch(state, beta_t)
-    x, val, _ = _search_rect(
-        predict,
-        box.lower.reshape(1, -1),
-        box.upper.reshape(1, -1),
-        cfg.restarts,
-        cfg.max_evals,
-        np.random.default_rng(seed),
-    )
-    return x, val
+    lo, hi = box.lower.reshape(1, -1), box.upper.reshape(1, -1)
+    return _maximize(model, data, beta_t, lo, hi, cfg.restarts, cfg.max_evals, seed)
 
 
 def maximize_over_cubes(
@@ -232,16 +223,7 @@ def maximize_over_cubes(
     (ci + 1) * r - 1, so its search does not depend on the other cubes'
     bounds.  Ties go to the lower cube index.
     """
-    state = PosteriorState(model, data)
-    predict = _ucb_batch(state, beta_t)
     n = cube_set.n
     lo, hi = cube_set.clipped_bounds()
-    x, val, _ = _search_rect(
-        predict,
-        lo,
-        hi,
-        max(1, cfg.restarts // n),
-        max(10, cfg.max_evals // n),
-        np.random.default_rng(seed),
-    )
-    return x, val
+    restarts, max_evals = max(1, cfg.restarts // n), max(10, cfg.max_evals // n)
+    return _maximize(model, data, beta_t, lo, hi, restarts, max_evals, seed)

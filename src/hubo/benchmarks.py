@@ -242,16 +242,19 @@ def initial_space(bench: BenchmarkFunction, fraction: float, seed: int) -> Initi
     X0's side is `fraction` times the domain side; its center is drawn so the
     whole of X0 stays inside the domain.  C_initial is concentric with ten
     times the side, clipped to the domain (which always keeps X0 inside it).
+    A fraction whose C_initial rounds to no width at the center is rejected.
     """
     real("fraction", fraction, 0.0, 1.0, "(]")
     widths = bench.upper - bench.lower
     if not np.all(widths == widths[0]):
         raise ValueError("benchmark domain must have equal per-dimension widths")
     side = fraction * float(widths[0])
-    rng = np.random.default_rng([seed, _STREAM_PLACEMENT])
+    rng = np.random.default_rng([count("seed", seed, 0), _STREAM_PLACEMENT])
     center = rng.uniform(bench.lower + 0.5 * side, bench.upper - 0.5 * side)
     c_min = np.maximum(center - 5.0 * side, bench.lower)
     c_max = np.minimum(center + 5.0 * side, bench.upper)
+    if not np.all(c_max > c_min):
+        raise ValueError(f"fraction {fraction:g} gives C_initial no width at its center")
     return InitialSpace(
         dim=bench.dim, a=0.0, b=side, x0_center=center, c_min=c_min, c_max=c_max
     )

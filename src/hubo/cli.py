@@ -12,9 +12,11 @@ list-benchmarks
     Print the shipped benchmark functions.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  The
-keys are the rows of `_CONFIG`, each with its default, parser and check, in
-the order they are resolved.  Only benchmark is required, and dim as well
-for the scalable benchmarks (ackley, levy).
+keys are the rows of `_CONFIG`, each with its default and parser, in the
+order they are resolved.  Only benchmark is required, and dim as well for
+the scalable benchmarks (ackley, levy).  A config is accepted only when
+every run it lists builds: the library's constructors own every range rule,
+and their errors are config errors.
 
 Exit codes: 0 success, 2 config error, 3 at least one run failed.
 """
@@ -34,8 +36,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .acquisition import BetaSchedule, MaximizerConfig, check_s1
+from .acquisition import BetaSchedule, MaximizerConfig
 from .benchmarks import BENCHMARK_NAMES, fixed_dim, initial_space, make_benchmark
+from .contracts import count
 from .cubes import HdConfig
 from .diagnostics import diagnostics
 from .driver import (
@@ -48,7 +51,6 @@ from .driver import (
     random_search,
     run,
 )
-from .gp import KERNEL_FAMILIES
 
 __all__ = [
     "ConfigError",
@@ -152,6 +154,10 @@ def _as_float(key: str, text: str, fields: dict | None = None) -> float:
     return value
 
 
+def _positive_int(key: str, text: str, fields: dict | None = None) -> int:
+    return count(key, _as_int(key, text), 1)
+
+
 def _lowered(key: str, text: str, fields: dict) -> str:
     return text.lower()
 
@@ -159,20 +165,20 @@ def _lowered(key: str, text: str, fields: dict) -> str:
 def _benchmark(key: str, text: str, fields: dict) -> str:
     if not text:
         raise ConfigError("benchmark is required")
-    return text.lower()
+    if (name := text.lower()) not in BENCHMARK_NAMES:
+        raise ConfigError(f"benchmark must be one of {BENCHMARK_NAMES}, got {name!r}")
+    return name
 
 
 def _dim(key: str, text: str, fields: dict) -> int:
     benchmark = fields["benchmark"]
     fixed = fixed_dim(benchmark)
     if text:
-        dim = _as_int(key, text)
+        dim = _positive_int(key, text)
     elif fixed is not None:
         dim = fixed
     else:
         raise ConfigError(f"dim is required for benchmark {benchmark!r}")
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
     if fixed is not None and dim != fixed:
         raise ConfigError(f"benchmark {benchmark!r} is {fixed}-dimensional, got dim={dim}")
     return dim
@@ -185,25 +191,9 @@ def _algorithms(key: str, text: str, fields: dict) -> tuple[str, ...]:
     for algo in algorithms:
         if algo not in CLI_ALGORITHMS:
             raise ConfigError(f"algorithms entries must be in {CLI_ALGORITHMS}, got {algo!r}")
+    if len(set(algorithms)) != len(algorithms):
+        raise ConfigError("algorithms contains duplicates")
     return algorithms
-
-
-def _l_h(key: str, text: str, fields: dict) -> float | None:
-    return _as_float(key, text) if text else None
-
-
-def _s2(key: str, text: str, fields: dict) -> float:
-    s2 = _as_float(key, text)
-    if fields["s1"] <= 0.0 or s2 <= 0.0:
-        raise ConfigError("s1 and s2 must be > 0")
-    for algo in fields["algorithms"]:
-        if algo != "random":  # vol2 runs on the hubo schedule
-            variant = "hdhubo" if algo == "hdhubo" else "hubo"
-            try:
-                check_s1(variant, fields["dim"], fields["s1"], fields["delta"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-    return s2
 
 
 def _budget(key: str, text: str, fields: dict) -> str:
@@ -214,60 +204,53 @@ def _budget(key: str, text: str, fields: dict) -> str:
         budget_T = per_dim * fields["dim"] if per_dim else int(budget)
     except ValueError as exc:
         raise ConfigError(f"budget must be 30d, 10d, or an integer, got {budget!r}") from exc
-    if budget_T < 0:
-        raise ConfigError(f"budget must be >= 0, got {budget_T}")
-    fields["budget_T"] = budget_T
+    fields["budget_T"] = count("budget", budget_T, 0)
     return budget
-
-
-def _max_evals(key: str, text: str, fields: dict) -> int:
-    max_evals, restarts = _as_int(key, text), fields["restarts"]
-    if max_evals < restarts:
-        raise ConfigError(f"max_evals ({max_evals}) must be >= restarts ({restarts})")
-    return max_evals
 
 
 def _n_init(key: str, text: str, fields: dict) -> int:
     return _as_int(key, text) if text else default_n_init(fields["dim"])
 
 
-# One row per config key, in resolution order: (key, default text, parser,
-# check on the parsed value or None, message on a failed check, with "{}"
-# for the value).  An unset key parses its default text.  A parser takes
-# (key, text, fields), fields being the ExperimentSpec fields resolved by the
-# rows above; None keeps the text as it is.
+def _out_dir(key: str, text: str, fields: dict) -> str:
+    if not text:
+        raise ConfigError("out_dir must not be empty")
+    return text
+
+
+# One row per config key, in resolution order: (key, default text, parser).
+# An unset key parses its default text.  A parser takes (key, text, fields),
+# fields being the ExperimentSpec fields resolved by the rows above.  The
+# parsers hold only the rules no library type owns; resolve_spec checks the
+# rest by building every run.
 _CONFIG = (
-    ("benchmark", "", _benchmark,
-     lambda v: v in BENCHMARK_NAMES, f"benchmark must be one of {BENCHMARK_NAMES}, got {{!r}}"),
+    ("benchmark", "", _benchmark),
     # empty: the benchmark's fixed dimension
-    ("dim", "", _dim, None, None),
+    ("dim", "", _dim),
     # a comma list
-    ("algorithms", "hubo", _algorithms,
-     lambda v: len(set(v)) == len(v), "algorithms contains duplicates"),
-    ("alpha", "-1", _as_float, lambda v: -1.0 <= v < 0.0, "alpha must lie in [-1, 0), got {}"),
-    ("lambda", "1.0", _as_float, lambda v: v >= 0.0, "lambda must be >= 0, got {}"),
-    ("n0", "1", _as_int, lambda v: v >= 1, "n0 must be >= 1, got {}"),
+    ("algorithms", "hubo", _algorithms),
+    ("alpha", "-1", _as_float),
+    ("lambda", "1.0", _as_float),
+    ("n0", "1", _as_int),
     # the absolute cube side; empty: 10% of the X0 side, resolved per run
-    ("l_h", "", _l_h, lambda v: v is None or v > 0.0, "l_h must be > 0, got {}"),
-    ("delta", "0.1", _as_float, lambda v: 0.0 < v < 1.0, "delta must lie in (0, 1), got {}"),
-    ("s1", "1.0", _as_float, None, None),
-    ("s2", "1.0", _s2, None, None),
+    ("l_h", "", lambda key, text, fields: _as_float(key, text) if text else None),
+    ("delta", "0.1", _as_float),
+    ("s1", "1.0", _as_float),
+    ("s2", "1.0", _as_float),
     # the X0 side as a fraction of the domain side
-    ("fraction", "0.2", _as_float,
-     lambda v: 0.0 < v <= 1.0, "fraction must lie in (0, 1], got {}"),
+    ("fraction", "0.2", _as_float),
     # 30d, 10d or an iteration count
-    ("budget", "30d", _budget, None, None),
-    ("repeats", "15", _as_int, lambda v: v >= 1, "repeats must be >= 1, got {}"),
-    ("seed", "0", _as_int, lambda v: v >= 0, "seed must be >= 0, got {}"),
-    ("noise_std", "0", _as_float, lambda v: v >= 0.0, "noise_std must be >= 0, got {}"),
-    ("restarts", "20", _as_int, lambda v: v >= 1, "restarts must be >= 1, got {}"),
-    ("max_evals", "1000", _max_evals, None, None),
+    ("budget", "30d", _budget),
+    ("repeats", "15", _positive_int),
+    ("seed", "0", _as_int),
+    ("noise_std", "0", _as_float),
+    ("restarts", "20", _as_int),
+    ("max_evals", "1000", _as_int),
     # empty: max(3, dim + 1)
-    ("n_init", "", _n_init, lambda v: v >= 2, "n_init must be >= 2, got {}"),
-    ("kernel", "se", _lowered,
-     lambda v: v in KERNEL_FAMILIES, "kernel must be se or matern52, got {!r}"),
-    ("workers", "1", _as_int, lambda v: v >= 1, "workers must be >= 1, got {}"),
-    ("out_dir", "results", None, bool, "out_dir must not be empty"),
+    ("n_init", "", _n_init),
+    ("kernel", "se", _lowered),
+    ("workers", "1", _positive_int),
+    ("out_dir", "results", _out_dir),
 )
 
 # Config keys whose ExperimentSpec field has another name.
@@ -275,57 +258,74 @@ _FIELD_NAMES = {"lambda": "lam"}
 
 
 def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
-    """Validate a raw key->string mapping and materialize every default."""
+    """Validate a raw key->string mapping and materialize every default.
+
+    After the table's own rules, it builds every (algorithm, repeat) run of
+    the experiment, and hdhubo's repeat 0 as well, since hdhubo reads every
+    key and its beta_t tail rule is the weakest; a field the library rejects
+    is a ConfigError with the library's message.
+    """
     known = {row[0] for row in _CONFIG}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
     fields: dict = {}
-    for key, default, parse, check, message in _CONFIG:
-        text = raw.get(key, default)
-        value = parse(key, text, fields) if parse else text
-        if check is not None and not check(value):
-            raise ConfigError(message.format(value))
-        fields[_FIELD_NAMES.get(key, key)] = value
-    return ExperimentSpec(**fields)
+    try:
+        for key, default, parse in _CONFIG:
+            fields[_FIELD_NAMES.get(key, key)] = parse(key, raw.get(key, default), fields)
+        spec = ExperimentSpec(**fields)
+        pairs = [(algo, repeat) for algo in spec.algorithms for repeat in range(spec.repeats)]
+        for algorithm, repeat in dict.fromkeys(pairs + [("hdhubo", 0)]):
+            _build(spec, algorithm, repeat)
+    except (ValueError, TypeError) as exc:
+        message = str(exc)
+        for key, name in _FIELD_NAMES.items():
+            if message.startswith(f"{name} "):
+                message = key + message[len(name):]
+        raise ConfigError(message) from None
+    return spec
 
 
-def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrace:
-    """Run one (algorithm, repeat) pair and fill regret columns."""
+def _build(spec: ExperimentSpec, algorithm: str, repeat: int) -> tuple:
+    """(objective, InitialSpace, RunConfig) of one (algorithm, repeat) pair;
+    random search has no RunConfig, so None."""
     run_seed = spec.seed + repeat
     bench = make_benchmark(spec.benchmark, spec.dim)
     obj = Objective.from_benchmark(bench, noise_std=spec.noise_std)
     ispace = initial_space(bench, spec.fraction, run_seed)
-    l_h = spec.l_h if spec.l_h is not None else 0.1 * ispace.side
-
     if algorithm == "random":
-        trace = random_search(
-            obj, ispace.c_min, ispace.c_max, spec.n_init + spec.budget_T, run_seed
-        )
+        return obj, ispace, None
+    l_h = spec.l_h if spec.l_h is not None else 0.1 * ispace.side
+    exp_cfg = ispace.to_expansion(spec.alpha)
+    sched = {"delta": spec.delta, "dim": bench.dim, "s1": spec.s1, "s2": spec.s2}
+    if algorithm == "hdhubo":
+        beta_sched = BetaSchedule(variant="hdhubo", l_h=l_h, **sched)
+        hd = HdConfig(lam=spec.lam, n0=spec.n0, l_h=l_h)
     else:
-        exp_cfg = ispace.to_expansion(spec.alpha)
-        sched = {"delta": spec.delta, "dim": bench.dim, "s1": spec.s1, "s2": spec.s2}
-        if algorithm == "hdhubo":
-            beta_sched = BetaSchedule(variant="hdhubo", l_h=l_h, **sched)
-            hd = HdConfig(lam=spec.lam, n0=spec.n0, l_h=l_h)
-        else:
-            beta_sched = BetaSchedule(
-                variant="hubo", a=exp_cfg.a, b=exp_cfg.b, alpha=spec.alpha, **sched
-            )
-            hd = None
-        cfg = RunConfig(
-            expansion=exp_cfg,
-            beta=beta_sched,
-            maximizer=MaximizerConfig(restarts=spec.restarts, max_evals=spec.max_evals),
-            budget_T=spec.budget_T,
-            n_init=spec.n_init,
-            seed=run_seed,
-            algorithm=algorithm,
-            hd=hd,
-            kernel_family=spec.kernel,
-        )
-        trace = run(obj, cfg)
+        beta_sched = BetaSchedule(variant="hubo", a=ispace.a, b=ispace.b, alpha=spec.alpha, **sched)
+        hd = None
+    cfg = RunConfig(
+        expansion=exp_cfg,
+        beta=beta_sched,
+        maximizer=MaximizerConfig(restarts=spec.restarts, max_evals=spec.max_evals),
+        budget_T=spec.budget_T,
+        n_init=spec.n_init,
+        seed=run_seed,
+        algorithm=algorithm,
+        hd=hd,
+        kernel_family=spec.kernel,
+    )
+    return obj, ispace, cfg
 
+
+def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrace:
+    """Run one (algorithm, repeat) pair and fill regret columns."""
+    obj, ispace, cfg = _build(spec, algorithm, repeat)
+    if cfg is None:
+        T = spec.n_init + spec.budget_T
+        trace = random_search(obj, ispace.c_min, ispace.c_max, T, spec.seed + repeat)
+    else:
+        trace = run(obj, cfg)
     if not trace.incomplete:
         compute_regret(trace, obj)
     return trace

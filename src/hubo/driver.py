@@ -288,27 +288,22 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             return trace.fail("beta", t, f"beta_t is {beta_t}")
         mseed = _derive_seed(cfg.seed, _STREAM_MAXIMIZER, t)
         n_cubes: int | None = None
-        if cfg.algorithm == "hdhubo":
-            try:
-                cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
-            except ValueError as exc:  # N_t is not a finite count
-                return trace.fail("cubes", t, f"ValueError: {exc}")
-            n_cubes = cube_set.n
         try:
             if cfg.algorithm == "hdhubo":
+                try:
+                    cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
+                except ValueError as exc:  # N_t is not a finite count
+                    return trace.fail("cubes", t, f"ValueError: {exc}")
+                n_cubes = cube_set.n
                 x, _ = maximize_over_cubes(model, data, beta_t, cube_set, cfg.maximizer, mseed)
-                if not membership(cube_set, x):
-                    raise RuntimeError(
-                        f"maximizer left the cube union at t={t}: {x.tolist()}"
-                    )
+                inside, region = membership(cube_set, x), "cube union"
             else:
                 x, _ = maximize_over_box(model, data, beta_t, box, cfg.maximizer, mseed)
-                if not box.contains(x):
-                    raise RuntimeError(
-                        f"maximizer left the search box at t={t}: {x.tolist()}"
-                    )
+                inside, region = box.contains(x), "search box"
         except GpFactorizationError as exc:  # from the posterior's factorization
             return trace.fail("maximize", t, f"GpFactorizationError: {exc}")
+        if not inside:
+            raise RuntimeError(f"maximizer left the {region} at t={t}: {x.tolist()}")
 
         if not observe(t, x, n_cubes):
             return trace

@@ -13,6 +13,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubo import cli, gp
 from hubo.cli import (
@@ -180,10 +182,10 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
         ({"benchmark": "beale", "l_h": "-inf"}, "l_h must be finite, got '-inf'"),
         ({"benchmark": "beale", "delta": "1"}, "delta must lie in (0, 1), got 1.0"),
         ({"benchmark": "beale", "delta": "x"}, "delta must be a number, got 'x'"),
-        ({"benchmark": "beale", "s1": "0"}, "s1 and s2 must be > 0"),
-        ({"benchmark": "beale", "s2": "-1"}, "s1 and s2 must be > 0"),
+        ({"benchmark": "beale", "s1": "0"}, "s1 must be > 0, got 0.0"),
+        ({"benchmark": "beale", "s2": "-1"}, "s2 must be > 0, got -1.0"),
         ({"benchmark": "beale", "s1": "x"}, "s1 must be a number, got 'x'"),
-        # s1's range is checked jointly with s2, after s2 parses
+        # every key parses before any run is built
         ({"benchmark": "beale", "s1": "-1", "s2": "x"}, "s2 must be a number, got 'x'"),
         ({"benchmark": "beale", "fraction": "0"}, "fraction must lie in (0, 1], got 0.0"),
         ({"benchmark": "beale", "fraction": "1.5"}, "fraction must lie in (0, 1], got 1.5"),
@@ -203,12 +205,12 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
         ({"benchmark": "beale", "max_evals": "x"}, "max_evals must be an integer, got 'x'"),
         ({"benchmark": "beale", "n_init": "1"}, "n_init must be >= 2, got 1"),
         ({"benchmark": "beale", "n_init": "x"}, "n_init must be an integer, got 'x'"),
-        ({"benchmark": "beale", "kernel": "rbf"}, "kernel must be se or matern52, got 'rbf'"),
+        ({"benchmark": "beale", "kernel": "rbf"}, "unknown kernel family 'rbf'"),
         ({"benchmark": "beale", "workers": "0"}, "workers must be >= 1, got 0"),
         ({"benchmark": "beale", "out_dir": ""}, "out_dir must not be empty"),
-        # of two bad keys, the one resolved first is reported
-        ({"benchmark": "beale", "workers": "0", "alpha": "0"},
-         "alpha must lie in [-1, 0), got 0.0"),
+        # of two bad keys, the one resolved first is reported, and the
+        # table's rules come before those a run's build checks
+        ({"benchmark": "beale", "workers": "0", "alpha": "0"}, "workers must be >= 1, got 0"),
         ({"workers": "0", "benchmark": "nope"},
          f"benchmark must be one of {_NAMES}, got 'nope'"),
         # beta_t's tail needs k * dim * s1 > delta: k = 4 for hubo and vol2, 6 for hdhubo
@@ -218,12 +220,59 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
          "s1 must be > delta / (4 * dim), got 0.05"),
         ({"benchmark": "beale", "algorithms": "hdhubo", "s1": "0.04", "delta": "0.5"},
          "s1 must be > delta / (6 * dim), got 0.04"),
+        # hdhubo's repeat 0 is built for every config, random-only ones too
+        ({"benchmark": "beale", "algorithms": "random", "s1": "0.04", "delta": "0.5"},
+         "s1 must be > delta / (6 * dim), got 0.04"),
+        ({"benchmark": "beale", "algorithms": "hubo,random", "fraction": "1e-300"},
+         "fraction 1e-300 gives C_initial no width at its center"),
+        ({"benchmark": "beale", "algorithms": "random", "lambda": "-1"},
+         "lambda must be >= 0, got -1.0"),
     ],
 )
 def test_resolve_spec_error_message(raw, message):
     with pytest.raises(ConfigError) as info:
         resolve_spec(raw)
     assert str(info.value) == message
+
+
+# Per key, text a config file may hold: valid values, values at the edge of
+# float64 and values past a library rule.  An absent key takes its default.
+HOSTILE_TEXT = {
+    "dim": ["", "1", "2", "3"],
+    "algorithms": ["hubo", "hdhubo", "vol2", "random", "hubo,random", "random,vol2",
+                   "hdhubo,random", "hubo,hdhubo,vol2,random"],
+    "alpha": ["-1", "-0.5", "-1e-300", "0"],
+    "lambda": ["0", "2", "1e300", "-1"],
+    "n0": ["1", "3", "0"],
+    "l_h": ["0.1", "1e-300", "5e-324", "1e300", "0"],
+    "delta": ["0.1", "0.5", "1e-300", "0.999"],
+    "s1": ["1", "0.05", "0.04", "0.01", "1e-300", "1e300"],
+    "s2": ["1", "1e-300", "1e300", "0"],
+    "fraction": ["0.2", "1", "1e-12", "1e-17", "1e-300", "5e-324"],
+    "budget": ["0", "2", "10d"],
+    "repeats": ["1", "3"],
+    "seed": ["0", "7", str(2**64 - 1), "-1"],
+    "noise_std": ["0", "1e-300", "1e300"],
+    "restarts": ["1", "20", "0"],
+    "max_evals": ["1", "1000"],
+    "n_init": ["2", "5", "1"],
+    "kernel": ["se", "MATERN52", "rbf"],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.fixed_dictionaries(
+    {"benchmark": st.sampled_from(["beale", "hartmann3", "ackley"])},
+    optional={key: st.sampled_from(texts) for key, texts in HOSTILE_TEXT.items()},
+))
+def test_resolve_spec_accepts_only_configs_whose_runs_build(raw):
+    try:
+        spec = resolve_spec(raw)
+    except ConfigError:
+        return
+    for algorithm in spec.algorithms:
+        for repeat in range(spec.repeats):
+            cli._build(spec, algorithm, repeat)
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +788,11 @@ def test_main_s1_that_beta_rejects_is_config_error(tmp_path, capsys):
     spec = resolve_spec({"benchmark": "beale", "algorithms": "hdhubo", "s1": "0.05",
                          "delta": "0.5"})
     assert spec.s1 == 0.05
-    # random search uses no beta_t
-    spec = resolve_spec({"benchmark": "beale", "algorithms": "random", "s1": "0.01",
+    # random search uses no beta_t, but every config is held to hdhubo's rule,
+    # the weakest of the three
+    spec = resolve_spec({"benchmark": "beale", "algorithms": "random", "s1": "0.05",
                          "delta": "0.5"})
-    assert spec.s1 == 0.01
+    assert spec.s1 == 0.05
 
 
 def test_main_non_utf8_config_file_is_config_error(tmp_path, capsys):

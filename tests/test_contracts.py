@@ -3,9 +3,11 @@
 Every library config either fails to construct, with a ValueError or
 TypeError whose message names one of its fields, or `run()` returns a trace,
 complete or incomplete.  `random_search` keeps the same contract for its
-arguments.  The explicit cases below are the holes the contract closed; the
-property test draws NaN, ±inf, huge and tiny finite values, floats in
-integer fields, negatives and zero for every field.
+arguments, and `benchmarks.initial_space` for its own: a placement it
+returns gives an `ExpansionConfig` that constructs.  The explicit cases
+below are the holes the contract closed; the property test draws NaN, ±inf,
+huge and tiny finite values, floats in integer fields, negatives and zero
+for every field.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from hypothesis import strategies as st
 
 from hubo import contracts
 from hubo.acquisition import BetaSchedule, MaximizerConfig, beta
+from hubo.benchmarks import initial_space, make_benchmark
 from hubo.cubes import HdConfig, HypercubeSet
 from hubo.driver import Objective, RunConfig, RunTrace, random_search, run
 from hubo.gp import FitConfig, GpModel, KernelSpec
 from hubo.space import ExpansionConfig, SearchBox
 
 NAN, INF = math.nan, math.inf
+BEALE = make_benchmark("beale")
 
 
 def expansion(**kw) -> ExpansionConfig:
@@ -129,10 +133,16 @@ def test_frozen_checks_finiteness_only_for_a_named_field():
                               alpha=-1.0), ValueError, "s1 must be > delta / (4 * dim), got 0.1"),
         (lambda: HypercubeSet([[0.0], [1.5]], 0.2, SearchBox([0.0], 1.0, 1)), ValueError,
          "centers must lie in the parent box"),
+        (lambda: initial_space(BEALE, 0.2, -1), ValueError, "seed must be >= 0, got -1"),
+        (lambda: initial_space(BEALE, 0.2, True), TypeError, "seed must be an integer, got True"),
+        # X0's side is 9e-300, so center +- 5 * side rounds to the center
+        (lambda: initial_space(BEALE, 1e-300, 0), ValueError,
+         "fraction 1e-300 gives C_initial no width at its center"),
     ],
     ids=["budget_T", "n_init", "seed-float", "seed-negative", "kernel_family", "restarts",
          "max_evals", "b-inf", "b-a-overflow", "c_min-inf", "Objective-dim", "n0", "half_side",
-         "side_length", "lengthscale", "noise_variance", "s1-tail", "cube-center"],
+         "side_length", "lengthscale", "noise_variance", "s1-tail", "cube-center",
+         "placement-seed-negative", "placement-seed-bool", "placement-fraction-no-width"],
 )
 def test_hostile_config_is_rejected_at_construction(build, error, message):
     with pytest.raises(error) as info:
@@ -266,6 +276,15 @@ def test_every_config_constructs_or_runs(data):
             assert names_a_field(exc, ["T", "seed", "lower", "upper"]), exc
         else:
             assert isinstance(trace, RunTrace)
+
+    # an accepted placement gives a run's geometry
+    try:
+        placed = initial_space(BEALE, data.draw(reals(0.0, 1.0), "fraction"),
+                               data.draw(counts(0, 2**40), "placement seed"))
+    except (ValueError, TypeError) as exc:
+        assert names_a_field(exc, ["fraction", "seed"]), exc
+    else:
+        placed.to_expansion(-1.0)
 
     a = data.draw(reals(-2.0, 2.0), "a")
     # b - a spans every magnitude, where a constant objective's floor model
