@@ -6,8 +6,8 @@ coordinate-wise pattern search with shrinking steps, clamped to the feasible
 rectangle, under a hard evaluation budget.  One search serves both
 maximizers: it advances K rectangles in lockstep, K clipped cubes for the
 cube union and K = 1 for the box, and costs one `predict` call per
-(coordinate, sign) per sweep whatever K is.  Everything is deterministic
-given the seed.
+(coordinate, sign) per sweep whatever K is, with its bookkeeping done once
+per sweep.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -118,8 +118,11 @@ def _ucb_batch(state: PosteriorState, beta_t: float):
     root = math.sqrt(beta_t)
 
     def predict(X: np.ndarray) -> np.ndarray:
-        means, variances = state.predict(X)
-        return means + root * np.sqrt(variances)
+        # means + root * sqrt(variances), in the buffers predict returned
+        means, sigma = state.predict(X)
+        np.sqrt(sigma, out=sigma)
+        np.multiply(sigma, root, out=sigma)
+        return np.add(means, sigma, out=means)
 
     return predict
 
@@ -140,44 +143,71 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     wins; ties go to the lowest rectangle, then to the lexicographically
     smallest point.  Returns (best point, best value, evaluations used over
     all rectangles).
+
+    Cost: the bookkeeping is per sweep.  Each sweep gathers its active
+    starts, their bounds and their step lengths once; while every
+    rectangle's budget covers all its active starts, a probe then costs a
+    copy, a clamp, the `predict` call and two masked writes.  Only the
+    probes past that point, in the sweep that reaches a budget, select their
+    rows one probe at a time.
     """
     K, d = lo.shape
     rect = np.repeat(np.arange(K), restarts)
     width = hi - lo
     X = lo[rect] + width[rect] * rng.random((K * restarts, d))
     vals = predict(X)
-    # (d, K * restarts): row i holds coordinate i's bounds for every start
-    lo_rows, hi_rows, width_rows = lo.T[:, rect], hi.T[:, rect], width.T[:, rect]
     used = np.full(K, restarts)
     steps = np.full(K * restarts, 0.25)
     active = np.ones(K * restarts, dtype=bool)
 
+    def probe(Xs, vs, i, delta, lo_i, hi_i):
+        """Move coordinate i of every row of Xs by delta, clamped to [lo_i,
+        hi_i]; keep each move that raises its row's value, in Xs and vs.
+        Returns the mask of rows moved."""
+        cand = Xs.copy()
+        col = cand[:, i]
+        np.add(col, delta, out=col)
+        np.minimum(np.maximum(col, lo_i, out=col), hi_i, out=col)
+        cvals = predict(cand)
+        better = cvals > vs
+        np.copyto(Xs[:, i], col, where=better)
+        np.copyto(vs, cvals, where=better)
+        return better
+
     while True:
         by_rect = active.reshape(K, restarts)
         n_active = by_rect.sum(axis=1)
-        if not np.any((used < max_evals) & (n_active > 0)):
+        searching = n_active > 0
+        if not np.any((used < max_evals) & searching):
             break
-        rank = (np.cumsum(by_rect, axis=1) - 1).ravel()
-        improved = np.zeros(K * restarts, dtype=bool)
-        for i in range(d):
-            for sign in (1.0, -1.0):
-                # each rectangle probes its first (budget-left) active starts
-                take = np.minimum(max_evals - used, n_active)
-                if not np.any(take):
-                    break
-                idx = np.flatnonzero(active & (rank < take[rect]))
-                cand = X[idx]
-                moved = cand[:, i] + sign * steps[idx] * width_rows[i][idx]
-                cand[:, i] = np.minimum(np.maximum(moved, lo_rows[i][idx]), hi_rows[i][idx])
-                cvals = predict(cand)
+        idx = np.flatnonzero(active)
+        # this sweep's active starts, and row i of lo_a, hi_a and step: their
+        # bounds and step lengths along coordinate i
+        Xa, va, rect_a = X[idx], vals[idx], rect[idx]
+        lo_a, hi_a = lo.T[:, rect_a], hi.T[:, rect_a]
+        step = steps[idx] * width.T[:, rect_a]
+        improved = np.zeros(len(idx), dtype=bool)
+        # every rectangle's budget covers all its active starts for the first
+        # `whole` probes; after those each rectangle probes its first
+        # (budget-left) active starts
+        whole = np.min((max_evals - used[searching]) // n_active[searching])
+        rank = (np.cumsum(by_rect, axis=1) - 1).ravel()[idx]
+        probes = ((i, delta) for i in range(d) for delta in (step, -step))
+        for j, (i, delta) in enumerate(probes):
+            if j < whole:
+                improved |= probe(Xa, va, i, delta[i], lo_a[i], hi_a[i])
+                used += n_active
+                continue
+            take = np.minimum(max_evals - used, n_active)
+            rows = np.flatnonzero(rank < take[rect_a])
+            if rows.size:
+                Xs, vs = Xa[rows], va[rows]
+                better = probe(Xs, vs, i, delta[i, rows], lo_a[i, rows], hi_a[i, rows])
+                Xa[rows], va[rows] = Xs, vs
+                improved[rows[better]] = True
                 used += take
-                better = cvals > vals[idx]
-                sel = idx[better]
-                X[sel, i] = cand[better, i]
-                vals[sel] = cvals[better]
-                improved[sel] = True
-        stalled = active & ~improved
-        steps[stalled] *= 0.5
+        X[idx], vals[idx] = Xa, va
+        steps[idx[~improved]] *= 0.5
         active &= steps >= _STEP_TOLERANCE
 
     best_val = float(np.max(vals))

@@ -133,9 +133,8 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Kernel matrix between the rows of X and of X2 (X itself when omitted)."""
     d2 = cdist(X, X if X2 is None else X2, "sqeuclidean")
-    return kernel.signal_variance * _unit_kernel_from_sqdist(
-        d2, kernel.family, kernel.lengthscale
-    )
+    K = _unit_kernel_from_sqdist(d2, kernel.family, kernel.lengthscale)
+    return np.multiply(K, kernel.signal_variance, out=K)
 
 
 def cholesky(K: np.ndarray) -> np.ndarray | None:
@@ -145,9 +144,10 @@ def cholesky(K: np.ndarray) -> np.ndarray | None:
     return L if info == 0 else None
 
 
-def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """L^-1 b, or L^-T b with trans=1, by LAPACK dtrtrs on the lower factor L."""
-    x, info = dtrtrs(L, b, lower=1, trans=trans)
+def _solve_lower(L: np.ndarray, b: np.ndarray, trans: int = 0, overwrite_b: int = 0) -> np.ndarray:
+    """L^-1 b, or L^-T b with trans=1, by LAPACK dtrtrs on the lower factor L;
+    with overwrite_b=1 a Fortran-ordered float64 b holds the result."""
+    x, info = dtrtrs(L, b, lower=1, trans=trans, overwrite_b=overwrite_b)
     if info != 0:
         raise GpFactorizationError(f"triangular solve failed (LAPACK info {info})")
     return x
@@ -191,7 +191,12 @@ class PosteriorState:
         self._weights = _solve_lower(self._L, v, trans=1)
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance at each row of X, shape (m, d)."""
+        """Posterior mean and variance at each row of X, shape (m, d).
+
+        Both are fresh arrays the caller may overwrite.  Cost: one (m, t)
+        kernel block, scaled in place, one matrix-vector product and one
+        triangular solve that overwrites the block; the variances are squared,
+        summed and clamped without another (m, t) temporary."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.data.dim:
             raise ValueError(
@@ -204,18 +209,26 @@ class PosteriorState:
                 np.full(len(X), sv),
             )
         Ks = kernel_matrix(self.model.kernel, X, self.data.points)
-        means = Ks @ self._weights + self.model.prior_mean
-        v = _solve_lower(self._L, Ks.T)
-        variances = sv - np.sum(v * v, axis=0)
+        means = Ks @ self._weights
+        means += self.model.prior_mean
+        # Ks.T is Fortran-ordered, so the solve overwrites Ks with L^-1 Ks^T
+        v = _solve_lower(self._L, Ks.T, overwrite_b=1)
+        np.multiply(v, v, out=v)
+        variances = np.add.reduce(v, axis=0)
+        np.subtract(sv, variances, out=variances)
         # roundoff can push variances a hair below zero; never return negative
-        return means, np.maximum(variances, 0.0)
+        return means, np.maximum(variances, 0.0, out=variances)
 
 
 def _lml_from_cholesky(L: np.ndarray, resid: np.ndarray) -> float:
     """Gaussian LML of resid given the lower Cholesky factor L of its covariance."""
-    v = _solve_lower(L, resid)
+    v, info = dtrtrs(L, resid, lower=1)
+    if info != 0:
+        raise GpFactorizationError(f"triangular solve failed (LAPACK info {info})")
     return float(
-        -0.5 * v @ v - np.sum(np.log(L.diagonal())) - 0.5 * len(resid) * math.log(2.0 * math.pi)
+        -0.5 * v @ v
+        - np.add.reduce(np.log(L.diagonal()))
+        - 0.5 * len(resid) * math.log(2.0 * math.pi)
     )
 
 
@@ -293,11 +306,15 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     reflector and one LAPACK dsytrd tridiagonal reduction per grid
     lengthscale, then one pivot recurrence over all 512 points.  The descent
     scores the grid winner and each probe by a Cholesky LML, once per distinct
-    point.  Cost: 8 dsytrd calls, one O(512*t) recurrence and no
-    eigendecomposition, plus one LAPACK factorization per distinct probe
-    point, at most 1 + 6*20 = 121.  Constant targets return a floor-variance
-    model; a target variance that overflows, or a fitted variance that
-    underflows to a subnormal or zero, raises GpFactorizationError.
+    point; a lengthscale probe builds its unit kernel only when the last
+    sweep neither held nor probed that lengthscale.  Cost: 8 dsytrd calls,
+    one O(512*t) recurrence and no eigendecomposition, plus per distinct
+    probe point one LAPACK factorization, one O(t^2) scaled copy and one
+    triangular solve, at most 1 + 6*20 = 121 of each, and one O(t^2) unit
+    kernel per lengthscale probe the last sweep did not build.  Constant
+    targets return a floor-variance model; a target variance that overflows,
+    or a fitted variance that underflows to a subnormal or zero, raises
+    GpFactorizationError.
     """
     t = len(data)
     if t < 2:
@@ -351,12 +368,17 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     # Coordinate descent around the grid winner, multiplicative steps starting
     # at half a grid cell (in log space) and shrinking when a sweep stalls.
     # A probe only wins on a strict gain, so every point scored so far is at
-    # most best_val: a revisit cannot win and is not scored again.
+    # most best_val: a revisit cannot win and is not scored again.  A sweep
+    # often probes a lengthscale the last one held or probed, with another
+    # (signal, noise); it takes that unit kernel from `last`, the last
+    # sweep's `kernels`.
     Ku = unit_kernel(params[0])
     best_val = score(Ku, params[1], params[2])
     scored = {tuple(params)}
     steps = [(hi / lo) ** (0.5 / (_GRID_SIZE - 1)) for lo, hi in bounds]
+    kernels: dict[float, np.ndarray] = {}
     for _ in range(_REFINE_SWEEPS):
+        last, kernels = kernels, {params[0]: Ku}
         moved = False
         for i in range(3):
             cand_best, cand_val = None, best_val
@@ -367,7 +389,11 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
                 if tuple(trial) in scored:
                     continue
                 scored.add(tuple(trial))
-                Ku_c = unit_kernel(cand) if i == 0 else Ku
+                if i == 0:
+                    Ku_c = last[cand] if cand in last else unit_kernel(cand)
+                    kernels[cand] = Ku_c
+                else:
+                    Ku_c = Ku
                 val = score(Ku_c, trial[1], trial[2])
                 if val > cand_val:
                     cand_val = val

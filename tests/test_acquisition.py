@@ -203,6 +203,54 @@ def test_ucb_never_below_posterior_mean():
         assert ucb_at(model, data, 3.0, x) >= mean_at(model, data, x) - 1e-12
 
 
+def random_states(seed: int):
+    """(state, query) pairs: the prior, SE and Matern posteriors, jittered
+    factors, one query row and many, C- and Fortran-ordered queries."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for trial in range(24):
+        d, t = int(rng.integers(1, 7)), 0 if trial == 0 else int(rng.integers(1, 40))
+        kernel = KernelSpec(
+            "se" if trial % 2 else "matern52",
+            float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 3.0)),
+        )
+        model = GpModel(kernel, float(rng.choice([0.0, 1e-6, 0.1])), float(rng.normal()))
+        X = rng.uniform(-1.0, 1.0, (t, d))
+        if trial % 5 == 0 and t > 1:
+            X[-1] = X[0]  # a duplicate point forces jitter when noiseless
+        state = PosteriorState(model, Dataset(X, rng.normal(size=t), d))
+        Xq = rng.uniform(-1.5, 1.5, (int(rng.choice([1, 2, 20, 257])), d))
+        cases.append((state, np.asfortranarray(Xq) if trial % 3 == 0 else Xq))
+    return cases
+
+
+def test_ucb_batch_is_mean_plus_root_beta_sigma_bit_for_bit():
+    # _ucb_batch works in the buffers predict returns; it must give the
+    # formula's value from a separate predict of the same rows, in every bit.
+    for k, (state, X) in enumerate(random_states(41)):
+        b = (0.0, 0.3, 4.0, 37.5)[k % 4]
+        m, v = state.predict(X)
+        expected = m + math.sqrt(b) * np.sqrt(v)
+        assert acquisition._ucb_batch(state, b)(X).tobytes() == expected.tobytes(), k
+
+
+def test_repeated_predict_leaves_query_and_posterior_unchanged():
+    # predict overwrites its own kernel block, never its query, the factor
+    # or the weights, and each call returns fresh buffers.
+    for k, (state, X) in enumerate(random_states(43)):
+        before = [a.copy() for a in (X, state._L, state._weights) if a is not None]
+        m1, v1 = state.predict(X)
+        expected = m1.tobytes(), v1.tobytes()
+        m1 += 1.0
+        v1 *= 2.0
+        for _ in range(3):
+            m2, v2 = state.predict(X)
+            acquisition._ucb_batch(state, 2.0)(X)
+            assert (m2.tobytes(), v2.tobytes()) == expected, k
+        after = [a for a in (X, state._L, state._weights) if a is not None]
+        assert [a.tobytes() for a in after] == [a.tobytes() for a in before], k
+
+
 # ---------------------------------------------------------------------------
 # MaximizerConfig
 # ---------------------------------------------------------------------------
@@ -502,6 +550,9 @@ def cube_corpus():
          MaximizerConfig(restarts=9, max_evals=200), 4),
         ("sampled as in hdhubo", sample_cubes(parent, 12, HdConfig(lam=1.0, n0=1, l_h=0.3), rng),
          MaximizerConfig(restarts=20, max_evals=1000), 6),
+        # 5 + 3 * 30 evaluations in three whole sweeps, then 2 in the fourth
+        ("budget runs out mid-sweep", HypercubeSet(np.array([[0.2, -0.1, 0.4]]), 0.8, parent),
+         MaximizerConfig(restarts=5, max_evals=97), 9),
     ]
 
 
@@ -562,7 +613,9 @@ def test_cube_maximizer_matches_reference_with_gp_surface():
 
 def test_box_maximizer_bit_equal_to_reference():
     rng = np.random.default_rng(21)
-    for d, t, restarts, max_evals in [(1, 3, 20, 1000), (2, 30, 7, 53), (6, 60, 20, 1000), (3, 10, 1, 10)]:
+    # the last case runs four whole sweeps, then its budget runs out mid-sweep
+    cases = [(1, 3, 20, 1000), (2, 30, 7, 53), (6, 60, 20, 1000), (3, 10, 1, 10), (2, 20, 5, 97)]
+    for d, t, restarts, max_evals in cases:
         model = se_model(ell=0.5, nv=1e-3)
         data = Dataset(rng.uniform(-1, 1, (t, d)), rng.normal(size=t), d)
         box = SearchBox(center=rng.uniform(-0.5, 0.5, d), half_side=0.8, dim=d)

@@ -942,6 +942,37 @@ def test_fit_factorizes_each_distinct_probe_once(monkeypatch):
     assert saved > 0
 
 
+def test_fit_reuses_lengthscale_kernels(monkeypatch):
+    # The reference descent builds a unit kernel right before each
+    # lengthscale probe it scores; fit_mle scores the first visit to each
+    # point only, so its lengthscale probes are the points first scored just
+    # after a kernel build.  Taking the last sweep's kernels, fit_mle builds
+    # fewer kernels in its descent than that.
+    real = gp._unit_kernel_from_sqdist
+    log: list = []
+
+    def logging_kernel(d2, family, ell):
+        log.append("kernel")
+        return real(d2, family, ell)
+
+    monkeypatch.setattr(gp, "_unit_kernel_from_sqdist", logging_kernel)
+    probes = built = 0
+    for name, data, side, family in fit_corpus():
+        cfg = FitConfig(side_length=side, family=family)
+        start = grid_winner(data, cfg)
+        log.clear()
+        scipy_cholesky_fit_mle(data, cfg, log, start=start)
+        seen = {log[1]}  # the grid winner, scored after its own kernel build
+        for prev, point in zip(log[1:], log[2:]):
+            if point != "kernel" and point not in seen:
+                seen.add(point)
+                probes += prev == "kernel"
+        log.clear()
+        gp.fit_mle(data, cfg)
+        built += log.count("kernel") - gp._GRID_SIZE - 1  # less the grid and the winner
+    assert 0 < built < probes, (built, probes)
+
+
 # ---------------------------------------------------------------------------
 # _grid_lml against a dense Cholesky LML at every grid point
 # ---------------------------------------------------------------------------
