@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .contracts import count, real
+from .contracts import choice, count, real
 from .cubes import HypercubeSet
 from .gp import Dataset, GpModel, PosteriorState
 from .space import SearchBox
@@ -58,8 +58,7 @@ class BetaSchedule:
     l_h: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ("hubo", "hdhubo"):
-            raise ValueError(f"unknown beta variant {self.variant!r}")
+        choice("variant", self.variant, tuple(_TAIL_K))
         real("delta", self.delta, 0.0, 1.0, "()")
         real("s1", self.s1, 0.0, ends="(]")
         real("s2", self.s2, 0.0, ends="(]")

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .contracts import count, frozen, point, real
+from .contracts import choice, count, frozen, point, real
 from .space import ExpansionConfig
 
 __all__ = [
@@ -178,21 +178,17 @@ def fixed_dim(name: str) -> int | None:
 def make_benchmark(name: str, dim: int | None = None) -> BenchmarkFunction:
     """Build a benchmark by name.
 
-    `dim` is required for the scalable functions (ackley, levy) and must
-    match the fixed dimension of the others when given.
+    The name is case-insensitive.  `dim` is required for the scalable
+    functions (ackley, levy) and must match the fixed dimension of the others
+    when given.
     """
-    name = name.lower()
-    if name not in _CATALOGUE:
-        raise ValueError(f"unknown benchmark {name!r}; choose from {BENCHMARK_NAMES}")
+    name = choice("benchmark", name.lower() if isinstance(name, str) else name, BENCHMARK_NAMES)
     fixed, (low, high), fn, optimum_value, optimum_point = _CATALOGUE[name]
-    if fixed is not None:
-        if dim is not None and dim != fixed:
-            raise ValueError(f"{name} is {fixed}-dimensional, got dim={dim}")
-        dim = fixed
-    elif dim is None:
-        raise ValueError(f"{name} needs an explicit dim")
-    else:
-        dim = count("dim", dim, 1)
+    if dim is None and fixed is None:
+        raise ValueError(f"dim is required for benchmark {name!r}")
+    dim = fixed if dim is None else count("dim", dim, 1)
+    if fixed is not None and dim != fixed:
+        raise ValueError(f"benchmark {name!r} is {fixed}-dimensional, got dim={dim}")
     return BenchmarkFunction(
         name, dim, np.full(dim, low), np.full(dim, high), fn, optimum_value,
         np.broadcast_to(optimum_point, (dim,)),

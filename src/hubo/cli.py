@@ -38,7 +38,7 @@ import numpy as np
 
 from .acquisition import BetaSchedule, MaximizerConfig
 from .benchmarks import BENCHMARK_NAMES, fixed_dim, initial_space, make_benchmark
-from .contracts import count
+from .contracts import choice, count
 from .cubes import HdConfig
 from .diagnostics import diagnostics
 from .driver import (
@@ -113,7 +113,7 @@ class ExperimentSpec:
     restarts: int
     max_evals: int
     n_init: int
-    kernel: str
+    kernel_family: str
     workers: int
     out_dir: str
 
@@ -165,23 +165,11 @@ def _lowered(key: str, text: str, fields: dict) -> str:
 def _benchmark(key: str, text: str, fields: dict) -> str:
     if not text:
         raise ConfigError("benchmark is required")
-    if (name := text.lower()) not in BENCHMARK_NAMES:
-        raise ConfigError(f"benchmark must be one of {BENCHMARK_NAMES}, got {name!r}")
-    return name
+    return choice(key, text.lower(), BENCHMARK_NAMES)
 
 
 def _dim(key: str, text: str, fields: dict) -> int:
-    benchmark = fields["benchmark"]
-    fixed = fixed_dim(benchmark)
-    if text:
-        dim = _positive_int(key, text)
-    elif fixed is not None:
-        dim = fixed
-    else:
-        raise ConfigError(f"dim is required for benchmark {benchmark!r}")
-    if fixed is not None and dim != fixed:
-        raise ConfigError(f"benchmark {benchmark!r} is {fixed}-dimensional, got dim={dim}")
-    return dim
+    return make_benchmark(fields["benchmark"], _as_int(key, text) if text else None).dim
 
 
 def _algorithms(key: str, text: str, fields: dict) -> tuple[str, ...]:
@@ -189,8 +177,7 @@ def _algorithms(key: str, text: str, fields: dict) -> tuple[str, ...]:
     if not algorithms:
         raise ConfigError("algorithms must name at least one algorithm")
     for algo in algorithms:
-        if algo not in CLI_ALGORITHMS:
-            raise ConfigError(f"algorithms entries must be in {CLI_ALGORITHMS}, got {algo!r}")
+        choice(key, algo, CLI_ALGORITHMS)
     if len(set(algorithms)) != len(algorithms):
         raise ConfigError("algorithms contains duplicates")
     return algorithms
@@ -254,7 +241,7 @@ _CONFIG = (
 )
 
 # Config keys whose ExperimentSpec field has another name.
-_FIELD_NAMES = {"lambda": "lam"}
+_FIELD_NAMES = {"lambda": "lam", "kernel": "kernel_family"}
 
 
 def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
@@ -313,7 +300,7 @@ def _build(spec: ExperimentSpec, algorithm: str, repeat: int) -> tuple:
         seed=run_seed,
         algorithm=algorithm,
         hd=hd,
-        kernel_family=spec.kernel,
+        kernel_family=spec.kernel_family,
     )
     return obj, ispace, cfg
 

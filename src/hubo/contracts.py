@@ -3,7 +3,8 @@
 Each helper returns the field in canonical form or raises an error that names
 it.  Integers must be true integers (`operator.index`), so a float, even a
 whole one, is a TypeError; reals must lie in their range and be finite;
-points must have their expected shape.
+points must have their expected shape; a named choice must be one of its
+options, exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["count", "real", "point", "frozen"]
+__all__ = ["count", "real", "point", "frozen", "choice"]
 
 
 def count(name: str, value, minimum: int) -> int:
@@ -63,14 +64,22 @@ def point(x, dim: int, name: str = "point") -> np.ndarray:
     return x
 
 
-def frozen(values, shape: tuple[int, ...] | None = None, name: str | None = None) -> np.ndarray:
+def frozen(values, shape: tuple[int, ...] | None = None, *, name: str) -> np.ndarray:
     """A read-only float64 copy of values, broadcast to shape when one is
-    given; with a field name, every entry must be finite."""
+    given; every entry must be finite."""
     arr = np.asarray(values, dtype=np.float64)
     if shape is not None:
         arr = np.broadcast_to(arr, shape)
     arr = arr.copy()
-    if name is not None and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")
     arr.setflags(write=False)
     return arr
+
+
+def choice(name: str, value, options: tuple[str, ...]) -> str:
+    """value, which must be a str in options; any other type is rejected, so
+    an array is never compared elementwise."""
+    if not isinstance(value, str) or value not in options:
+        raise ValueError(f"{name} must be one of {options}, got {value!r}")
+    return value

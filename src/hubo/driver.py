@@ -23,7 +23,7 @@ from .acquisition import (
     maximize_over_box,
     maximize_over_cubes,
 )
-from .contracts import count, frozen, real
+from .contracts import choice, count, frozen, real
 from .cubes import HdConfig, membership, sample_cubes
 from .gp import KERNEL_FAMILIES, Dataset, FitConfig, GpFactorizationError, fit_mle
 from .space import ExpansionConfig, SearchBox, expand, initial_box, translate
@@ -97,15 +97,11 @@ class RunConfig:
     kernel_family: str = "se"
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
-            )
+        choice("algorithm", self.algorithm, ALGORITHMS)
         count("budget_T", self.budget_T, 0)
         count("n_init", self.n_init, 2)
         count("seed", self.seed, 0)
-        if self.kernel_family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.kernel_family!r}")
+        choice("kernel_family", self.kernel_family, KERNEL_FAMILIES)
         if (self.hd is not None) != (self.algorithm == "hdhubo"):
             raise ValueError("hd config must be present exactly for hdhubo runs")
         expected_variant = "hdhubo" if self.algorithm == "hdhubo" else "hubo"
@@ -201,7 +197,7 @@ def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
     """
     count("T", T, 1)
     count("seed", seed, 0)
-    lower, upper = frozen(lower, (obj.dim,), "lower"), frozen(upper, (obj.dim,), "upper")
+    lower, upper = frozen(lower, (obj.dim,), name="lower"), frozen(upper, (obj.dim,), name="upper")
     if not np.all(upper >= lower):
         raise ValueError(f"need upper >= lower, got lower={lower}, upper={upper}")
     side = real("upper - lower", np.max(upper - lower))

@@ -19,7 +19,7 @@ from scipy.linalg import eigh  # noqa: F401  bench/hooks.py wraps gp.eigh
 from scipy.linalg.lapack import dpotrf, dsytrd, dtrtrs
 from scipy.spatial.distance import cdist
 
-from .contracts import count, frozen, real
+from .contracts import choice, count, frozen, real
 
 __all__ = [
     "KernelSpec",
@@ -60,10 +60,7 @@ class KernelSpec:
     signal_variance: float
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
-            )
+        choice("family", self.family, KERNEL_FAMILIES)
         for name in ("lengthscale", "signal_variance"):
             object.__setattr__(self, name, real(name, getattr(self, name), 0.0, ends="(]"))
 
@@ -222,9 +219,7 @@ class PosteriorState:
 
 def _lml_from_cholesky(L: np.ndarray, resid: np.ndarray) -> float:
     """Gaussian LML of resid given the lower Cholesky factor L of its covariance."""
-    v, info = dtrtrs(L, resid, lower=1)
-    if info != 0:
-        raise GpFactorizationError(f"triangular solve failed (LAPACK info {info})")
+    v = _solve_lower(L, resid)
     return float(
         -0.5 * v @ v
         - np.add.reduce(np.log(L.diagonal()))
@@ -242,8 +237,7 @@ class FitConfig:
     def __post_init__(self):
         side_length = real("side_length", self.side_length, 0.0, ends="(]")
         object.__setattr__(self, "side_length", side_length)
-        if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+        choice("family", self.family, KERNEL_FAMILIES)
 
 
 def _grid_lml(

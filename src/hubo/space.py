@@ -91,10 +91,10 @@ class ExpansionConfig:
         real("b - a", self.b - self.a)
 
         shape = (self.dim,)
-        c_min = frozen(self.c_min, shape, "c_min")
-        c_max = frozen(self.c_max, shape, "c_max")
+        c_min = frozen(self.c_min, shape, name="c_min")
+        c_max = frozen(self.c_max, shape, name="c_max")
         x0 = 0.5 * (self.a + self.b) if self.x0_center is None else self.x0_center
-        x0 = frozen(x0, shape, "x0_center")
+        x0 = frozen(x0, shape, name="x0_center")
         object.__setattr__(self, "c_min", c_min)
         object.__setattr__(self, "c_max", c_max)
         object.__setattr__(self, "x0_center", x0)

@@ -75,12 +75,19 @@ def test_fixed_dim_mismatch_rejected():
     "name, dim, message",
     [
         ("Rosenbrock", None,
-         "unknown benchmark 'rosenbrock'; choose from "
-         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy')"),
-        ("beale", 3, "beale is 2-dimensional, got dim=3"),
-        ("hartmann3", 2, "hartmann3 is 3-dimensional, got dim=2"),
-        ("HARTMANN6", 3, "hartmann6 is 6-dimensional, got dim=3"),
-        ("ackley", None, "ackley needs an explicit dim"),
+         "benchmark must be one of "
+         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got 'rosenbrock'"),
+        # only a str is lowercased; any other name is an unknown benchmark
+        (3, None,
+         "benchmark must be one of "
+         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got 3"),
+        (None, None,
+         "benchmark must be one of "
+         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got None"),
+        ("beale", 3, "benchmark 'beale' is 2-dimensional, got dim=3"),
+        ("hartmann3", 2, "benchmark 'hartmann3' is 3-dimensional, got dim=2"),
+        ("HARTMANN6", 3, "benchmark 'hartmann6' is 6-dimensional, got dim=3"),
+        ("ackley", None, "dim is required for benchmark 'ackley'"),
         ("levy", 0, "dim must be >= 1, got 0"),
     ],
 )
@@ -88,6 +95,13 @@ def test_make_benchmark_error_messages(name, dim, message):
     with pytest.raises(ValueError) as info:
         make_benchmark(name, dim)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["beale", "ackley"])
+def test_make_benchmark_takes_only_an_integer_dim(name):
+    with pytest.raises(TypeError) as info:
+        make_benchmark(name, 2.0)
+    assert str(info.value) == "dim must be an integer, got 2.0"
 
 
 def test_fixed_dim_is_the_built_dimension():

@@ -92,7 +92,7 @@ def test_resolve_spec_materializes_defaults():
     assert spec.repeats == 15
     assert spec.n_init == 3  # max(3, d+1) with d=2
     assert spec.l_h is None  # resolved per-run from the initial side
-    assert spec.kernel == "se"
+    assert spec.kernel_family == "se"
     assert spec.workers == 1
 
 
@@ -166,10 +166,10 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
         ({"benchmark": "beale", "algorithms": " , "},
          "algorithms must name at least one algorithm"),
         ({"benchmark": "beale", "algorithms": "hubo,sgd"},
-         f"algorithms entries must be in {_ALGOS}, got 'sgd'"),
+         f"algorithms must be one of {_ALGOS}, got 'sgd'"),
         ({"benchmark": "beale", "algorithms": "hubo,hubo"}, "algorithms contains duplicates"),
         ({"benchmark": "beale", "algorithms": "hubo,hubo,sgd"},
-         f"algorithms entries must be in {_ALGOS}, got 'sgd'"),
+         f"algorithms must be one of {_ALGOS}, got 'sgd'"),
         ({"benchmark": "beale", "alpha": "x"}, "alpha must be a number, got 'x'"),
         ({"benchmark": "beale", "alpha": "nan"}, "alpha must be finite, got 'nan'"),
         ({"benchmark": "beale", "alpha": "0"}, "alpha must lie in [-1, 0), got 0.0"),
@@ -205,7 +205,8 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
         ({"benchmark": "beale", "max_evals": "x"}, "max_evals must be an integer, got 'x'"),
         ({"benchmark": "beale", "n_init": "1"}, "n_init must be >= 2, got 1"),
         ({"benchmark": "beale", "n_init": "x"}, "n_init must be an integer, got 'x'"),
-        ({"benchmark": "beale", "kernel": "rbf"}, "unknown kernel family 'rbf'"),
+        ({"benchmark": "beale", "kernel": "rbf"},
+         "kernel must be one of ('se', 'matern52'), got 'rbf'"),
         ({"benchmark": "beale", "workers": "0"}, "workers must be >= 1, got 0"),
         ({"benchmark": "beale", "out_dir": ""}, "out_dir must not be empty"),
         # of two bad keys, the one resolved first is reported, and the
@@ -314,11 +315,13 @@ def test_manifest_echoes_full_config(experiment):
     assert on_disk == manifest
     cfg = manifest["config"]
     names = {f.name for f in fields(spec)}
-    assert set(cfg) == names - {"lam"} | {"lambda"}
+    # config keys, not spec field names: lambda for lam, kernel for kernel_family
+    assert set(cfg) == names - set(cli._FIELD_NAMES.values()) | set(cli._FIELD_NAMES)
     assert cfg["algorithms"] == ["hubo", "random"]
     # every knob materialized, including ones left at defaults
     assert cfg["benchmark"] == "beale"
     assert cfg["lambda"] == 1.0
+    assert cfg["kernel"] == "se"
     assert cfg["s1"] == 1.0
     assert cfg["delta"] == 0.1
     assert cfg["budget_T"] == 3

@@ -7,7 +7,8 @@ arguments, and `benchmarks.initial_space` for its own: a placement it
 returns gives an `ExpansionConfig` that constructs.  The explicit cases
 below are the holes the contract closed; the property test draws NaN, ±inf,
 huge and tiny finite values, floats in integer fields, negatives and zero
-for every field.
+for every field, and None, a number, an unknown name and an upper-cased one
+for every named choice.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from hypothesis import strategies as st
 
 from hubo import contracts
 from hubo.acquisition import BetaSchedule, MaximizerConfig, beta
-from hubo.benchmarks import initial_space, make_benchmark
+from hubo.benchmarks import BENCHMARK_NAMES, initial_space, make_benchmark
 from hubo.cubes import HdConfig, HypercubeSet
-from hubo.driver import Objective, RunConfig, RunTrace, random_search, run
-from hubo.gp import FitConfig, GpModel, KernelSpec
+from hubo.driver import ALGORITHMS, Objective, RunConfig, RunTrace, random_search, run
+from hubo.gp import KERNEL_FAMILIES, FitConfig, GpModel, KernelSpec
 from hubo.space import ExpansionConfig, SearchBox
 
 NAN, INF = math.nan, math.inf
@@ -92,9 +93,19 @@ def test_real_checks_the_range_then_finiteness(args, message):
 
 
 def test_frozen_checks_finiteness_only_for_a_named_field():
-    assert np.isnan(contracts.frozen([NAN, 1.0])[0])
     with pytest.raises(ValueError, match=re.escape("c_min must be finite, got [nan  1.]")):
         contracts.frozen([NAN, 1.0], name="c_min")
+
+
+@pytest.mark.parametrize("value", [None, 3, "bogus", "SE", ["se"], np.array(["se", "se"])])
+def test_choice_takes_only_an_option(value):
+    with pytest.raises(ValueError) as info:
+        contracts.choice("kernel_family", value, ("se", "matern52"))
+    assert str(info.value) == f"kernel_family must be one of ('se', 'matern52'), got {value!r}"
+
+
+def test_choice_returns_the_option():
+    assert contracts.choice("kernel_family", "matern52", ("se", "matern52")) == "matern52"
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +120,8 @@ def test_frozen_checks_finiteness_only_for_a_named_field():
         (lambda: run_config(n_init=2.5), TypeError, "n_init must be an integer, got 2.5"),
         (lambda: run_config(seed=1.5), TypeError, "seed must be an integer, got 1.5"),
         (lambda: run_config(seed=-1), ValueError, "seed must be >= 0, got -1"),
-        (lambda: run_config(kernel_family="bogus"), ValueError, "unknown kernel family 'bogus'"),
+        (lambda: run_config(kernel_family="bogus"), ValueError,
+         "kernel_family must be one of ('se', 'matern52'), got 'bogus'"),
         (lambda: MaximizerConfig(restarts=2.5, max_evals=40), TypeError,
          "restarts must be an integer, got 2.5"),
         (lambda: MaximizerConfig(restarts=4, max_evals=INF), TypeError,
@@ -238,11 +250,15 @@ def counts(low: int, high: int):
     return hostile_or(st.integers(low, high), HOSTILE_COUNTS)
 
 
+def names(valid):
+    """A valid name, or a hostile one: None, a number, an unknown name or a
+    valid name upper-cased."""
+    return hostile_or(st.sampled_from(valid), [None, 3, "bogus", *(v.upper() for v in valid)])
+
+
 def names_a_field(exc: Exception, names) -> bool:
-    """Whether the message names one of the fields, "kernel_family" as
-    either itself or "kernel family"."""
-    words = {w for n in names for w in (n, n.replace("_", " "))}
-    return any(re.search(rf"\b{re.escape(w)}\b", str(exc)) for w in words)
+    """Whether the message names one of the fields."""
+    return any(re.search(rf"\b{re.escape(n)}\b", str(exc)) for n in names)
 
 
 def built(cls, **fields):
@@ -277,14 +293,26 @@ def test_every_config_constructs_or_runs(data):
         else:
             assert isinstance(trace, RunTrace)
 
-    # an accepted placement gives a run's geometry
+    # an accepted benchmark and placement give a run's geometry
     try:
-        placed = initial_space(BEALE, data.draw(reals(0.0, 1.0), "fraction"),
+        bench = make_benchmark(data.draw(names(BENCHMARK_NAMES), "benchmark"),
+                               data.draw(st.none() | counts(1, 6), "benchmark dim"))
+    except (ValueError, TypeError) as exc:
+        assert names_a_field(exc, ["benchmark", "dim"]), exc
+        bench = BEALE
+    try:
+        placed = initial_space(bench, data.draw(reals(0.0, 1.0), "fraction"),
                                data.draw(counts(0, 2**40), "placement seed"))
     except (ValueError, TypeError) as exc:
         assert names_a_field(exc, ["fraction", "seed"]), exc
     else:
         placed.to_expansion(-1.0)
+
+    # the GP's own configs, which run() builds from kernel_family
+    family = data.draw(names(KERNEL_FAMILIES), "family")
+    built(FitConfig, side_length=data.draw(reals(0.0, 5.0), "side_length"), family=family)
+    built(KernelSpec, family=family, lengthscale=data.draw(reals(0.0, 5.0), "lengthscale"),
+          signal_variance=data.draw(reals(0.0, 5.0), "signal_variance"))
 
     a = data.draw(reals(-2.0, 2.0), "a")
     # b - a spans every magnitude, where a constant objective's floor model
@@ -297,13 +325,15 @@ def test_every_config_constructs_or_runs(data):
         c_min=a - pad, c_max=b + pad, dim=dim,
         x0_center=data.draw(hostile_or(st.none(), HOSTILE_REALS), "x0_center"),
     )
-    algorithm = data.draw(st.sampled_from(["hubo", "hdhubo", "vol2"]), "algorithm")
+    algorithm = data.draw(names(ALGORITHMS), "algorithm")
     l_h = data.draw(reals(0.01, 2.0), "l_h")
     sched = dict(delta=data.draw(reals(0.0, 1.0), "delta"), dim=dim,
-                 s1=data.draw(reals(0.5, 3.0), "s1"), s2=data.draw(reals(0.0, 3.0), "s2"))
+                 s1=data.draw(reals(0.5, 3.0), "s1"), s2=data.draw(reals(0.0, 3.0), "s2"),
+                 variant=data.draw(names(["hdhubo" if algorithm == "hdhubo" else "hubo"]),
+                                   "variant"))
     hd = None
     if algorithm == "hdhubo":
-        schedule = built(BetaSchedule, variant="hdhubo", l_h=l_h, **sched)
+        schedule = built(BetaSchedule, l_h=l_h, **sched)
         # lam and n0 set the cube count n0 * ceil(t**lam), so they bound the
         # work too: a lam that gives a finite but huge count is left out, and
         # 1e300 makes t**lam overflow from t = 2
@@ -311,7 +341,7 @@ def test_every_config_constructs_or_runs(data):
         hd = built(HdConfig, lam=lam, n0=data.draw(counts(1, 3), "n0"), l_h=l_h)
     else:
         alpha = data.draw(reals(-1.0, -0.01), "beta alpha")
-        schedule = built(BetaSchedule, variant="hubo", a=a, b=b, alpha=alpha, **sched)
+        schedule = built(BetaSchedule, a=a, b=b, alpha=alpha, **sched)
     maximizer = built(MaximizerConfig, restarts=data.draw(counts(1, 5), "restarts"),
                       max_evals=data.draw(counts(1, 50), "max_evals"))
     if None in (exp, schedule, maximizer) or (algorithm == "hdhubo" and hd is None):
@@ -320,7 +350,7 @@ def test_every_config_constructs_or_runs(data):
         RunConfig, expansion=exp, beta=schedule, maximizer=maximizer,
         budget_T=data.draw(counts(1, 3), "budget_T"), n_init=data.draw(counts(2, 4), "n_init"),
         seed=data.draw(counts(0, 2**40), "seed"), algorithm=algorithm, hd=hd,
-        kernel_family=data.draw(hostile_or(st.sampled_from(["se", "matern52"]), ["bogus"])),
+        kernel_family=data.draw(names(KERNEL_FAMILIES), "kernel_family"),
     )
     if obj is not None and cfg is not None:
         assert isinstance(run(obj, cfg), RunTrace)
