@@ -176,13 +176,12 @@ def fixed_dim(name: str) -> int | None:
 
 
 def make_benchmark(name: str, dim: int | None = None) -> BenchmarkFunction:
-    """Build a benchmark by name.
+    """Build a benchmark by name, one of BENCHMARK_NAMES exactly.
 
-    The name is case-insensitive.  `dim` is required for the scalable
-    functions (ackley, levy) and must match the fixed dimension of the others
-    when given.
+    `dim` is required for the scalable functions (ackley, levy) and must
+    match the fixed dimension of the others when given.
     """
-    name = choice("benchmark", name.lower() if isinstance(name, str) else name, BENCHMARK_NAMES)
+    name = choice("benchmark", name, BENCHMARK_NAMES)
     fixed, (low, high), fn, optimum_value, optimum_point = _CATALOGUE[name]
     if dim is None and fixed is None:
         raise ValueError(f"dim is required for benchmark {name!r}")

@@ -16,7 +16,8 @@ keys are the rows of `_CONFIG`, each with its default and parser, in the
 order they are resolved.  Only benchmark is required, and dim as well for
 the scalable benchmarks (ackley, levy).  A config is accepted only when
 every run it lists builds: the library's constructors own every range rule,
-and their errors are config errors.
+and their errors are config errors.  Benchmark, kernel and algorithm names
+may be written in any case; the library matches the lowercased names.
 
 Exit codes: 0 success, 2 config error, 3 at least one run failed.
 """
@@ -158,14 +159,16 @@ def _positive_int(key: str, text: str, fields: dict | None = None) -> int:
     return count(key, _as_int(key, text), 1)
 
 
-def _lowered(key: str, text: str, fields: dict) -> str:
-    return text.lower()
+def _lowered(parse):
+    """parse, given the text lowercased: config text may name a benchmark,
+    kernel or algorithm in any case, and the library matches names exactly."""
+    return lambda key, text, fields: parse(key, text.lower(), fields)
 
 
 def _benchmark(key: str, text: str, fields: dict) -> str:
     if not text:
         raise ConfigError("benchmark is required")
-    return choice(key, text.lower(), BENCHMARK_NAMES)
+    return choice(key, text, BENCHMARK_NAMES)
 
 
 def _dim(key: str, text: str, fields: dict) -> int:
@@ -211,11 +214,11 @@ def _out_dir(key: str, text: str, fields: dict) -> str:
 # parsers hold only the rules no library type owns; resolve_spec checks the
 # rest by building every run.
 _CONFIG = (
-    ("benchmark", "", _benchmark),
+    ("benchmark", "", _lowered(_benchmark)),
     # empty: the benchmark's fixed dimension
     ("dim", "", _dim),
     # a comma list
-    ("algorithms", "hubo", _algorithms),
+    ("algorithms", "hubo", _lowered(_algorithms)),
     ("alpha", "-1", _as_float),
     ("lambda", "1.0", _as_float),
     ("n0", "1", _as_int),
@@ -235,7 +238,7 @@ _CONFIG = (
     ("max_evals", "1000", _as_int),
     # empty: max(3, dim + 1)
     ("n_init", "", _n_init),
-    ("kernel", "se", _lowered),
+    ("kernel", "se", _lowered(lambda key, text, fields: text)),
     ("workers", "1", _positive_int),
     ("out_dir", "results", _out_dir),
 )

@@ -24,12 +24,13 @@ from .acquisition import (
     maximize_over_cubes,
 )
 from .contracts import choice, count, frozen, real
-from .cubes import HdConfig, membership, sample_cubes
+from .cubes import HdConfig, membership, num_cubes, sample_cubes
 from .gp import KERNEL_FAMILIES, Dataset, FitConfig, GpFactorizationError, fit_mle
 from .space import ExpansionConfig, SearchBox, expand, initial_box, translate
 
 __all__ = [
     "ALGORITHMS",
+    "MAX_CUBE_VALUES",
     "Objective",
     "RunConfig",
     "IterationRecord",
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 ALGORITHMS = ("hubo", "hdhubo", "vol2")
+
+# The most cube-center values, N_T * dim, an hdhubo run may draw in one step:
+# 2**24 float64 values, 128 MiB.  N_t grows with t, so N_T bounds every step.
+MAX_CUBE_VALUES = 2**24
 
 # Per-run RNG stream labels; each stream is seeded as [run_seed, label, ...]
 # so the streams never collide and adding draws to one cannot shift another.
@@ -114,6 +119,16 @@ class RunConfig:
             raise ValueError("beta schedule and expansion disagree on dim")
         if self.hd is not None and self.beta.l_h != self.hd.l_h:
             raise ValueError("beta schedule and hd config disagree on l_h")
+        if self.hd is not None and self.budget_T >= 1:
+            try:
+                values = num_cubes(self.budget_T, self.hd) * self.expansion.dim
+            except ValueError:  # T**lam overflows float64
+                values = math.inf
+            if values > MAX_CUBE_VALUES:
+                raise ValueError(
+                    f"lam must keep N_T * dim <= {MAX_CUBE_VALUES} "
+                    f"at budget_T={self.budget_T}, got {self.hd.lam}"
+                )
 
 
 @dataclass
@@ -137,9 +152,9 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     """Chronological record of a run.  `error` is set when the objective
-    failed, a GP factorization broke down, or beta_t or the cube count was
-    not finite and the trace stops early; it names the phase and the step t.
-    `incomplete` is derived from it."""
+    failed, a GP factorization broke down, or beta_t was not finite and the
+    trace stops early; it names the phase and the step t.  `incomplete` is
+    derived from it."""
 
     algorithm: str
     seed: int
@@ -223,9 +238,8 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
     Each step refits the GP by MLE, updates the search region per the
     algorithm, maximizes UCB inside it, and observes f plus fresh noise.  If
     the objective raises or returns a non-finite value, the fit or the
-    maximizer's posterior raises GpFactorizationError, beta_t is not finite,
-    or hdhubo's cube count N_t is not a finite count, the partial trace is
-    returned with incomplete=True.
+    maximizer's posterior raises GpFactorizationError, or beta_t is not
+    finite, the partial trace is returned with incomplete=True.
     """
     d = obj.dim
     if cfg.expansion.dim != d:
@@ -286,10 +300,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         n_cubes: int | None = None
         try:
             if cfg.algorithm == "hdhubo":
-                try:
-                    cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
-                except ValueError as exc:  # N_t is not a finite count
-                    return trace.fail("cubes", t, f"ValueError: {exc}")
+                cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
                 n_cubes = cube_set.n
                 x, _ = maximize_over_cubes(model, data, beta_t, cube_set, cfg.maximizer, mseed)
                 inside, region = membership(cube_set, x), "cube union"

@@ -262,7 +262,6 @@ def _grid_lml(
     v[0] += math.copysign(math.sqrt(zz), z[0])
     beta = 2.0 / float(v @ v)
     ls_grid, sf_grid, nv_grid = grids
-    sf, nv = sf_grid[:, None], nv_grid[None, :]
     diags, offs = np.empty((t, len(ls_grid))), np.empty((t - 1, len(ls_grid)))
     for k, ls in enumerate(ls_grid):
         Ku = unit_kernel(float(ls))
@@ -275,18 +274,20 @@ def _grid_lml(
         _, diags[:, k], offs[:, k], _, info = dsytrd(Ku.T, lower=1, overwrite_a=1)
         if info != 0:
             raise GpFactorizationError(f"tridiagonal reduction failed (LAPACK info {info})")
-    piv = np.empty((t, len(ls_grid), len(sf_grid), len(nv_grid)))
-    np.add(diags[:, :, None, None] * sf, nv, out=piv)
-    b2 = np.empty((t - 1,) + piv.shape[1:])
-    np.multiply((offs * offs)[:, :, None, None], sf * sf, out=b2)  # broadcast over nv
+    piv = np.multiply.outer(diags, sf_grid)[..., None] + nv_grid
+    n_ls_sf = len(ls_grid) * len(sf_grid)
+    # b2 does not depend on nv: one column per (ls, sf), broadcast over nv rows
+    b2 = np.multiply.outer(offs * offs, sf_grid * sf_grid).reshape(t - 1, n_ls_sf, 1)
     # piv[i] = a[i] - b2[i] / piv[i + 1], in place on rows over the whole grid
-    rows, b2_rows = list(piv.reshape(t, -1)), list(b2.reshape(t - 1, -1))
-    quot = np.empty(len(rows[0]))
+    rows = list(piv.reshape(t, n_ls_sf, len(nv_grid)))
+    quot = np.empty(rows[0].shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(t - 2, -1, -1):
-            np.subtract(rows[i], np.divide(b2_rows[i], rows[i + 1], out=quot), out=rows[i])
-        scores = -0.5 * zz / piv[0] - 0.5 * np.sum(np.log(piv), axis=0)
-    scores[~np.all(piv > 0.0, axis=0)] = -math.inf  # also catches NaN pivots
+            np.subtract(rows[i], np.divide(b2[i], rows[i + 1], out=quot), out=rows[i])
+        positive = np.all(piv > 0.0, axis=0)  # also False for NaN pivots
+        scores = -0.5 * zz / piv[0]
+        scores -= 0.5 * np.sum(np.log(piv, out=piv), axis=0)
+    scores[~positive] = -math.inf
     return scores
 
 

@@ -76,8 +76,11 @@ def test_fixed_dim_mismatch_rejected():
     [
         ("Rosenbrock", None,
          "benchmark must be one of "
-         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got 'rosenbrock'"),
-        # only a str is lowercased; any other name is an unknown benchmark
+         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got 'Rosenbrock'"),
+        # names match exactly: only `hubo run` folds the case of config text
+        ("Beale", None,
+         "benchmark must be one of "
+         "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got 'Beale'"),
         (3, None,
          "benchmark must be one of "
          "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got 3"),
@@ -86,7 +89,7 @@ def test_fixed_dim_mismatch_rejected():
          "('beale', 'hartmann3', 'hartmann6', 'ackley', 'levy'), got None"),
         ("beale", 3, "benchmark 'beale' is 2-dimensional, got dim=3"),
         ("hartmann3", 2, "benchmark 'hartmann3' is 3-dimensional, got dim=2"),
-        ("HARTMANN6", 3, "benchmark 'hartmann6' is 6-dimensional, got dim=3"),
+        ("hartmann6", 3, "benchmark 'hartmann6' is 6-dimensional, got dim=3"),
         ("ackley", None, "dim is required for benchmark 'ackley'"),
         ("levy", 0, "dim must be >= 1, got 0"),
     ],

@@ -228,6 +228,15 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
          "fraction 1e-300 gives C_initial no width at its center"),
         ({"benchmark": "beale", "algorithms": "random", "lambda": "-1"},
          "lambda must be >= 0, got -1.0"),
+        # hdhubo's cube count N_T = n0 * ceil(T**lambda) is capped at
+        # MAX_CUBE_VALUES / dim, also when T**lambda overflows float64
+        ({"benchmark": "beale", "lambda": "40"},
+         "lambda must keep N_T * dim <= 16777216 at budget_T=60, got 40.0"),
+        ({"benchmark": "beale", "algorithms": "random", "lambda": "1e300"},
+         "lambda must keep N_T * dim <= 16777216 at budget_T=60, got 1e+300"),
+        # at the defaults N_T * dim = 30 * dim**2 first passes the cap at dim 748
+        ({"benchmark": "ackley", "dim": "748"},
+         "lambda must keep N_T * dim <= 16777216 at budget_T=22440, got 1.0"),
     ],
 )
 def test_resolve_spec_error_message(raw, message):
@@ -241,9 +250,9 @@ def test_resolve_spec_error_message(raw, message):
 HOSTILE_TEXT = {
     "dim": ["", "1", "2", "3"],
     "algorithms": ["hubo", "hdhubo", "vol2", "random", "hubo,random", "random,vol2",
-                   "hdhubo,random", "hubo,hdhubo,vol2,random"],
+                   "hdhubo,random", "hubo,hdhubo,vol2,random", "HUBO,Random"],
     "alpha": ["-1", "-0.5", "-1e-300", "0"],
-    "lambda": ["0", "2", "1e300", "-1"],
+    "lambda": ["0", "2", "40", "1e300", "-1"],
     "n0": ["1", "3", "0"],
     "l_h": ["0.1", "1e-300", "5e-324", "1e300", "0"],
     "delta": ["0.1", "0.5", "1e-300", "0.999"],
@@ -796,6 +805,25 @@ def test_main_s1_that_beta_rejects_is_config_error(tmp_path, capsys):
     spec = resolve_spec({"benchmark": "beale", "algorithms": "random", "s1": "0.05",
                          "delta": "0.5"})
     assert spec.s1 == 0.05
+
+
+def test_main_folds_the_case_of_every_name(tmp_path):
+    # config text names benchmarks, kernels and algorithms in any case; the
+    # spec, the manifest and the file names hold the library's names
+    out_dir = tmp_path / "out"
+    code = cli.main([
+        "run", "--set", "benchmark=BEALE", "--set", "kernel=SE",
+        "--set", "algorithms=HUBO,Random", "--set", "budget=1", "--set", "repeats=1",
+        "--set", f"out_dir={out_dir}",
+    ])
+    assert code == 0
+    with open(out_dir / "manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    config = manifest["config"]
+    assert (config["benchmark"], config["kernel"], config["algorithms"]) == (
+        "beale", "se", ["hubo", "random"]
+    )
+    assert [run["file"] for run in manifest["runs"]] == ["hubo_r000.csv", "random_r000.csv"]
 
 
 def test_main_non_utf8_config_file_is_config_error(tmp_path, capsys):

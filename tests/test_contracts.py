@@ -7,8 +7,8 @@ arguments, and `benchmarks.initial_space` for its own: a placement it
 returns gives an `ExpansionConfig` that constructs.  The explicit cases
 below are the holes the contract closed; the property test draws NaN, ±inf,
 huge and tiny finite values, floats in integer fields, negatives and zero
-for every field, and None, a number, an unknown name and an upper-cased one
-for every named choice.
+for every field, None, a number, an unknown name and an upper-cased one
+for every named choice, and a cube-schedule lam past the cube-count cap.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from hubo import contracts
 from hubo.acquisition import BetaSchedule, MaximizerConfig, beta
 from hubo.benchmarks import BENCHMARK_NAMES, initial_space, make_benchmark
 from hubo.cubes import HdConfig, HypercubeSet
-from hubo.driver import ALGORITHMS, Objective, RunConfig, RunTrace, random_search, run
+from hubo.driver import (
+    ALGORITHMS, MAX_CUBE_VALUES, Objective, RunConfig, RunTrace, random_search, run,
+)
 from hubo.gp import KERNEL_FAMILIES, FitConfig, GpModel, KernelSpec
 from hubo.space import ExpansionConfig, SearchBox
 
@@ -202,14 +204,42 @@ def test_infinite_beta_ends_the_run():
     assert trace.error == "beta failed at t=1: beta_t is inf"
 
 
-def test_cube_count_past_float64_ends_the_run():
-    # t**lam overflows at t = 2, so N_t is no count; t = 1 has one cube
-    sched = BetaSchedule(variant="hdhubo", delta=0.1, dim=1, l_h=0.1)
-    cfg = run_config(beta=sched, algorithm="hdhubo", hd=HdConfig(lam=1e300, n0=1, l_h=0.1))
-    trace = run(Objective(fn=sphere, dim=1), cfg)
-    assert trace.error == "cubes failed at t=2: ValueError: N_t is not finite at t=2, lam=1e+300"
-    assert [rec.t for rec in trace.records] == [0, 0, 1]
-    assert trace.records[-1].n_cubes == 1
+def hdhubo_config(lam: float, n0: int = 1, budget_T: int = 2, dim: int = 1) -> RunConfig:
+    return run_config(
+        expansion=expansion(dim=dim), budget_T=budget_T, algorithm="hdhubo",
+        beta=BetaSchedule(variant="hdhubo", delta=0.1, dim=dim, l_h=0.1),
+        hd=HdConfig(lam=lam, n0=n0, l_h=0.1),
+    )
+
+
+@pytest.mark.parametrize("lam", [1e300, 40.0], ids=["overflow", "past-the-cap"])
+def test_cube_count_past_the_cap_is_rejected_at_construction(lam):
+    # 2**1e300 overflows float64, and 2**40 cubes are finite but far past
+    # MAX_CUBE_VALUES; either way the run is refused before it starts
+    with pytest.raises(ValueError) as info:
+        hdhubo_config(lam)
+    assert str(info.value) == f"lam must keep N_T * dim <= 16777216 at budget_T=2, got {lam}"
+    # t = 1 has one cube whatever lam is, and budget_T = 0 draws none
+    assert hdhubo_config(lam, budget_T=1).hd.lam == lam
+    assert hdhubo_config(lam, budget_T=0).hd.lam == lam
+
+
+@pytest.mark.parametrize(
+    "fields, one_more",
+    [
+        (dict(lam=0.0, n0=MAX_CUBE_VALUES, budget_T=5), dict(n0=MAX_CUBE_VALUES + 1)),
+        (dict(lam=1.0, budget_T=MAX_CUBE_VALUES // 2, dim=2),
+         dict(budget_T=MAX_CUBE_VALUES // 2 + 1)),
+        # sqrt(2**48 + 1) is 2**24 + 3e-8, which the ceiling makes one cube more
+        (dict(lam=0.5, budget_T=2**48), dict(budget_T=2**48 + 1)),
+    ],
+    ids=["n0", "budget_T", "ceiling"],
+)
+def test_cube_count_cap_admits_exactly_max_cube_values(fields, one_more):
+    # N_T * dim == MAX_CUBE_VALUES builds; one cube more does not
+    assert hdhubo_config(**fields).hd.lam == fields["lam"]
+    with pytest.raises(ValueError, match=r"^lam must keep N_T \* dim <= 16777216 at budget_T="):
+        hdhubo_config(**{**fields, **one_more})
 
 
 def test_beta_scale_that_underflows_gives_zero_beta():
@@ -231,6 +261,8 @@ def test_beta_scale_that_underflows_gives_zero_beta():
 # Values outside any sensible range; the magnitudes are not capped.
 HOSTILE_REALS = [NAN, INF, -INF, 1e300, -1e300, 1e308, 1e-300, 0.0, -1.0]
 HOSTILE_COUNTS = [-1, 0, 1.0, 2.5, NAN, INF, True]
+# lam values whose cube count passes MAX_CUBE_VALUES from budget_T = 2
+HUGE_LAMS = [40.0, 1e300]
 
 
 def hostile_or(strategy, hostile):
@@ -335,9 +367,11 @@ def test_every_config_constructs_or_runs(data):
     if algorithm == "hdhubo":
         schedule = built(BetaSchedule, l_h=l_h, **sched)
         # lam and n0 set the cube count n0 * ceil(t**lam), so they bound the
-        # work too: a lam that gives a finite but huge count is left out, and
-        # 1e300 makes t**lam overflow from t = 2
-        lam = data.draw(hostile_or(st.floats(0.0, 2.0), [NAN, INF, -INF, -1.0, 1e300]), "lam")
+        # work too.  Half the draws are 40 or 1e300 (where t**lam overflows):
+        # from budget_T = 2 they put N_T past MAX_CUBE_VALUES, and RunConfig
+        # must refuse them
+        lam = data.draw(hostile_or(st.floats(0.0, 2.0), [NAN, INF, -INF, -1.0])
+                        | st.sampled_from(HUGE_LAMS), "lam")
         hd = built(HdConfig, lam=lam, n0=data.draw(counts(1, 3), "n0"), l_h=l_h)
     else:
         alpha = data.draw(reals(-1.0, -0.01), "beta alpha")
@@ -346,11 +380,14 @@ def test_every_config_constructs_or_runs(data):
                       max_evals=data.draw(counts(1, 50), "max_evals"))
     if None in (exp, schedule, maximizer) or (algorithm == "hdhubo" and hd is None):
         return
+    budget_T = data.draw(counts(1, 3), "budget_T")
     cfg = built(
         RunConfig, expansion=exp, beta=schedule, maximizer=maximizer,
-        budget_T=data.draw(counts(1, 3), "budget_T"), n_init=data.draw(counts(2, 4), "n_init"),
+        budget_T=budget_T, n_init=data.draw(counts(2, 4), "n_init"),
         seed=data.draw(counts(0, 2**40), "seed"), algorithm=algorithm, hd=hd,
         kernel_family=data.draw(names(KERNEL_FAMILIES), "kernel_family"),
     )
+    if hd is not None and hd.lam in HUGE_LAMS and budget_T in (2, 3):
+        assert cfg is None
     if obj is not None and cfg is not None:
         assert isinstance(run(obj, cfg), RunTrace)
