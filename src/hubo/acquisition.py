@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series
 from .contracts import choice, count, real
 from .cubes import HypercubeSet
 from .gp import Dataset, GpModel, PosteriorState
@@ -42,9 +41,10 @@ _TAIL_K = {"hubo": 4.0, "hdhubo": 6.0}
 class BetaSchedule:
     """Confidence-width schedule for one of the two algorithm variants.
 
-    The "hubo" variant needs the initial interval [a, b] and the expansion
-    rate alpha (its beta grows with the expanded side); the "hdhubo" variant
-    needs the cube side l_h instead.
+    The "hubo" variant's beta grows with the run's expanded side, which
+    `beta` is given; it carries the initial interval [a, b] and the
+    expansion rate alpha, which RunConfig checks equal the expansion's.  The
+    "hdhubo" variant needs the cube side l_h instead.
     """
 
     variant: str
@@ -74,19 +74,16 @@ class BetaSchedule:
             real("l_h", self.l_h, 0.0, ends="(]")
 
 
-def beta(t: int, sched: BetaSchedule, side: float | None = None) -> float:
+def beta(t: int, sched: BetaSchedule, side: float) -> float:
     """Confidence multiplier beta_t, clamped below at 0.
 
-    For the "hubo" variant `side` may supply the current expanded side
-    (b-a)(1 + sum j^alpha) so callers tracking it incrementally avoid an O(t)
-    recomputation; when omitted it is computed from the schedule.
+    For the "hubo" variant `side` is the run's box side at step t, (b-a)(1 +
+    sum j^alpha) when the box expands; the "hdhubo" variant ignores it.
     """
     t = count("t", t, 1)
     d = sched.dim
     tail = math.sqrt(math.log(_TAIL_K[sched.variant] * d * sched.s1 / sched.delta))
     if sched.variant == "hubo":
-        if side is None:
-            side = (sched.b - sched.a) * (1.0 + series.partial_sum(sched.alpha, t))
         pi_t = math.pi**2 * t * t / 6.0
         head, weight = 2.0 * math.log(4.0 * pi_t / sched.delta), 4.0 * d
         scale = d * t * sched.s2 * side * tail

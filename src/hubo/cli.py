@@ -11,13 +11,13 @@ diagnostics --out DIR
 list-benchmarks
     Print the shipped benchmark functions.
 
-Config files are flat ``key = value`` lines; ``#`` starts a comment.  The
-keys are the rows of `_CONFIG`, each with its default and parser, in the
-order they are resolved.  Only benchmark is required, and dim as well for
-the scalable benchmarks (ackley, levy).  A config is accepted only when
-every run it lists builds: the library's constructors own every range rule,
-and their errors are config errors.  Benchmark, kernel and algorithm names
-may be written in any case; the library matches the lowercased names.
+Config files are flat ``key = value`` lines; ``#`` starts a comment.  Each
+key is one `ExperimentSpec` field, declared with its default and parser in
+the order the keys are resolved.  Only benchmark is required, and dim as
+well for the scalable benchmarks (ackley, levy).  A config is accepted only
+when every run it lists builds: the library's constructors own every range
+rule, and their errors are config errors.  Benchmark, kernel and algorithm
+names may be written in any case; the library matches the lowercased names.
 
 Exit codes: 0 success, 2 config error, 3 at least one run failed.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -91,32 +92,13 @@ class ConfigError(Exception):
     """Invalid experiment configuration; the message names the field."""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A fully resolved experiment: every default materialized."""
-
-    benchmark: str
-    dim: int
-    algorithms: tuple[str, ...]
-    alpha: float
-    lam: float
-    n0: int
-    l_h: float | None
-    delta: float
-    s1: float
-    s2: float
-    fraction: float
-    budget: str
-    budget_T: int
-    repeats: int
-    seed: int
-    noise_std: float
-    restarts: int
-    max_evals: int
-    n_init: int
-    kernel_family: str
-    workers: int
-    out_dir: str
+def _key_value(line: str, error: str) -> tuple[str, str]:
+    """The stripped (key, value) of a key=value line; ConfigError(error) if
+    the line has no '='."""
+    if "=" not in line:
+        raise ConfigError(error)
+    key, value = line.split("=", 1)
+    return key.strip(), value.strip()
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -129,12 +111,9 @@ def parse_config_file(path: str) -> dict[str, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        if line:
+            key, value = _key_value(line, f"{path}:{lineno}: expected key=value, got {line!r}")
+            out[key] = value
     return out
 
 
@@ -208,61 +187,74 @@ def _out_dir(key: str, text: str, fields: dict) -> str:
     return text
 
 
-# One row per config key, in resolution order: (key, default text, parser).
-# An unset key parses its default text.  A parser takes (key, text, fields),
-# fields being the ExperimentSpec fields resolved by the rows above.  The
-# parsers hold only the rules no library type owns; resolve_spec checks the
-# rest by building every run.
-_CONFIG = (
-    ("benchmark", "", _lowered(_benchmark)),
+def _key(default: str, parse, key: str | None = None):
+    """The ExperimentSpec field of one config key: an unset key parses its
+    default text.  parse(key, text, fields) sees the fields resolved above
+    it; `key` is the config name where it differs from the field name."""
+    return dataclasses.field(metadata={"default": default, "parse": parse, "key": key})
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """A fully resolved experiment: every default materialized.
+
+    Each field but budget_T is one config key, declared in resolution order.
+    The parsers hold only the rules no library type owns; resolve_spec
+    checks the rest by building every run.
+    """
+
+    benchmark: str = _key("", _lowered(_benchmark))
     # empty: the benchmark's fixed dimension
-    ("dim", "", _dim),
+    dim: int = _key("", _dim)
     # a comma list
-    ("algorithms", "hubo", _lowered(_algorithms)),
-    ("alpha", "-1", _as_float),
-    ("lambda", "1.0", _as_float),
-    ("n0", "1", _as_int),
+    algorithms: tuple[str, ...] = _key("hubo", _lowered(_algorithms))
+    alpha: float = _key("-1", _as_float)
+    lam: float = _key("1.0", _as_float, "lambda")
+    n0: int = _key("1", _as_int)
     # the absolute cube side; empty: 10% of the X0 side, resolved per run
-    ("l_h", "", lambda key, text, fields: _as_float(key, text) if text else None),
-    ("delta", "0.1", _as_float),
-    ("s1", "1.0", _as_float),
-    ("s2", "1.0", _as_float),
+    l_h: float | None = _key("", lambda key, text, fields: _as_float(key, text) if text else None)
+    delta: float = _key("0.1", _as_float)
+    s1: float = _key("1.0", _as_float)
+    s2: float = _key("1.0", _as_float)
     # the X0 side as a fraction of the domain side
-    ("fraction", "0.2", _as_float),
-    # 30d, 10d or an iteration count
-    ("budget", "30d", _budget),
-    ("repeats", "15", _positive_int),
-    ("seed", "0", _as_int),
-    ("noise_std", "0", _as_float),
-    ("restarts", "20", _as_int),
-    ("max_evals", "1000", _as_int),
+    fraction: float = _key("0.2", _as_float)
+    # 30d, 10d or an iteration count; its parser also resolves budget_T
+    budget: str = _key("30d", _budget)
+    budget_T: int
+    repeats: int = _key("15", _positive_int)
+    seed: int = _key("0", _as_int)
+    noise_std: float = _key("0", _as_float)
+    restarts: int = _key("20", _as_int)
+    max_evals: int = _key("1000", _as_int)
     # empty: max(3, dim + 1)
-    ("n_init", "", _n_init),
-    ("kernel", "se", _lowered(lambda key, text, fields: text)),
-    ("workers", "1", _positive_int),
-    ("out_dir", "results", _out_dir),
-)
+    n_init: int = _key("", _n_init)
+    kernel_family: str = _key("se", _lowered(lambda key, text, fields: text), "kernel")
+    workers: int = _key("1", _positive_int)
+    out_dir: str = _key("results", _out_dir)
+
 
 # Config keys whose ExperimentSpec field has another name.
-_FIELD_NAMES = {"lambda": "lam", "kernel": "kernel_family"}
+_FIELD_NAMES = {
+    f.metadata["key"]: f.name for f in dataclasses.fields(ExperimentSpec) if f.metadata.get("key")
+}
 
 
 def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
     """Validate a raw key->string mapping and materialize every default.
 
-    After the table's own rules, it builds every (algorithm, repeat) run of
+    After the fields' own parsers, it builds every (algorithm, repeat) run of
     the experiment, and hdhubo's repeat 0 as well, since hdhubo reads every
     key and its beta_t tail rule is the weakest; a field the library rejects
     is a ConfigError with the library's message.
     """
-    known = {row[0] for row in _CONFIG}
+    keys = {f.metadata["key"] or f.name: f for f in dataclasses.fields(ExperimentSpec) if f.metadata}
     for key in raw:
-        if key not in known:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
     fields: dict = {}
     try:
-        for key, default, parse in _CONFIG:
-            fields[_FIELD_NAMES.get(key, key)] = parse(key, raw.get(key, default), fields)
+        for key, f in keys.items():
+            fields[f.name] = f.metadata["parse"](key, raw.get(key, f.metadata["default"]), fields)
         spec = ExperimentSpec(**fields)
         pairs = [(algo, repeat) for algo in spec.algorithms for repeat in range(spec.repeats)]
         for algorithm, repeat in dict.fromkeys(pairs + [("hdhubo", 0)]):
@@ -409,35 +401,18 @@ def _run_pool(tasks: list, workers: int) -> list[dict]:
     return metas
 
 
-def _mean_std_stderr(values: np.ndarray) -> tuple[float, float, float]:
-    n = len(values)
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if n > 1 else 0.0
-    return mean, std, std / math.sqrt(n)
-
-
 def _summarize(run_metas: list[dict]) -> list[dict]:
     """Per-record-index stats across repeats of one algorithm."""
-    columns = [m["columns"] for m in run_metas]
-    lengths = {len(c["t"]) for c in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"repeat traces disagree on length: {sorted(lengths)}")
-    (n_rows,) = lengths
-    rows = []
-    for i in range(n_rows):
-        best = np.array([c["best_y"][i] for c in columns], dtype=np.float64)
-        log_dist = np.array([c["log_dist"][i] for c in columns], dtype=np.float64)
-        mean_b, std_b, se_b = _mean_std_stderr(best)
-        mean_l, _, se_l = _mean_std_stderr(log_dist)
-        rows.append({
-            "t": columns[0]["t"][i],
-            "mean_best_y": mean_b,
-            "std_best_y": std_b,
-            "stderr_best_y": se_b,
-            "mean_log_dist": mean_l,
-            "stderr_log_dist": se_l,
-        })
-    return rows
+    n = len(run_metas)
+    stats = {"t": run_metas[0]["columns"]["t"]}
+    for column in ("best_y", "log_dist"):
+        # (records, repeats), so each statistic reduces a contiguous row
+        values = np.array([m["columns"][column] for m in run_metas], dtype=np.float64).T.copy()
+        std = np.std(values, axis=1, ddof=1) if n > 1 else np.zeros(len(values))
+        stats[f"mean_{column}"] = np.mean(values, axis=1).tolist()
+        stats[f"std_{column}"] = std.tolist()
+        stats[f"stderr_{column}"] = (std / math.sqrt(n)).tolist()
+    return [dict(zip(SUMMARY_COLUMNS, row)) for row in zip(*(stats[c] for c in SUMMARY_COLUMNS))]
 
 
 def write_summary_csv(path: str, summary_rows: list[dict]) -> None:
@@ -559,11 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     # run
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            raw[key.strip()] = value.strip()
+        raw.update(_key_value(item, f"--set expects KEY=VALUE, got {item!r}") for item in args.set)
         spec = resolve_spec(raw)
         manifest = run_experiment(spec)
     except ConfigError as exc:

@@ -115,8 +115,10 @@ class RunConfig:
                 f"{self.algorithm} needs beta variant {expected_variant!r}, "
                 f"got {self.beta.variant!r}"
             )
-        if self.beta.dim != self.expansion.dim:
-            raise ValueError("beta schedule and expansion disagree on dim")
+        # beta_t reads only the run's side; a, b and alpha are checked copies
+        for name in ("dim", "a", "b", "alpha") if self.beta.variant == "hubo" else ("dim",):
+            if getattr(self.beta, name) != getattr(self.expansion, name):
+                raise ValueError(f"beta schedule and expansion disagree on {name}")
         if self.hd is not None and self.beta.l_h != self.hd.l_h:
             raise ValueError("beta schedule and hd config disagree on l_h")
         if self.hd is not None and self.budget_T >= 1:

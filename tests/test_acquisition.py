@@ -14,11 +14,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hubo import acquisition, gp, series
+from hubo import acquisition, gp, space
 from hubo.acquisition import BetaSchedule, MaximizerConfig
 from hubo.cubes import HdConfig, HypercubeSet, membership, sample_cubes
 from hubo.gp import Dataset, GpModel, KernelSpec, PosteriorState
-from hubo.space import SearchBox
+from hubo.space import ExpansionConfig, SearchBox
 
 
 def se_model(ell=1.0, sv=1.0, nv=0.0, mean=0.0) -> GpModel:
@@ -77,6 +77,13 @@ def hubo_sched(**kw) -> BetaSchedule:
     return BetaSchedule(**base)
 
 
+def side_at(t: int, sched: BetaSchedule) -> float:
+    """The box side at step t of a run whose expansion matches sched."""
+    exp = ExpansionConfig(a=sched.a, b=sched.b, alpha=sched.alpha, c_min=sched.a,
+                          c_max=sched.b, dim=sched.dim)
+    return space.side_length(t, exp)
+
+
 def test_beta_hubo_frozen_reference():
     # d=1, t=1, delta=0.1, s1=s2=1, side (b-a)(1+1) = 2:
     # 2 ln(4 (pi^2/6) / 0.1) + 4 ln(2 sqrt(ln 40)); mpmath 40-digit value.
@@ -84,7 +91,7 @@ def test_beta_hubo_frozen_reference():
     expected = 2.0 * math.log(4.0 * (math.pi**2 / 6.0) / 0.1) + 4.0 * math.log(
         2.0 * math.sqrt(math.log(40.0))
     )
-    got = acquisition.beta(1, sched)
+    got = acquisition.beta(1, sched, side=side_at(1, sched))
     assert got == pytest.approx(expected, rel=1e-14)
     assert got == pytest.approx(13.756393717335618, abs=1e-12)
 
@@ -96,20 +103,18 @@ def test_beta_hubo_frozen_reference_multidim():
         variant="hubo", delta=0.05, dim=3, s1=1.5, s2=2.0, a=-1.0, b=1.5,
         alpha=-0.5,
     )
-    assert acquisition.beta(7, sched) == pytest.approx(
+    assert acquisition.beta(7, sched, side=side_at(7, sched)) == pytest.approx(
         103.38228317492137, abs=1e-11
     )
 
 
-def test_beta_hubo_explicit_side_matches_default():
-    sched = BetaSchedule(
-        variant="hubo", delta=0.05, dim=3, s1=1.5, s2=2.0, a=-1.0, b=1.5,
-        alpha=-0.5,
-    )
-    side = 2.5 * (1.0 + series.partial_sum(-0.5, 7))
-    assert acquisition.beta(7, sched, side=side) == pytest.approx(
-        acquisition.beta(7, sched), rel=1e-15
-    )
+def test_beta_hubo_reads_only_the_given_side():
+    # a, b and alpha are copies RunConfig checks; beta_t reads the side
+    sched = hubo_sched()
+    other = hubo_sched(a=-3.0, b=5.0, alpha=-0.2)
+    for t, side in ((1, 2.0), (7, 13.5)):
+        assert acquisition.beta(t, sched, side=side) == acquisition.beta(t, other, side=side)
+    assert acquisition.beta(7, sched, side=13.5) > acquisition.beta(7, sched, side=2.0)
 
 
 def test_beta_hdhubo_frozen_reference():
@@ -119,7 +124,7 @@ def test_beta_hdhubo_frozen_reference():
     expected = 2.0 * math.log(math.pi**2 / 0.1) + 4.0 * math.log(
         0.4 * math.sqrt(math.log(120.0))
     )
-    got = acquisition.beta(1, sched)
+    got = acquisition.beta(1, sched, side=1.0)  # the hdhubo schedule ignores side
     assert got == pytest.approx(expected, rel=1e-14)
     assert got == pytest.approx(8.650940061409097, abs=1e-12)
 
@@ -129,7 +134,7 @@ def test_beta_hdhubo_frozen_reference_high_dim():
     sched = BetaSchedule(
         variant="hdhubo", delta=0.1, dim=10, s1=2.0, s2=0.5, l_h=0.37
     )
-    assert acquisition.beta(5, sched) == pytest.approx(
+    assert acquisition.beta(5, sched, side=1.0) == pytest.approx(
         125.75297604638244, abs=1e-11
     )
 
@@ -138,12 +143,12 @@ def test_beta_clamped_at_zero():
     # Tiny l_h with large delta drives the formula negative; the clamp
     # returns 0 instead.
     sched = BetaSchedule(variant="hdhubo", delta=0.9, dim=1, l_h=1e-9)
-    assert acquisition.beta(1, sched) == 0.0
+    assert acquisition.beta(1, sched, side=1.0) == 0.0
 
 
 def test_beta_hubo_nondecreasing_in_t():
     sched = hubo_sched()
-    vals = [acquisition.beta(t, sched) for t in range(1, 200)]
+    vals = [acquisition.beta(t, sched, side=side_at(t, sched)) for t in range(1, 200)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -151,12 +156,13 @@ def test_beta_hubo_increases_with_initial_side():
     narrow = hubo_sched(a=0.0, b=1.0)
     wide = hubo_sched(a=0.0, b=3.0)
     for t in (1, 5, 50):
-        assert acquisition.beta(t, wide) > acquisition.beta(t, narrow)
+        assert (acquisition.beta(t, wide, side=side_at(t, wide))
+                > acquisition.beta(t, narrow, side=side_at(t, narrow)))
 
 
 def test_beta_rejects_t_below_one():
     with pytest.raises(ValueError):
-        acquisition.beta(0, hubo_sched())
+        acquisition.beta(0, hubo_sched(), side=1.0)
 
 
 # ---------------------------------------------------------------------------

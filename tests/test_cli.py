@@ -96,6 +96,21 @@ def test_resolve_spec_materializes_defaults():
     assert spec.workers == 1
 
 
+def test_each_config_key_is_one_experiment_spec_field():
+    # (config key, default text) in resolution order; budget_T follows budget
+    keys = [(f.metadata["key"] or f.name, f.metadata["default"])
+            for f in fields(cli.ExperimentSpec) if f.metadata]
+    assert keys == [
+        ("benchmark", ""), ("dim", ""), ("algorithms", "hubo"), ("alpha", "-1"),
+        ("lambda", "1.0"), ("n0", "1"), ("l_h", ""), ("delta", "0.1"), ("s1", "1.0"),
+        ("s2", "1.0"), ("fraction", "0.2"), ("budget", "30d"), ("repeats", "15"),
+        ("seed", "0"), ("noise_std", "0"), ("restarts", "20"), ("max_evals", "1000"),
+        ("n_init", ""), ("kernel", "se"), ("workers", "1"), ("out_dir", "results"),
+    ]
+    assert [f.name for f in fields(cli.ExperimentSpec) if not f.metadata] == ["budget_T"]
+    assert cli._FIELD_NAMES == {"lambda": "lam", "kernel": "kernel_family"}
+
+
 def test_resolve_spec_budget_rules():
     assert resolve_spec({"benchmark": "hartmann6"}).budget_T == 180  # 30d
     assert (
@@ -387,6 +402,43 @@ def test_summary_stderr_is_std_over_sqrt_n(experiment):
     assert float(rows[-1][2]) == pytest.approx(
         float(np.std(final_best, ddof=1)), rel=1e-12
     )
+
+
+def per_row_summary(run_metas):
+    """The per-row loop `_summarize` replaced, kept as its reference."""
+    columns = [m["columns"] for m in run_metas]
+    n = len(columns)
+    rows = []
+    for i, t in enumerate(columns[0]["t"]):
+        row = {"t": t}
+        for name in ("best_y", "log_dist"):
+            values = np.array([c[name][i] for c in columns], dtype=np.float64)
+            std = float(np.std(values, ddof=1)) if n > 1 else 0.0
+            row[f"mean_{name}"] = float(np.mean(values))
+            row[f"std_{name}"], row[f"stderr_{name}"] = std, std / math.sqrt(n)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("repeats", [1, 2, 15, 40])
+def test_summarize_equals_the_per_row_loop_bit_for_bit(repeats):
+    rng = np.random.default_rng(repeats)
+    n_rows = 60
+    metas = []
+    for _ in range(repeats):
+        # best_y of mixed magnitude; log_dist floored at -12 at random rows
+        # and on the last 10 rows of every repeat, as in a run that converged
+        best_y = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-12, 13, n_rows)
+        log_dist = np.where(rng.random(n_rows) < 0.3, -12.0, rng.uniform(-11.5, 3.0, n_rows))
+        log_dist[-10:] = -12.0
+        metas.append({"columns": {"t": list(range(n_rows)), "best_y": best_y.tolist(),
+                                  "log_dist": log_dist.tolist()}})
+    got = cli._summarize(metas)
+    want = per_row_summary(metas)
+    assert [list(row) for row in got] == [list(cli.SUMMARY_COLUMNS)] * n_rows
+    assert [[repr(row[k]) for k in cli.SUMMARY_COLUMNS] for row in got] == [
+        [repr(row[k]) for k in cli.SUMMARY_COLUMNS] for row in want
+    ]
 
 
 def test_log_distance_file_matches_summary(experiment):

@@ -5,10 +5,11 @@ TypeError whose message names one of its fields, or `run()` returns a trace,
 complete or incomplete.  `random_search` keeps the same contract for its
 arguments, and `benchmarks.initial_space` for its own: a placement it
 returns gives an `ExpansionConfig` that constructs.  The explicit cases
-below are the holes the contract closed; the property test draws NaN, ±inf,
-huge and tiny finite values, floats in integer fields, negatives and zero
-for every field, None, a number, an unknown name and an upper-cased one
-for every named choice, and a cube-schedule lam past the cube-count cap.
+below are the holes the contract closed.  The property test makes one
+field per case hostile and draws the others valid: NaN, ±inf, huge and tiny
+finite values, floats in integer fields, negatives and zero for every
+field, None, a number, an unknown name and an upper-cased one for every
+named choice, and a cube-schedule lam past the cube-count cap.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def test_cube_count_cap_admits_exactly_max_cube_values(fields, one_more):
 def test_beta_scale_that_underflows_gives_zero_beta():
     # 2 * s2 * l_h * dim * tail * t * t rounds to 0: its log is -inf
     sched = BetaSchedule(variant="hdhubo", delta=0.1, dim=1, s2=1e-300, l_h=1e-300)
-    assert beta(1, sched) == 0.0
+    assert beta(1, sched, side=1.0) == 0.0  # the hdhubo schedule ignores side
     cfg = run_config(
         beta=sched, algorithm="hdhubo", hd=HdConfig(lam=1.0, n0=1, l_h=1e-300)
     )
@@ -265,27 +266,55 @@ HOSTILE_COUNTS = [-1, 0, 1.0, 2.5, NAN, INF, True]
 HUGE_LAMS = [40.0, 1e300]
 
 
-def hostile_or(strategy, hostile):
-    """A draw of strategy, or one time in sixteen a hostile value, so that
-    many examples get far enough to run."""
-    return st.tuples(st.integers(0, 15), strategy, st.sampled_from(hostile)).map(
-        lambda t: t[2] if t[0] == 15 else t[1]
-    )
+def hostile_names(valid) -> list:
+    """None, a number, an unknown name and each valid name upper-cased."""
+    return [None, 3, "bogus", *(v.upper() for v in valid)]
 
 
-def reals(low: float, high: float):
-    return hostile_or(st.floats(low, high, exclude_min=True, exclude_max=True), HOSTILE_REALS)
-
-
-def counts(low: int, high: int):
-    # the integer fields bound the work, so their valid draws stay small
-    return hostile_or(st.integers(low, high), HOSTILE_COUNTS)
-
-
-def names(valid):
-    """A valid name, or a hostile one: None, a number, an unknown name or a
-    valid name upper-cased."""
-    return hostile_or(st.sampled_from(valid), [None, 3, "bogus", *(v.upper() for v in valid)])
+# The property's fields, in draw order, each with its hostile pool.
+HOSTILE = {
+    "dim": HOSTILE_COUNTS,
+    "noise_std": HOSTILE_REALS,
+    "lower": HOSTILE_REALS,
+    "width": HOSTILE_REALS,
+    "T": HOSTILE_COUNTS,
+    "search seed": HOSTILE_COUNTS,
+    "benchmark": hostile_names(BENCHMARK_NAMES),
+    "benchmark dim": HOSTILE_COUNTS,
+    "fraction": HOSTILE_REALS,
+    "placement seed": HOSTILE_COUNTS,
+    "family": hostile_names(KERNEL_FAMILIES),
+    "side_length": HOSTILE_REALS,
+    "lengthscale": HOSTILE_REALS,
+    "signal_variance": HOSTILE_REALS,
+    "a": HOSTILE_REALS,
+    "b - a": HOSTILE_REALS,
+    "pad": HOSTILE_REALS,
+    "alpha": HOSTILE_REALS,
+    "x0_center": HOSTILE_REALS,
+    "algorithm": hostile_names(ALGORITHMS),
+    "delta": HOSTILE_REALS,
+    "s1": HOSTILE_REALS,
+    "s2": HOSTILE_REALS,
+    "hubo variant": hostile_names(["hubo"]),
+    "hdhubo variant": hostile_names(["hdhubo"]),
+    "l_h": HOSTILE_REALS,
+    "lam": [NAN, INF, -INF, -1.0],
+    "huge lam": HUGE_LAMS,
+    "n0": HOSTILE_COUNTS,
+    "beta alpha": HOSTILE_REALS,
+    "restarts": HOSTILE_COUNTS,
+    "max_evals": HOSTILE_COUNTS,
+    "budget_T": HOSTILE_COUNTS,
+    "n_init": HOSTILE_COUNTS,
+    "seed": HOSTILE_COUNTS,
+    "kernel_family": hostile_names(KERNEL_FAMILIES),
+}
+# Fields only one kind of run reads: an example that makes one of them
+# hostile runs that kind.
+RUN_KINDS = {"hdhubo variant": ["hdhubo"], "l_h": ["hdhubo"], "lam": ["hdhubo"],
+             "huge lam": ["hdhubo"], "n0": ["hdhubo"], "hubo variant": ["hubo", "vol2"],
+             "beta alpha": ["hubo", "vol2"]}
 
 
 def names_a_field(exc: Exception, names) -> bool:
@@ -303,21 +332,40 @@ def built(cls, **fields):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # the objective at huge x
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.data())
-def test_every_config_constructs_or_runs(data):
-    dim = data.draw(counts(1, 3), "dim")
+@pytest.mark.parametrize("hostile", [None, *HOSTILE])
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_every_config_constructs_or_runs(hostile, data):
+    # Each case makes at most one field hostile, so that most examples get
+    # as far as run(); every other field draws a valid value.
+    def draw(name: str, valid):
+        pool = HOSTILE[name]  # every field the property draws has a hostile pool
+        return data.draw(st.sampled_from(pool) if name == hostile else valid, name)
+
+    def real(name: str, low: float, high: float, scale: float = 1.0):
+        return draw(name, st.floats(low, high, exclude_min=True, exclude_max=True)
+                    .map(lambda value: value * scale))
+
+    def counted(name: str, low: int, high: int):
+        # the integer fields bound the work, so their valid draws stay small
+        return draw(name, st.integers(low, high))
+
+    def named(name: str, valid):
+        return draw(name, st.sampled_from(valid))
+
+    dim = counted("dim", 1, 3)
     # a noiseless constant objective makes the fit take its floor model
-    if data.draw(st.booleans(), "constant"):
+    if hostile != "noise_std" and data.draw(st.booleans(), "constant"):
         obj = built(Objective, fn=lambda x: 1.0, dim=dim)
     else:
-        noise_std = data.draw(st.just(0.0) | reals(0.0, 1.0), "noise_std")
+        noise_std = draw("noise_std", st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True,
+                                                                 exclude_max=True))
         obj = built(Objective, fn=sphere, dim=dim, noise_std=noise_std)
     if obj is not None:
-        lower = np.array(data.draw(st.lists(reals(-2.0, 2.0), min_size=dim, max_size=dim)))
+        lower = np.array([real("lower", -2.0, 2.0) for _ in range(dim)])
         with np.errstate(all="ignore"):
-            upper = lower + data.draw(reals(0.0, 5.0), "width")
-        T, seed = data.draw(counts(1, 4), "T"), data.draw(counts(0, 2**40), "seed")
+            upper = lower + real("width", 0.0, 5.0)
+        T, seed = counted("T", 1, 4), counted("search seed", 0, 2**40)
         try:
             trace = random_search(obj, lower, upper, T, seed)
         except (ValueError, TypeError) as exc:
@@ -327,65 +375,66 @@ def test_every_config_constructs_or_runs(data):
 
     # an accepted benchmark and placement give a run's geometry
     try:
-        bench = make_benchmark(data.draw(names(BENCHMARK_NAMES), "benchmark"),
-                               data.draw(st.none() | counts(1, 6), "benchmark dim"))
+        bench = make_benchmark(named("benchmark", BENCHMARK_NAMES),
+                               draw("benchmark dim", st.none() | st.integers(1, 6)))
     except (ValueError, TypeError) as exc:
         assert names_a_field(exc, ["benchmark", "dim"]), exc
         bench = BEALE
     try:
-        placed = initial_space(bench, data.draw(reals(0.0, 1.0), "fraction"),
-                               data.draw(counts(0, 2**40), "placement seed"))
+        placed = initial_space(bench, real("fraction", 0.0, 1.0),
+                               counted("placement seed", 0, 2**40))
     except (ValueError, TypeError) as exc:
         assert names_a_field(exc, ["fraction", "seed"]), exc
     else:
         placed.to_expansion(-1.0)
 
     # the GP's own configs, which run() builds from kernel_family
-    family = data.draw(names(KERNEL_FAMILIES), "family")
-    built(FitConfig, side_length=data.draw(reals(0.0, 5.0), "side_length"), family=family)
-    built(KernelSpec, family=family, lengthscale=data.draw(reals(0.0, 5.0), "lengthscale"),
-          signal_variance=data.draw(reals(0.0, 5.0), "signal_variance"))
+    family = named("family", KERNEL_FAMILIES)
+    built(FitConfig, side_length=real("side_length", 0.0, 5.0), family=family)
+    built(KernelSpec, family=family, lengthscale=real("lengthscale", 0.0, 5.0),
+          signal_variance=real("signal_variance", 0.0, 5.0))
 
-    a = data.draw(reals(-2.0, 2.0), "a")
     # b - a spans every magnitude, where a constant objective's floor model
     # has a lengthscale out of float64 range
     scale = data.draw(st.sampled_from([1.0, 1.0, 1e300, 1e-300]), "scale")
-    b = a + data.draw(reals(0.01, 4.0), "b - a") * scale
-    pad = data.draw(reals(0.0, 5.0), "pad") * scale
+    a = real("a", -2.0, 2.0, scale)
+    b = a + real("b - a", 0.01, 4.0, scale)
+    # from 0.01, so that rounding at scale 1e300 keeps X0 inside [c_min, c_max]
+    pad = real("pad", 0.01, 5.0, scale)
+    alpha = real("alpha", -1.0, -0.01)
     exp = built(
-        ExpansionConfig, a=a, b=b, alpha=data.draw(reals(-1.0, -0.01), "alpha"),
-        c_min=a - pad, c_max=b + pad, dim=dim,
-        x0_center=data.draw(hostile_or(st.none(), HOSTILE_REALS), "x0_center"),
+        ExpansionConfig, a=a, b=b, alpha=alpha, c_min=a - pad, c_max=b + pad, dim=dim,
+        x0_center=draw("x0_center", st.none()),
     )
-    algorithm = data.draw(names(ALGORITHMS), "algorithm")
-    l_h = data.draw(reals(0.01, 2.0), "l_h")
-    sched = dict(delta=data.draw(reals(0.0, 1.0), "delta"), dim=dim,
-                 s1=data.draw(reals(0.5, 3.0), "s1"), s2=data.draw(reals(0.0, 3.0), "s2"),
-                 variant=data.draw(names(["hdhubo" if algorithm == "hdhubo" else "hubo"]),
-                                   "variant"))
+    algorithm = named("algorithm", RUN_KINDS.get(hostile, ALGORITHMS))
+    sched = dict(delta=real("delta", 0.0, 1.0), dim=dim, s1=real("s1", 0.5, 3.0),
+                 s2=real("s2", 0.0, 3.0))
     hd = None
     if algorithm == "hdhubo":
-        schedule = built(BetaSchedule, l_h=l_h, **sched)
+        l_h = real("l_h", 0.01, 2.0)
+        schedule = built(BetaSchedule, variant=named("hdhubo variant", ["hdhubo"]), l_h=l_h,
+                         **sched)
         # lam and n0 set the cube count n0 * ceil(t**lam), so they bound the
-        # work too.  Half the draws are 40 or 1e300 (where t**lam overflows):
-        # from budget_T = 2 they put N_T past MAX_CUBE_VALUES, and RunConfig
-        # must refuse them
-        lam = data.draw(hostile_or(st.floats(0.0, 2.0), [NAN, INF, -INF, -1.0])
-                        | st.sampled_from(HUGE_LAMS), "lam")
-        hd = built(HdConfig, lam=lam, n0=data.draw(counts(1, 3), "n0"), l_h=l_h)
+        # work too.  A huge lam, 40 or 1e300 (where t**lam overflows), puts
+        # N_T past MAX_CUBE_VALUES from budget_T = 2, and RunConfig must
+        # refuse it
+        lam = draw("huge lam" if hostile == "huge lam" else "lam", st.floats(0.0, 2.0))
+        hd = built(HdConfig, lam=lam, n0=counted("n0", 1, 3), l_h=l_h)
     else:
-        alpha = data.draw(reals(-1.0, -0.01), "beta alpha")
-        schedule = built(BetaSchedule, a=a, b=b, alpha=alpha, **sched)
-    maximizer = built(MaximizerConfig, restarts=data.draw(counts(1, 5), "restarts"),
-                      max_evals=data.draw(counts(1, 50), "max_evals"))
+        # the expansion's alpha, unless this is the hostile field
+        schedule = built(BetaSchedule, variant=named("hubo variant", ["hubo"]), a=a, b=b,
+                         alpha=draw("beta alpha", st.just(alpha)), **sched)
+    # max_evals from 5, the most restarts, so that a valid pair builds
+    maximizer = built(MaximizerConfig, restarts=counted("restarts", 1, 5),
+                      max_evals=counted("max_evals", 5, 50))
     if None in (exp, schedule, maximizer) or (algorithm == "hdhubo" and hd is None):
         return
-    budget_T = data.draw(counts(1, 3), "budget_T")
+    budget_T = counted("budget_T", 1, 3)
     cfg = built(
         RunConfig, expansion=exp, beta=schedule, maximizer=maximizer,
-        budget_T=budget_T, n_init=data.draw(counts(2, 4), "n_init"),
-        seed=data.draw(counts(0, 2**40), "seed"), algorithm=algorithm, hd=hd,
-        kernel_family=data.draw(names(KERNEL_FAMILIES), "kernel_family"),
+        budget_T=budget_T, n_init=counted("n_init", 2, 4),
+        seed=counted("seed", 0, 2**40), algorithm=algorithm, hd=hd,
+        kernel_family=named("kernel_family", KERNEL_FAMILIES),
     )
     if hd is not None and hd.lam in HUGE_LAMS and budget_T in (2, 3):
         assert cfg is None

@@ -187,6 +187,15 @@ def test_run_config_rejects_hd_and_beta_with_different_l_h():
         replace(cfg, beta=BetaSchedule(variant="hdhubo", delta=0.1, dim=2, l_h=0.05))
 
 
+@pytest.mark.parametrize("algorithm", ["hubo", "vol2"])
+@pytest.mark.parametrize("name, value", [("dim", 3), ("a", -0.5), ("b", 1.5), ("alpha", -0.5)])
+def test_run_config_rejects_a_schedule_unlike_its_expansion(algorithm, name, value):
+    # beta_t reads the run's box side, so a, b and alpha are only checked copies
+    cfg = small_2d_config(algorithm, budget_T=5)
+    with pytest.raises(ValueError, match=f"^beta schedule and expansion disagree on {name}$"):
+        replace(cfg, beta=replace(cfg.beta, **{name: value}))
+
+
 def test_default_n_init():
     assert default_n_init(1) == 3
     assert default_n_init(2) == 3

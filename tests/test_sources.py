@@ -84,3 +84,13 @@ def test_no_module_defines_a_top_level_name_twice():
         if (dups := duplicate_definitions(path.read_text(encoding="utf-8")))
     }
     assert not found, found
+
+
+def test_acquisition_does_not_import_series():
+    # beta_t is given the run's box side; the closed form is space.side_length
+    tree = ast.parse((ROOT / "src" / "hubo" / "acquisition.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {getattr(node, "module", None)} | {alias.name for alias in node.names}
+    assert not imported & {"series", "hubo.series"}, imported
