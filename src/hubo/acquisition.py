@@ -140,12 +140,14 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     smallest point.  Returns (best point, best value, evaluations used over
     all rectangles).
 
-    Cost: the bookkeeping is per sweep.  Each sweep gathers its active
-    starts, their bounds and their step lengths once; while every
-    rectangle's budget covers all its active starts, a probe then costs a
-    copy, a clamp, the `predict` call and two masked writes.  Only the
-    probes past that point, in the sweep that reaches a budget, select their
-    rows one probe at a time.
+    Cost: the bookkeeping is per sweep.  Each sweep retires the starts whose
+    step fell below the tolerance or whose rectangle's budget is spent,
+    gathers the rest, their bounds and their step lengths once, and charges
+    each rectangle's budget once: its start of rank r among n active ones,
+    with `left` evaluations left, gets a quota of min(2d, ceil((left - r) /
+    n)) probes.  Probe j moves the starts whose quota exceeds j, all of them
+    while j is below the smallest quota, at the cost of a copy, a clamp, the
+    `predict` call and two masked writes.
     """
     K, d = lo.shape
     rect = np.repeat(np.arange(K), restarts)
@@ -156,55 +158,37 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     steps = np.full(K * restarts, 0.25)
     active = np.ones(K * restarts, dtype=bool)
 
-    def probe(Xs, vs, i, delta, lo_i, hi_i):
-        """Move coordinate i of every row of Xs by delta, clamped to [lo_i,
-        hi_i]; keep each move that raises its row's value, in Xs and vs.
-        Returns the mask of rows moved."""
-        cand = Xs.copy()
-        col = cand[:, i]
-        np.add(col, delta, out=col)
-        np.minimum(np.maximum(col, lo_i, out=col), hi_i, out=col)
-        cvals = predict(cand)
-        better = cvals > vs
-        np.copyto(Xs[:, i], col, where=better)
-        np.copyto(vs, cvals, where=better)
-        return better
-
     while True:
-        by_rect = active.reshape(K, restarts)
-        n_active = by_rect.sum(axis=1)
-        searching = n_active > 0
-        if not np.any((used < max_evals) & searching):
-            break
+        active &= (steps >= _STEP_TOLERANCE) & (used < max_evals)[rect]
         idx = np.flatnonzero(active)
+        if not idx.size:
+            break
         # this sweep's active starts, and row i of lo_a, hi_a and step: their
         # bounds and step lengths along coordinate i
         Xa, va, rect_a = X[idx], vals[idx], rect[idx]
         lo_a, hi_a = lo.T[:, rect_a], hi.T[:, rect_a]
         step = steps[idx] * width.T[:, rect_a]
-        improved = np.zeros(len(idx), dtype=bool)
-        # every rectangle's budget covers all its active starts for the first
-        # `whole` probes; after those each rectangle probes its first
-        # (budget-left) active starts
-        whole = np.min((max_evals - used[searching]) // n_active[searching])
+        by_rect = active.reshape(K, restarts)
+        n_active, left = by_rect.sum(axis=1), max_evals - used
         rank = (np.cumsum(by_rect, axis=1) - 1).ravel()[idx]
-        probes = ((i, delta) for i in range(d) for delta in (step, -step))
-        for j, (i, delta) in enumerate(probes):
-            if j < whole:
-                improved |= probe(Xa, va, i, delta[i], lo_a[i], hi_a[i])
-                used += n_active
-                continue
-            take = np.minimum(max_evals - used, n_active)
-            rows = np.flatnonzero(rank < take[rect_a])
-            if rows.size:
-                Xs, vs = Xa[rows], va[rows]
-                better = probe(Xs, vs, i, delta[i, rows], lo_a[i, rows], hi_a[i, rows])
-                Xa[rows], va[rows] = Xs, vs
-                improved[rows[better]] = True
-                used += take
+        n_a = n_active[rect_a]
+        quota = np.minimum(2 * d, (left[rect_a] - rank + n_a - 1) // n_a)
+        used += np.minimum(left, 2 * d * n_active)
+        fewest = quota.min()
+        improved = np.zeros(len(idx), dtype=bool)
+        for j in range(quota.max()):
+            i, rows = j // 2, slice(None) if j < fewest else np.flatnonzero(quota > j)
+            cand = Xa[rows].copy()
+            col = cand[:, i]
+            (np.subtract if j % 2 else np.add)(col, step[i, rows], out=col)
+            np.minimum(np.maximum(col, lo_a[i, rows], out=col), hi_a[i, rows], out=col)
+            cvals = predict(cand)
+            better = cvals > va[rows]
+            Xa[rows, i] = np.where(better, col, Xa[rows, i])
+            va[rows] = np.where(better, cvals, va[rows])
+            improved[rows] |= better
         X[idx], vals[idx] = Xa, va
         steps[idx[~improved]] *= 0.5
-        active &= steps >= _STEP_TOLERANCE
 
     best_val = float(np.max(vals))
     tied = np.flatnonzero(vals == best_val)

@@ -11,7 +11,8 @@ diagnostics --out DIR
 list-benchmarks
     Print the shipped benchmark functions.
 
-Config files are flat ``key = value`` lines; ``#`` starts a comment.  Each
+Config files are flat ``key = value`` lines.  In them and in ``--set``, a
+``#`` at the start of the text or after whitespace starts a comment.  Each
 key is one `ExperimentSpec` field, declared with its default and parser in
 the order the keys are resolved.  Only benchmark is required, and dim as
 well for the scalable benchmarks (ackley, levy).  A config is accepted only
@@ -30,6 +31,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -92,17 +94,20 @@ class ConfigError(Exception):
     """Invalid experiment configuration; the message names the field."""
 
 
-def _key_value(line: str, error: str) -> tuple[str, str]:
-    """The stripped (key, value) of a key=value line; ConfigError(error) if
-    the line has no '='."""
-    if "=" not in line:
-        raise ConfigError(error)
-    key, value = line.split("=", 1)
+def _key_value(text: str, expected: str) -> tuple[str, str]:
+    """The stripped (key, value) of a key=value text.  A '#' at the start or
+    after whitespace begins a comment, which is dropped; any other '#' is
+    part of the value, so /tmp/run#1 keeps it.  ConfigError(f"{expected},
+    got {rest!r}") if what is left has no '='."""
+    text = re.split(r"(?:^|\s)#", text, maxsplit=1)[0].strip()
+    if "=" not in text:
+        raise ConfigError(f"{expected}, got {text!r}")
+    key, value = text.split("=", 1)
     return key.strip(), value.strip()
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat key=value file; '#' comments and blank lines are skipped."""
+    """Read a flat key=value file; comment lines and blank lines are skipped."""
     out: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -110,9 +115,9 @@ def parse_config_file(path: str) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if line:
-            key, value = _key_value(line, f"{path}:{lineno}: expected key=value, got {line!r}")
+        line = raw_line.strip()
+        if line and not line.startswith("#"):
+            key, value = _key_value(line, f"{path}:{lineno}: expected key=value")
             out[key] = value
     return out
 
@@ -534,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     # run
     try:
         raw = parse_config_file(args.config) if args.config else {}
-        raw.update(_key_value(item, f"--set expects KEY=VALUE, got {item!r}") for item in args.set)
+        raw.update(_key_value(item, "--set expects KEY=VALUE") for item in args.set)
         spec = resolve_spec(raw)
         manifest = run_experiment(spec)
     except ConfigError as exc:

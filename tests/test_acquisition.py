@@ -559,6 +559,12 @@ def cube_corpus():
         # 5 + 3 * 30 evaluations in three whole sweeps, then 2 in the fourth
         ("budget runs out mid-sweep", HypercubeSet(np.array([[0.2, -0.1, 0.4]]), 0.8, parent),
          MaximizerConfig(restarts=5, max_evals=97), 9),
+        # starts stop at the step tolerance at different sweeps, so on the
+        # unrounded surface one cube's budget runs out in sweep 21 while the
+        # other's covers a 22nd
+        ("cubes retire at different sweeps",
+         HypercubeSet(np.array([[0.3, -0.2, 0.1], [-0.5, 0.4, -0.3]]), 0.5, parent),
+         MaximizerConfig(restarts=6, max_evals=760), 10),
     ]
 
 

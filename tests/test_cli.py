@@ -70,6 +70,23 @@ def test_parse_config_file_reports_line_number(tmp_path):
         parse_config_file(str(cfg))
 
 
+def test_file_and_set_strip_comments_by_one_rule(tmp_path, monkeypatch):
+    # '#' starts a comment only at the start or after whitespace, in a config
+    # file and in --set alike; a '#' inside a path is part of the value
+    seen = []
+
+    def capture(raw):
+        seen.append(raw)
+        raise ConfigError("stop")
+
+    monkeypatch.setattr(cli, "resolve_spec", capture)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("out_dir = /tmp/run#1\nbudget = 7 # note\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert cli.main(["run", "--set", "out_dir=/tmp/run#1", "--set", "budget=7 # note"]) == 2
+    assert seen == [{"out_dir": "/tmp/run#1", "budget": "7"}] * 2
+
+
 def test_parse_config_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file(str(tmp_path / "nope.cfg"))

@@ -333,14 +333,21 @@ def built(cls, **fields):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # the objective at huge x
 @pytest.mark.parametrize("hostile", [None, *HOSTILE])
-@settings(derandomize=True, deadline=None, max_examples=10)
+@settings(derandomize=True, deadline=None, max_examples=3)
 @given(data=st.data())
 def test_every_config_constructs_or_runs(hostile, data):
-    # Each case makes at most one field hostile, so that most examples get
-    # as far as run(); every other field draws a valid value.
+    # Each case makes at most one field hostile, so that most builds get as
+    # far as run(), and each example builds every value of its pool in turn;
+    # every other field draws a valid value.
+    for value in HOSTILE.get(hostile, [None]):
+        construct_or_run(hostile, value, data)
+
+
+def construct_or_run(hostile, value, data):
+    """Build one config, with `value` as field `hostile`, and run it if it builds."""
     def draw(name: str, valid):
-        pool = HOSTILE[name]  # every field the property draws has a hostile pool
-        return data.draw(st.sampled_from(pool) if name == hostile else valid, name)
+        assert name in HOSTILE  # every field the property draws has a hostile pool
+        return value if name == hostile else data.draw(valid, name)
 
     def real(name: str, low: float, high: float, scale: float = 1.0):
         return draw(name, st.floats(low, high, exclude_min=True, exclude_max=True)
