@@ -40,7 +40,6 @@ _STREAM_PLACEMENT = 4
 class BenchmarkFunction:
     """A maximization test problem on an axis-aligned box domain."""
 
-    name: str
     dim: int
     lower: np.ndarray
     upper: np.ndarray
@@ -189,7 +188,7 @@ def make_benchmark(name: str, dim: int | None = None) -> BenchmarkFunction:
     if fixed is not None and dim != fixed:
         raise ValueError(f"benchmark {name!r} is {fixed}-dimensional, got dim={dim}")
     return BenchmarkFunction(
-        name, dim, np.full(dim, low), np.full(dim, high), fn, optimum_value,
+        dim, np.full(dim, low), np.full(dim, high), fn, optimum_value,
         np.broadcast_to(optimum_point, (dim,)),
     )
 

@@ -158,8 +158,6 @@ class RunTrace:
     trace stops early; it names the phase and the step t.  `incomplete` is
     derived from it."""
 
-    algorithm: str
-    seed: int
     records: list[IterationRecord] = field(default_factory=list)
     error: str | None = None
 
@@ -182,26 +180,30 @@ def _derive_seed(*label: int) -> int:
     return int(np.random.SeedSequence(list(label)).generate_state(1, np.uint64)[0])
 
 
-def evaluate(
-    obj: Objective, x: np.ndarray, rng_noise, trace: RunTrace, t: int
-) -> float | None:
-    """y = f(x) + noise_std * z with z drawn from rng_noise.
+def observe(
+    obj: Objective, x: np.ndarray, rng_noise, trace: RunTrace, t: int, side: float,
+    n_cubes: int | None = None,
+) -> bool:
+    """Observe y = f(x) + noise_std * z, z drawn from rng_noise, as trace's next record.
 
-    If the objective raises, or f or y is not finite, marks `trace` as
-    failed to evaluate at step t and returns None, so the caller can stop.
+    The record's best_y is the running maximum of y.  If the objective raises,
+    or f or y is not finite, marks `trace` as failed to evaluate at step t and
+    returns False, so the caller can stop.
     """
     try:
         f = obj.eval(x)
     except Exception as exc:  # objective failure -> partial trace
         trace.fail("evaluate", t, f"{type(exc).__name__}: {exc}")
-        return None
+        return False
     y = f
     if obj.noise_std > 0.0:
         y = f + obj.noise_std * float(rng_noise.standard_normal())
     if not (math.isfinite(f) and math.isfinite(y)):
         trace.fail("evaluate", t, f"objective returned f={f!r}, y={y!r}")
-        return None
-    return y
+        return False
+    best_y = max(trace.records[-1].best_y, y) if trace.records else y
+    trace.records.append(IterationRecord(t=t, x=x, y=y, best_y=best_y, side=side, n_cubes=n_cubes))
+    return True
 
 
 def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
@@ -221,16 +223,11 @@ def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
     rng_points = np.random.default_rng([seed, _STREAM_INIT])
     rng_noise = np.random.default_rng([seed, _STREAM_NOISE])
 
-    trace = RunTrace(algorithm="random", seed=seed)
+    trace = RunTrace()
     X = rng_points.uniform(lower, upper, size=(T, obj.dim))
-    best = -math.inf
     for t in range(1, T + 1):
-        x = X[t - 1].copy()
-        y = evaluate(obj, x, rng_noise, trace, t)
-        if y is None:
-            return trace
-        best = max(best, y)
-        trace.records.append(IterationRecord(t=t, x=x, y=y, best_y=best, side=side))
+        if not observe(obj, X[t - 1].copy(), rng_noise, trace, t, side):
+            break
     return trace
 
 
@@ -256,33 +253,16 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         # shows for run seeds >= 2**64; it keeps their cube draws unchanged
         rng_cubes = np.random.default_rng([cfg.seed, _STREAM_CUBES, 0])
 
-    trace = RunTrace(algorithm=cfg.algorithm, seed=cfg.seed)
+    trace = RunTrace()
     box = initial_box(cfg.expansion)
-    data = Dataset.empty(d)
-    best_y = -math.inf
-    best_x: np.ndarray | None = None
-
-    def observe(t: int, x: np.ndarray, n_cubes: int | None = None) -> bool:
-        """Evaluate x, add it to the data and the trace; False if it failed."""
-        nonlocal data, best_y, best_x
-        y = evaluate(obj, x, rng_noise, trace, t)
-        if y is None:
-            return False
-        data = data.append(x, y)
-        if y > best_y:
-            best_y = y
-            best_x = x.copy()
-        trace.records.append(
-            IterationRecord(t=t, x=x, y=y, best_y=best_y, side=box.side, n_cubes=n_cubes)
-        )
-        return True
-
     init_points = rng_init.uniform(box.lower, box.upper, size=(cfg.n_init, d))
     for x in init_points:
-        if not observe(0, x.copy()):
+        if not observe(obj, x.copy(), rng_noise, trace, 0, box.side):
             return trace
 
     for t in range(1, cfg.budget_T + 1):
+        records = trace.records
+        data = Dataset(np.array([r.x for r in records]), np.array([r.y for r in records]), d)
         try:
             model = fit_mle(data, FitConfig(side_length=box.side, family=cfg.kernel_family))
         except GpFactorizationError as exc:
@@ -293,7 +273,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
             side_t = cfg.expansion.initial_side * 2.0 ** (doublings / d)
             box = SearchBox(cfg.expansion.x0_center, 0.5 * side_t, d)
         else:
-            box = translate(expand(box, t, cfg.expansion), best_x, cfg.expansion)
+            # the incumbent is the earliest observation of the largest y
+            incumbent = data.points[np.argmax(data.targets)]
+            box = translate(expand(box, t, cfg.expansion), incumbent, cfg.expansion)
 
         beta_t = beta(t, cfg.beta, side=box.side)  # the hdhubo schedule ignores side
         if not math.isfinite(beta_t):
@@ -314,8 +296,8 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         if not inside:
             raise RuntimeError(f"maximizer left the {region} at t={t}: {x.tolist()}")
 
-        if not observe(t, x, n_cubes):
-            return trace
+        if not observe(obj, x, rng_noise, trace, t, box.side, n_cubes):
+            break
     return trace
 
 

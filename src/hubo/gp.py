@@ -93,14 +93,6 @@ class Dataset:
     def empty(cls, dim: int) -> "Dataset":
         return cls(np.empty((0, dim)), np.empty(0), dim)
 
-    def append(self, x: np.ndarray, y: float) -> "Dataset":
-        x = np.asarray(x, dtype=np.float64).reshape(1, self.dim)
-        return Dataset(
-            np.vstack([self.points, x]),
-            np.append(self.targets, float(y)),
-            self.dim,
-        )
-
 
 @dataclass(frozen=True)
 class GpModel:

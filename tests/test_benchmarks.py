@@ -279,7 +279,8 @@ def test_random_search_single_draw():
     trace = random_over_domain(build("beale"), 1, seed=0)
     assert len(trace.records) == 1
     assert trace.records[0].t == 1
-    assert trace.algorithm == "random"
+    assert trace.records[0].best_y == trace.records[0].y
+    assert not trace.incomplete
 
 
 def test_random_search_deterministic():
@@ -293,12 +294,13 @@ def test_random_search_deterministic():
 
 def test_random_search_best_is_running_max():
     bench = build("levy")
-    trace = random_over_domain(bench, 100, seed=4)
-    best = -np.inf
-    for rec in trace.records:
-        best = max(best, rec.y)
-        assert rec.best_y == best
-        assert np.all(rec.x >= bench.lower) and np.all(rec.x <= bench.upper)
+    for noise_std in (0.0, 0.5):
+        trace = random_over_domain(bench, 100, seed=4, noise_std=noise_std)
+        best = -np.inf
+        for rec in trace.records:
+            best = max(best, rec.y)
+            assert rec.best_y == best
+            assert np.all(rec.x >= bench.lower) and np.all(rec.x <= bench.upper)
 
 
 def test_random_search_ackley_reaches_modest_level():

@@ -87,6 +87,15 @@ def test_file_and_set_strip_comments_by_one_rule(tmp_path, monkeypatch):
     assert seen == [{"out_dir": "/tmp/run#1", "budget": "7"}] * 2
 
 
+def test_config_file_with_utf8_bom_resolves_like_one_without(tmp_path):
+    text = "benchmark = beale\nbudget = 7\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config_file(str(bom)) == parse_config_file(str(plain))
+    assert resolve_spec(parse_config_file(str(bom))) == resolve_spec(parse_config_file(str(plain)))
+
+
 def test_parse_config_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file(str(tmp_path / "nope.cfg"))
@@ -203,15 +212,15 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
         ({"benchmark": "beale", "algorithms": "hubo,hubo,sgd"},
          f"algorithms must be one of {_ALGOS}, got 'sgd'"),
         ({"benchmark": "beale", "alpha": "x"}, "alpha must be a number, got 'x'"),
-        ({"benchmark": "beale", "alpha": "nan"}, "alpha must be finite, got 'nan'"),
+        ({"benchmark": "beale", "alpha": "nan"}, "alpha must lie in [-1, 0), got nan"),
         ({"benchmark": "beale", "alpha": "0"}, "alpha must lie in [-1, 0), got 0.0"),
         ({"benchmark": "beale", "alpha": "-1.5"}, "alpha must lie in [-1, 0), got -1.5"),
         ({"benchmark": "beale", "lambda": "-0.1"}, "lambda must be >= 0, got -0.1"),
-        ({"benchmark": "beale", "lambda": "inf"}, "lambda must be finite, got 'inf'"),
+        ({"benchmark": "beale", "lambda": "inf"}, "lambda must be finite, got inf"),
         ({"benchmark": "beale", "n0": "0"}, "n0 must be >= 1, got 0"),
         ({"benchmark": "beale", "n0": "1.5"}, "n0 must be an integer, got '1.5'"),
         ({"benchmark": "beale", "l_h": "0"}, "l_h must be > 0, got 0.0"),
-        ({"benchmark": "beale", "l_h": "-inf"}, "l_h must be finite, got '-inf'"),
+        ({"benchmark": "beale", "l_h": "-inf"}, "l_h must be > 0, got -inf"),
         ({"benchmark": "beale", "delta": "1"}, "delta must lie in (0, 1), got 1.0"),
         ({"benchmark": "beale", "delta": "x"}, "delta must be a number, got 'x'"),
         ({"benchmark": "beale", "s1": "0"}, "s1 must be > 0, got 0.0"),
@@ -228,7 +237,7 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
         ({"benchmark": "beale", "seed": "x"}, "seed must be an integer, got 'x'"),
         ({"benchmark": "beale", "seed": "-1"}, "seed must be >= 0, got -1"),
         ({"benchmark": "beale", "noise_std": "-0.1"}, "noise_std must be >= 0, got -0.1"),
-        ({"benchmark": "beale", "noise_std": "inf"}, "noise_std must be finite, got 'inf'"),
+        ({"benchmark": "beale", "noise_std": "inf"}, "noise_std must be finite, got inf"),
         ({"benchmark": "beale", "restarts": "0"}, "restarts must be >= 1, got 0"),
         ({"benchmark": "beale", "restarts": "50", "max_evals": "10"},
          "max_evals (10) must be >= restarts (50)"),
@@ -269,6 +278,8 @@ _ALGOS = "('hubo', 'hdhubo', 'vol2', 'random')"
         # at the defaults N_T * dim = 30 * dim**2 first passes the cap at dim 748
         ({"benchmark": "ackley", "dim": "748"},
          "lambda must keep N_T * dim <= 16777216 at budget_T=22440, got 1.0"),
+        # the benchmark name is checked before the dim text
+        ({"benchmark": "sphere", "dim": "x"}, f"benchmark must be one of {_NAMES}, got 'sphere'"),
     ],
 )
 def test_resolve_spec_error_message(raw, message):
@@ -484,7 +495,7 @@ def test_log_distance_of_two_digit_gap():
     # A best-so-far gap of 0.01 must appear as exactly -2 in the trace.
     from hubo.driver import IterationRecord, Objective, RunTrace, compute_regret
 
-    trace = RunTrace(algorithm="hubo", seed=0)
+    trace = RunTrace()
     trace.records.append(
         IterationRecord(t=1, x=np.array([0.1]), y=-0.01, best_y=-0.01, side=1.0)
     )

@@ -460,6 +460,45 @@ def test_constant_objective_runs_to_completion():
     assert len(trace.records) == 3 + 5
 
 
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2"])
+def test_fit_sees_exactly_the_traced_observations(monkeypatch, algorithm):
+    # The trace is the run's one store of observations: at step t the fit
+    # gets its first n_init + t - 1 records, bit for bit (noisy y included).
+    seen = []
+    real = driver.fit_mle
+
+    def record(data, cfg):
+        seen.append(data)
+        return real(data, cfg)
+
+    monkeypatch.setattr(driver, "fit_mle", record)
+    obj = replace(sphere_2d(), noise_std=0.1)
+    trace = run(obj, small_2d_config(algorithm, budget_T=6))
+    assert not trace.incomplete
+    assert [len(data) for data in seen] == list(range(3, 9))
+    for data in seen:
+        records = trace.records[: len(data)]
+        assert data.points.tobytes() == np.array([r.x for r in records]).tobytes()
+        assert data.targets.tobytes() == np.array([r.y for r in records]).tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo"])
+def test_tied_targets_translate_to_the_earliest_observation(monkeypatch, algorithm):
+    # Every y ties, so the incumbent stays the first initial-design point.
+    incumbents = []
+    real = driver.translate
+
+    def record(box, best_x, cfg):
+        incumbents.append(best_x)
+        return real(box, best_x, cfg)
+
+    monkeypatch.setattr(driver, "translate", record)
+    trace = run(Objective(fn=lambda x: 0.1, dim=2), small_2d_config(algorithm, budget_T=5))
+    assert len(incumbents) == 5
+    for best_x in incumbents:
+        assert np.array_equal(best_x, trace.records[0].x)
+
+
 # ---------------------------------------------------------------------------
 # run (hdhubo)
 # ---------------------------------------------------------------------------
@@ -572,7 +611,7 @@ def test_vol2_keeps_center_fixed():
 
 
 def synthetic_trace(xs: list[float], ts: list[int]) -> RunTrace:
-    trace = RunTrace(algorithm="hubo", seed=0)
+    trace = RunTrace()
     best = -math.inf
     for t, xv in zip(ts, xs):
         y = -((xv - 5.0) ** 2)

@@ -84,15 +84,6 @@ def test_gp_model_rejects_negative_noise():
         GpModel(kernel=KernelSpec("se", 1.0, 1.0), noise_variance=-1e-3)
 
 
-def test_dataset_append_is_immutable():
-    d0 = Dataset.empty(2)
-    d1 = d0.append(np.array([0.5, -0.5]), 3.0)
-    assert len(d0) == 0
-    assert len(d1) == 1
-    np.testing.assert_allclose(d1.points, [[0.5, -0.5]])
-    np.testing.assert_allclose(d1.targets, [3.0])
-
-
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 1)), np.zeros(3), 1)  # length mismatch
@@ -313,10 +304,10 @@ def test_posterior_variance_decreases_with_more_data():
             noise_variance=float(rng.uniform(0.01, 0.3)),
         )
         t = int(rng.integers(2, 10))
-        X = rng.uniform(-1, 1, size=(t, d))
-        y = rng.normal(size=t)
-        data = Dataset(X, y, d)
-        grown = data.append(rng.uniform(-1, 1, size=d), float(rng.normal()))
+        X = rng.uniform(-1, 1, size=(t + 1, d))
+        y = rng.normal(size=t + 1)
+        data = Dataset(X[:t], y[:t], d)
+        grown = Dataset(X, y, d)  # data plus one more observation
         Xq = rng.uniform(-1, 1, size=(8, d))
         _, var_before = PosteriorState(model, data).predict(Xq)
         _, var_after = PosteriorState(model, grown).predict(Xq)

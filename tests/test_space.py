@@ -108,7 +108,7 @@ def test_coordinate_arrays_are_read_only_float64_copies():
     scalar_cfg = ExpansionConfig(a=0, b=1, alpha=-1.0, c_min=-1, c_max=2, dim=2)
     x0_cfg = ExpansionConfig(a=0, b=1, alpha=-1.0, c_min=-1, c_max=2, dim=2, x0_center=1)
     cube_set = HypercubeSet([[0, 1], [1, 2]], 0.4, box)
-    bench = BenchmarkFunction("sq", 2, [0, 0], [1, 1], lambda x: 0.0, 0.0, [0, 0])
+    bench = BenchmarkFunction(2, [0, 0], [1, 1], lambda x: 0.0, 0.0, [0, 0])
     ispace = InitialSpace(dim=2, a=0, b=1, x0_center=[0, 0], c_min=[-1, -1], c_max=[1, 1])
     arrays = {
         "SearchBox.center": (box.center, [1.0, 2.0]),
