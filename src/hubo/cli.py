@@ -315,9 +315,7 @@ def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrac
         trace = random_search(obj, ispace.c_min, ispace.c_max, T, spec.seed + repeat)
     else:
         trace = run(obj, cfg)
-    if not trace.incomplete:
-        compute_regret(trace, obj)
-    return trace
+    return compute_regret(trace, obj)
 
 
 def _cell(value) -> str:

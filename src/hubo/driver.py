@@ -60,9 +60,9 @@ _STREAM_MAXIMIZER = 3
 class Objective:
     """A maximization target: deterministic f plus a Gaussian noise level.
 
-    The driver adds the observation noise itself (y = f(x) + noise_std * z)
-    from its own stream; `fn` must be pure.  `optimum_value` is optional and
-    only needed for regret.
+    The driver evaluates `fn` once per point and adds the observation noise
+    itself (y = f(x) + noise_std * z) from its own stream; `fn` must be pure.
+    `optimum_value` is optional and only needed for regret.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -135,13 +135,14 @@ class RunConfig:
 
 @dataclass
 class IterationRecord:
-    """One observation: t = 0 marks initial-design points, t >= 1 BO steps.
-
-    r_t/R_t/log_dist stay None until compute_regret fills them.
+    """One observation y = f + noise of the noiseless value f at x: t = 0
+    marks initial-design points, t >= 1 BO steps.  r_t/R_t/log_dist stay None
+    until compute_regret fills them.
     """
 
     t: int
     x: np.ndarray
+    f: float
     y: float
     best_y: float
     side: float
@@ -202,7 +203,8 @@ def observe(
         trace.fail("evaluate", t, f"objective returned f={f!r}, y={y!r}")
         return False
     best_y = max(trace.records[-1].best_y, y) if trace.records else y
-    trace.records.append(IterationRecord(t=t, x=x, y=y, best_y=best_y, side=side, n_cubes=n_cubes))
+    trace.records.append(
+        IterationRecord(t=t, x=x, f=f, y=y, best_y=best_y, side=side, n_cubes=n_cubes))
     return True
 
 
@@ -304,9 +306,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 def compute_regret(trace: RunTrace, obj: Objective) -> RunTrace:
     """Fill regret columns in place (and return the trace).
 
-    r_t and R_t cover BO rows (t >= 1) and use noiseless re-evaluation of f;
-    log_dist = log10(optimum - best noiseless f so far) covers every row and
-    is floored at -12 once the gap reaches 1e-12.
+    r_t and R_t cover BO rows (t >= 1) and read each record's noiseless f;
+    log_dist = log10(optimum - best f so far) covers every row, partial
+    traces included, and is floored at -12 once the gap reaches 1e-12.
     """
     if obj.optimum_value is None:
         raise ValueError("compute_regret needs obj.optimum_value")
@@ -314,12 +316,11 @@ def compute_regret(trace: RunTrace, obj: Objective) -> RunTrace:
     best_f = -math.inf
     total = 0.0
     for rec in trace.records:
-        f = obj.eval(rec.x)
-        best_f = max(best_f, f)
+        best_f = max(best_f, rec.f)
         gap = opt - best_f
         rec.log_dist = -12.0 if gap <= 1e-12 else math.log10(gap)
         if rec.t >= 1:
-            r = opt - f
+            r = opt - rec.f
             rec.r_t = r
             total += r
             rec.R_t = total

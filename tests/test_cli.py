@@ -7,9 +7,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -497,7 +500,7 @@ def test_log_distance_of_two_digit_gap():
 
     trace = RunTrace()
     trace.records.append(
-        IterationRecord(t=1, x=np.array([0.1]), y=-0.01, best_y=-0.01, side=1.0)
+        IterationRecord(t=1, x=np.array([0.1]), f=-0.01, y=-0.01, best_y=-0.01, side=1.0)
     )
     obj = Objective(fn=lambda x: -float(x[0] ** 2), dim=1, optimum_value=0.0)
     compute_regret(trace, obj)
@@ -770,6 +773,21 @@ _EVERY_CALL = {"x1e200": lambda y: 1e200 * y, "x1e-200": lambda y: 1e-200 * y,
                "constant": lambda y: 1.0}
 
 
+def _assert_regret_read_from_f(rows, f_of_x, optimum):
+    """The r_t, R_t and log_dist cells hold what compute_regret derives from
+    each row's f: r_t and R_t on BO rows (t >= 1), log_dist on every row."""
+    best_f, total = -math.inf, 0.0
+    for row in rows[1:]:
+        f = f_of_x(np.array([float(v) for v in row[1].split(";")]))
+        best_f = max(best_f, f)
+        gap = optimum - best_f
+        r_t = R_t = ""
+        if int(row[0]) >= 1:
+            total += optimum - f
+            r_t, R_t = repr(optimum - f), repr(total)
+        assert row[4:7] == [r_t, R_t, repr(-12.0 if gap <= 1e-12 else math.log10(gap))]
+
+
 def _faulty_value(fault, y, n):
     """The objective value of call n under `fault`, from the true value y."""
     if n == 5 and fault == "raise":
@@ -785,6 +803,7 @@ def test_fault_matrix_through_hubo_run(tmp_path, monkeypatch, capsys, fault):
     # faults whichever worker process runs it.
     algorithm, status, prefix = _FAULT_CASES[fault]
     real_make, real_chol = cli.make_benchmark, gp._chol_with_jitter
+    beale = real_make("beale")
 
     def make(name, dim=None):
         bench = real_make(name, dim)
@@ -832,10 +851,37 @@ def test_fault_matrix_through_hubo_run(tmp_path, monkeypatch, capsys, fault):
             else:
                 assert entry["error"].startswith(prefix)
                 assert prefix in err
+            # partial traces carry regret too, read from the rows' f
+            _assert_regret_read_from_f(
+                read_csv(out / entry["file"]),
+                lambda x: _faulty_value(fault, beale.eval(x), 0), beale.optimum_value)
             del entry["duration_s"]
         csvs = {n: (out / n).read_bytes() for n in manifest["files"] if n.endswith(".csv")}
         outcomes.append((manifest["runs"], manifest["files"], csvs))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("noise_std", ["0", "0.1"])
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2", "random"])
+def test_build_and_run_evaluates_each_point_once(tmp_path, monkeypatch, algorithm, noise_std):
+    real = cli.make_benchmark
+    calls = {"n": 0}
+
+    def make(name, dim=None):
+        bench = real(name, dim)
+
+        def fn(x):
+            calls["n"] += 1
+            return bench.fn(x)
+
+        return replace(bench, fn=fn)
+
+    monkeypatch.setattr(cli, "make_benchmark", make)
+    spec = fast_spec(tmp_path, algorithms=algorithm, noise_std=noise_std, budget=3)
+    trace = cli._build_and_run(spec, algorithm, 0)
+    assert not trace.incomplete
+    assert trace.records[-1].R_t is not None
+    assert calls["n"] == len(trace.records) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +904,39 @@ def test_main_run_success_exit_zero(tmp_path, capsys):
     assert code == 0
     assert "2/2 runs ok" in capsys.readouterr().out
     assert (out / "manifest.json").exists()
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _thread_vars_after(code: str, **env) -> list:
+    """The BLAS thread variables after `code` runs in a fresh interpreter
+    whose environment holds none of them but those in `env`."""
+    child_env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    child_env.update(PYTHONPATH=str(_SRC), **env)
+    probe = f"{code}; import json, os; print(json.dumps([os.getenv(n) for n in {_THREAD_VARS}]))"
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_command_defaults_blas_threads_to_one():
+    # the package itself loads no NumPy, so the entry module's defaults come first
+    assert _thread_vars_after("import sys, hubo; assert 'numpy' not in sys.modules") == [None] * 3
+    assert _thread_vars_after("import hubo.__main__") == ["1", "1", "1"]
+    assert _thread_vars_after("import hubo.__main__", OPENBLAS_NUM_THREADS="3") == ["3", "1", "1"]
+    # a library import leaves the environment alone
+    assert _thread_vars_after("import hubo.cli") == [None] * 3
+    pyproject = (_SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'hubo = "hubo.__main__:main"' in pyproject
+
+
+def test_python_dash_m_runs_the_command():
+    done = subprocess.run([sys.executable, "-m", "hubo", "list-benchmarks"],
+                          env={**os.environ, "PYTHONPATH": str(_SRC)}, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[0].startswith("beale ")
 
 
 def test_main_config_error_exit_two(tmp_path, capsys):

@@ -617,7 +617,7 @@ def synthetic_trace(xs: list[float], ts: list[int]) -> RunTrace:
         y = -((xv - 5.0) ** 2)
         best = max(best, y)
         trace.records.append(
-            IterationRecord(t=t, x=np.array([xv]), y=y, best_y=best, side=1.0)
+            IterationRecord(t=t, x=np.array([xv]), f=y, y=y, best_y=best, side=1.0)
         )
     return trace
 
@@ -679,6 +679,35 @@ def test_regret_requires_optimum():
     trace = synthetic_trace([1.0], [1])
     with pytest.raises(ValueError):
         compute_regret(trace, Objective(fn=lambda x: 0.0, dim=1))
+
+
+def counting(obj: Objective) -> tuple[Objective, dict]:
+    """obj with an fn that counts its calls in the returned dict."""
+    calls = {"n": 0}
+
+    def fn(x):
+        calls["n"] += 1
+        return obj.fn(x)
+
+    return replace(obj, fn=fn), calls
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.1])
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2", "random"])
+def test_each_point_is_evaluated_once(algorithm, noise_std):
+    # the trace keeps each point's noiseless f, so regret calls fn no more
+    obj, calls = counting(replace(sphere_2d(), noise_std=noise_std))
+    if algorithm == "random":
+        trace = driver.random_search(obj, [-3.0, -3.0], [4.0, 4.0], T=8, seed=3)
+    else:
+        trace = run(obj, small_2d_config(algorithm, budget_T=5, seed=3))
+    assert not trace.incomplete
+    assert calls["n"] == len(trace.records) == 8
+    compute_regret(trace, obj)
+    assert calls["n"] == len(trace.records)
+    for rec in trace.records:
+        assert rec.f == sphere_2d().eval(rec.x)
+        assert (rec.y == rec.f) == (noise_std == 0.0)
 
 
 # ---------------------------------------------------------------------------
