@@ -1,11 +1,12 @@
 """GP-UCB acquisition: confidence schedules and seeded maximization.
 
 The acquisition value is mean + sqrt(beta_t) * std under the current GP
-posterior.  Maximization is derivative-free: uniform multi-start plus
-coordinate-wise pattern search with shrinking steps, clamped to the feasible
-rectangle, under a hard evaluation budget.  One search serves both
-maximizers: it advances K rectangles in lockstep, K clipped cubes for the
-cube union and K = 1 for the box, and costs one `predict` call per
+posterior; `ucb` binds it into a batch function of (m, d) query rows, and the
+maximizers take any such function.  Maximization is derivative-free: uniform
+multi-start plus coordinate-wise pattern search with shrinking steps, clamped
+to the feasible rectangle, under a hard evaluation budget.  One search serves
+both maximizers: it advances K rectangles in lockstep, K clipped cubes for
+the cube union and K = 1 for the box, and costs one acquisition call per
 (coordinate, sign) per sweep whatever K is, with its bookkeeping done once
 per sweep.  Everything is deterministic given the seed.
 """
@@ -13,13 +14,13 @@ per sweep.  Everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contracts import choice, count, real
 from .cubes import HypercubeSet
-from .gp import Dataset, GpModel, PosteriorState
 from .space import SearchBox
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "beta",
     "maximize_over_box",
     "maximize_over_cubes",
+    "ucb",
 ]
 
 # A start stops once its relative step falls below this.
@@ -110,20 +112,22 @@ class MaximizerConfig:
             )
 
 
-def _ucb_batch(state: PosteriorState, beta_t: float):
+def ucb(state, beta_t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """GP-UCB at each query row under `state`, a gp.PosteriorState: mean +
+    sqrt(beta_t) * std, computed in the buffers its `predict` returns."""
     root = math.sqrt(beta_t)
 
-    def predict(X: np.ndarray) -> np.ndarray:
+    def acq(X: np.ndarray) -> np.ndarray:
         # means + root * sqrt(variances), in the buffers predict returned
         means, sigma = state.predict(X)
         np.sqrt(sigma, out=sigma)
         np.multiply(sigma, root, out=sigma)
         return np.add(means, sigma, out=means)
 
-    return predict
+    return acq
 
 
-def _search_rect(predict, lo, hi, restarts, max_evals, rng):
+def _search_rect(acq, lo, hi, restarts, max_evals, rng):
     """Multi-start coordinate pattern search over K rectangles in lockstep.
 
     `lo` and `hi` are (K, d) bounds.  Rectangle k starts from rows
@@ -134,7 +138,7 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     same trajectory prefix and can only improve the result.  Each rectangle
     keeps its own budget of `max_evals` evaluations, step sizes and stopping
     rule, and follows the trajectory a search of it alone from those starts
-    would; only the `predict` calls are shared: one per (coordinate, sign) per
+    would; only the `acq` calls are shared: one per (coordinate, sign) per
     sweep, with rows ordered by rectangle, then by start.  The best value
     wins; ties go to the lowest rectangle, then to the lexicographically
     smallest point.  Returns (best point, best value, evaluations used over
@@ -147,13 +151,13 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     with `left` evaluations left, gets a quota of min(2d, ceil((left - r) /
     n)) probes.  Probe j moves the starts whose quota exceeds j, all of them
     while j is below the smallest quota, at the cost of a copy, a clamp, the
-    `predict` call and two masked writes.
+    `acq` call and two masked writes.
     """
     K, d = lo.shape
     rect = np.repeat(np.arange(K), restarts)
     width = hi - lo
     X = lo[rect] + width[rect] * rng.random((K * restarts, d))
-    vals = predict(X)
+    vals = acq(X)
     used = np.full(K, restarts)
     steps = np.full(K * restarts, 0.25)
     active = np.ones(K * restarts, dtype=bool)
@@ -182,7 +186,7 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
             col = cand[:, i]
             (np.subtract if j % 2 else np.add)(col, step[i, rows], out=col)
             np.minimum(np.maximum(col, lo_a[i, rows], out=col), hi_a[i, rows], out=col)
-            cvals = predict(cand)
+            cvals = acq(cand)
             better = cvals > va[rows]
             Xa[rows, i] = np.where(better, col, Xa[rows, i])
             va[rows] = np.where(better, cvals, va[rows])
@@ -197,35 +201,20 @@ def _search_rect(predict, lo, hi, restarts, max_evals, rng):
     return X[winner].copy(), best_val, int(used.sum())
 
 
-def _maximize(model, data, beta_t, lo, hi, restarts, max_evals, seed):
-    """The best UCB point over the (K, d) rectangles [lo, hi], as (x, value)."""
-    predict = _ucb_batch(PosteriorState(model, data), beta_t)
-    x, val, _ = _search_rect(predict, lo, hi, restarts, max_evals, np.random.default_rng(seed))
+def maximize_over_box(
+    acq: Callable[[np.ndarray], np.ndarray], box: SearchBox, cfg: MaximizerConfig, seed: int
+) -> tuple[np.ndarray, float]:
+    """Best point found inside the box within cfg's budget, as (x, acq(x))."""
+    lo, hi = box.lower.reshape(1, -1), box.upper.reshape(1, -1)
+    x, val, _ = _search_rect(acq, lo, hi, cfg.restarts, cfg.max_evals, np.random.default_rng(seed))
     return x, val
 
 
-def maximize_over_box(
-    model: GpModel,
-    data: Dataset,
-    beta_t: float,
-    box: SearchBox,
-    cfg: MaximizerConfig,
-    seed: int,
-) -> tuple[np.ndarray, float]:
-    """Best acquisition point found inside the box within cfg's budget."""
-    lo, hi = box.lower.reshape(1, -1), box.upper.reshape(1, -1)
-    return _maximize(model, data, beta_t, lo, hi, cfg.restarts, cfg.max_evals, seed)
-
-
 def maximize_over_cubes(
-    model: GpModel,
-    data: Dataset,
-    beta_t: float,
-    cube_set: HypercubeSet,
-    cfg: MaximizerConfig,
+    acq: Callable[[np.ndarray], np.ndarray], cube_set: HypercubeSet, cfg: MaximizerConfig,
     seed: int,
 ) -> tuple[np.ndarray, float]:
-    """Best acquisition point over the cube union.
+    """Best point found over the cube union, as (x, acq(x)).
 
     One lockstep search covers every clipped cube, each with a per-cube share
     r of the budget (floors: 10 evaluations, 1 restart).  Its starts come from
@@ -236,4 +225,5 @@ def maximize_over_cubes(
     n = cube_set.n
     lo, hi = cube_set.clipped_bounds()
     restarts, max_evals = max(1, cfg.restarts // n), max(10, cfg.max_evals // n)
-    return _maximize(model, data, beta_t, lo, hi, restarts, max_evals, seed)
+    x, val, _ = _search_rect(acq, lo, hi, restarts, max_evals, np.random.default_rng(seed))
+    return x, val

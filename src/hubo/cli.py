@@ -557,7 +557,3 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     return 3 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,11 +1,12 @@
 """Outer optimisation loops and regret accounting.
 
-Three loops share one engine: the expand-and-translate algorithm ("hubo"),
-its hypercube-restricted high-dimensional variant ("hdhubo"), and a doubling
+One loop, `run`, serves the expand-and-translate algorithm ("hubo"), its
+hypercube-restricted high-dimensional variant ("hdhubo") and a doubling
 baseline ("vol2") whose box never translates and whose volume doubles every
-3d iterations.  A fourth loop, `random_search`, draws uniformly from a fixed
-box.  Every random draw comes from a stream derived from the run seed by a
-fixed label, so traces are bitwise reproducible.
+3d iterations; each BO step binds the fitted posterior into a UCB function
+and maximizes it over the step's region.  `random_search` draws uniformly
+from a fixed box.  Every random draw comes from a stream derived from the
+run seed by a fixed label, so traces are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .acquisition import (
     beta,
     maximize_over_box,
     maximize_over_cubes,
+    ucb,
 )
 from .contracts import choice, count, frozen, real
 from .cubes import HdConfig, membership, num_cubes, sample_cubes
-from .gp import KERNEL_FAMILIES, Dataset, FitConfig, GpFactorizationError, fit_mle
+from .gp import KERNEL_FAMILIES, Dataset, FitConfig, GpFactorizationError, PosteriorState, fit_mle
 from .space import ExpansionConfig, SearchBox, expand, initial_box, translate
 
 __all__ = [
@@ -238,9 +240,9 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
     Each step refits the GP by MLE, updates the search region per the
     algorithm, maximizes UCB inside it, and observes f plus fresh noise.  If
-    the objective raises or returns a non-finite value, the fit or the
-    maximizer's posterior raises GpFactorizationError, or beta_t is not
-    finite, the partial trace is returned with incomplete=True.
+    the objective raises or returns a non-finite value, the fit or the step's
+    posterior raises GpFactorizationError, or beta_t is not finite, the
+    partial trace is returned with incomplete=True.
     """
     d = obj.dim
     if cfg.expansion.dim != d:
@@ -285,13 +287,14 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         mseed = _derive_seed(cfg.seed, _STREAM_MAXIMIZER, t)
         n_cubes: int | None = None
         try:
+            acq = ucb(PosteriorState(model, data), beta_t)
             if cfg.algorithm == "hdhubo":
                 cube_set = sample_cubes(box, t, cfg.hd, rng_cubes)
                 n_cubes = cube_set.n
-                x, _ = maximize_over_cubes(model, data, beta_t, cube_set, cfg.maximizer, mseed)
+                x, _ = maximize_over_cubes(acq, cube_set, cfg.maximizer, mseed)
                 inside, region = membership(cube_set, x), "cube union"
             else:
-                x, _ = maximize_over_box(model, data, beta_t, box, cfg.maximizer, mseed)
+                x, _ = maximize_over_box(acq, box, cfg.maximizer, mseed)
                 inside, region = box.contains(x), "search box"
         except GpFactorizationError as exc:  # from the posterior's factorization
             return trace.fail("maximize", t, f"GpFactorizationError: {exc}")

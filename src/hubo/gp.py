@@ -89,10 +89,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.targets)
 
-    @classmethod
-    def empty(cls, dim: int) -> "Dataset":
-        return cls(np.empty((0, dim)), np.empty(0), dim)
-
 
 @dataclass(frozen=True)
 class GpModel:
@@ -163,16 +159,15 @@ class PosteriorState:
     """Factorize (K + noise*I) once, then answer posterior queries cheaply.
 
     The optimisation loop asks for hundreds of posterior values per fitted
-    model; refactorizing per query would be O(t^3) each.
+    model; refactorizing per query would be O(t^3) each.  `data` must hold
+    at least one point.
     """
 
     def __init__(self, model: GpModel, data: Dataset):
+        if len(data) == 0:
+            raise ValueError("PosteriorState needs at least 1 observed point, got 0")
         self.model = model
         self.data = data
-        self.jitter = 0.0
-        if len(data) == 0:
-            self._L = self._weights = None
-            return
         K = kernel_matrix(model.kernel, data.points)
         _add_to_diagonal(K, model.noise_variance)
         self._L, self.jitter = _chol_with_jitter(K, model.kernel.signal_variance)
@@ -192,11 +187,6 @@ class PosteriorState:
                 f"query must have shape (m, {self.data.dim}), got {X.shape}"
             )
         sv = self.model.kernel.signal_variance
-        if self._L is None:
-            return (
-                np.full(len(X), self.model.prior_mean),
-                np.full(len(X), sv),
-            )
         Ks = kernel_matrix(self.model.kernel, X, self.data.points)
         means = Ks @ self._weights
         means += self.model.prior_mean

@@ -25,9 +25,19 @@ def se_model(ell=1.0, sv=1.0, nv=0.0, mean=0.0) -> GpModel:
     return GpModel(KernelSpec("se", ell, sv), noise_variance=nv, prior_mean=mean)
 
 
+def ucb_of(model: GpModel, data: Dataset, beta_t: float):
+    """The UCB batch function the driver hands the maximizers."""
+    return acquisition.ucb(PosteriorState(model, data), beta_t)
+
+
 def ucb_at(model: GpModel, data: Dataset, beta_t: float, x: np.ndarray) -> float:
     """The acquisition value the maximizers score, at the single point x."""
-    return float(acquisition._ucb_batch(PosteriorState(model, data), beta_t)(x[None])[0])
+    return float(ucb_of(model, data, beta_t)(x[None])[0])
+
+
+def constant(value: float):
+    """A flat acquisition surface: every row scores `value`."""
+    return lambda X: np.full(len(X), value)
 
 
 def mean_at(model: GpModel, data: Dataset, x: np.ndarray) -> float:
@@ -166,7 +176,7 @@ def test_beta_rejects_t_below_one():
 
 
 # ---------------------------------------------------------------------------
-# UCB values (_ucb_batch)
+# UCB values (ucb)
 # ---------------------------------------------------------------------------
 
 
@@ -175,13 +185,6 @@ def test_ucb_zero_beta_is_posterior_mean():
     data = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]), 1)
     x = np.array([0.3])
     assert ucb_at(model, data, 0.0, x) == pytest.approx(mean_at(model, data, x), rel=1e-12)
-
-
-def test_ucb_on_prior():
-    model = se_model()
-    assert ucb_at(model, Dataset.empty(1), 4.0, np.array([0.7])) == (
-        pytest.approx(2.0, rel=1e-12)
-    )
 
 
 def test_ucb_two_point_dense_oracle():
@@ -210,12 +213,12 @@ def test_ucb_never_below_posterior_mean():
 
 
 def random_states(seed: int):
-    """(state, query) pairs: the prior, SE and Matern posteriors, jittered
-    factors, one query row and many, C- and Fortran-ordered queries."""
+    """(state, query) pairs: SE and Matern posteriors, jittered factors, one
+    query row and many, C- and Fortran-ordered queries."""
     rng = np.random.default_rng(seed)
     cases = []
     for trial in range(24):
-        d, t = int(rng.integers(1, 7)), 0 if trial == 0 else int(rng.integers(1, 40))
+        d, t = int(rng.integers(1, 7)), int(rng.integers(1, 40))
         kernel = KernelSpec(
             "se" if trial % 2 else "matern52",
             float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 3.0)),
@@ -231,29 +234,29 @@ def random_states(seed: int):
 
 
 def test_ucb_batch_is_mean_plus_root_beta_sigma_bit_for_bit():
-    # _ucb_batch works in the buffers predict returns; it must give the
+    # ucb works in the buffers predict returns; it must give the
     # formula's value from a separate predict of the same rows, in every bit.
     for k, (state, X) in enumerate(random_states(41)):
         b = (0.0, 0.3, 4.0, 37.5)[k % 4]
         m, v = state.predict(X)
         expected = m + math.sqrt(b) * np.sqrt(v)
-        assert acquisition._ucb_batch(state, b)(X).tobytes() == expected.tobytes(), k
+        assert acquisition.ucb(state, b)(X).tobytes() == expected.tobytes(), k
 
 
 def test_repeated_predict_leaves_query_and_posterior_unchanged():
     # predict overwrites its own kernel block, never its query, the factor
     # or the weights, and each call returns fresh buffers.
     for k, (state, X) in enumerate(random_states(43)):
-        before = [a.copy() for a in (X, state._L, state._weights) if a is not None]
+        before = [a.copy() for a in (X, state._L, state._weights)]
         m1, v1 = state.predict(X)
         expected = m1.tobytes(), v1.tobytes()
         m1 += 1.0
         v1 *= 2.0
         for _ in range(3):
             m2, v2 = state.predict(X)
-            acquisition._ucb_batch(state, 2.0)(X)
+            acquisition.ucb(state, 2.0)(X)
             assert (m2.tobytes(), v2.tobytes()) == expected, k
-        after = [a for a in (X, state._L, state._weights) if a is not None]
+        after = [X, state._L, state._weights]
         assert [a.tobytes() for a in after] == [a.tobytes() for a in before], k
 
 
@@ -275,13 +278,10 @@ def test_maximizer_config_validation():
 
 
 def test_box_maximizer_flat_surface():
-    model = se_model(mean=1.25)
     box = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
-    x, val = acquisition.maximize_over_box(
-        model, Dataset.empty(2), 0.0, box, MaximizerConfig(), 0
-    )
+    x, val = acquisition.maximize_over_box(constant(1.25), box, MaximizerConfig(), 0)
     assert box.contains(x)
-    assert val == pytest.approx(1.25, rel=1e-12)
+    assert val == 1.25
 
 
 def test_box_maximizer_beats_dense_grid():
@@ -290,7 +290,7 @@ def test_box_maximizer_beats_dense_grid():
     model = se_model(ell=0.6, sv=1.5, nv=1e-4)
     data = Dataset(np.array([[0.3]]), np.array([1.2]), 1)
     box = SearchBox(center=np.zeros(1), half_side=2.0, dim=1)
-    x, val = acquisition.maximize_over_box(model, data, 4.0, box, MaximizerConfig(), 11)
+    x, val = acquisition.maximize_over_box(ucb_of(model, data, 4.0), box, MaximizerConfig(), 11)
     assert box.contains(x)
 
     grid = np.linspace(-2.0, 2.0, 100_001).reshape(-1, 1)
@@ -308,8 +308,8 @@ def test_box_maximizer_deterministic():
     data = Dataset(rng.uniform(-1, 1, (5, 2)), rng.normal(size=5), 2)
     box = SearchBox(center=np.zeros(2), half_side=1.5, dim=2)
     cfg = MaximizerConfig()
-    x1, v1 = acquisition.maximize_over_box(model, data, 2.0, box, cfg, 77)
-    x2, v2 = acquisition.maximize_over_box(model, data, 2.0, box, cfg, 77)
+    x1, v1 = acquisition.maximize_over_box(ucb_of(model, data, 2.0), box, cfg, 77)
+    x2, v2 = acquisition.maximize_over_box(ucb_of(model, data, 2.0), box, cfg, 77)
     assert np.array_equal(x1, x2)
     assert v1 == v2
 
@@ -324,11 +324,12 @@ def test_box_maximizer_monotone_in_budget():
         data = Dataset(rng.uniform(-1, 1, (6, 2)), rng.normal(size=6), 2)
         box = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
         seed = int(rng.integers(0, 2**31))
+        acq = ucb_of(model, data, 3.0)
         _, v_small = acquisition.maximize_over_box(
-            model, data, 3.0, box, MaximizerConfig(restarts=4, max_evals=120), seed
+            acq, box, MaximizerConfig(restarts=4, max_evals=120), seed
         )
         _, v_large = acquisition.maximize_over_box(
-            model, data, 3.0, box, MaximizerConfig(restarts=4, max_evals=240), seed
+            acq, box, MaximizerConfig(restarts=4, max_evals=240), seed
         )
         assert v_large >= v_small - 1e-12
 
@@ -341,7 +342,7 @@ def test_box_maximizer_stays_in_box():
         center = rng.uniform(-1, 1, 3)
         box = SearchBox(center=center, half_side=float(rng.uniform(0.2, 2.0)), dim=3)
         x, _ = acquisition.maximize_over_box(
-            model, data, 2.0, box, MaximizerConfig(), int(rng.integers(1 << 30))
+            ucb_of(model, data, 2.0), box, MaximizerConfig(), int(rng.integers(1 << 30))
         )
         assert box.contains(x)
 
@@ -357,7 +358,7 @@ def test_cube_maximizer_single_cube_equals_box_search():
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     cs = HypercubeSet(np.array([[0.1, 0.1]]), 0.6, parent)
     cfg = MaximizerConfig()
-    x_c, v_c = acquisition.maximize_over_cubes(model, data, 1.5, cs, cfg, 9)
+    x_c, v_c = acquisition.maximize_over_cubes(ucb_of(model, data, 1.5), cs, cfg, 9)
 
     lo, hi = cs.clipped_bounds()
     clipped = SearchBox(
@@ -370,21 +371,18 @@ def test_cube_maximizer_single_cube_equals_box_search():
     assert v_c == pytest.approx(
         ucb_at(model, data, 1.5, x_c), rel=1e-10
     )
-    x_b, v_b = acquisition.maximize_over_box(model, data, 1.5, clipped, cfg, 9)
+    x_b, v_b = acquisition.maximize_over_box(ucb_of(model, data, 1.5), clipped, cfg, 9)
     assert abs(v_c - v_b) <= 1e-6 * (1.0 + abs(v_b))
 
 
 def test_cube_maximizer_flat_surface():
-    model = se_model(mean=-0.75)
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     cs = sample_cubes(
         parent, 5, HdConfig(lam=1.0, n0=1, l_h=0.3), np.random.default_rng(1)
     )
-    x, val = acquisition.maximize_over_cubes(
-        model, Dataset.empty(2), 0.0, cs, MaximizerConfig(), 2
-    )
+    x, val = acquisition.maximize_over_cubes(constant(-0.75), cs, MaximizerConfig(), 2)
     assert membership(cs, x)
-    assert val == pytest.approx(-0.75, rel=1e-12)
+    assert val == -0.75
 
 
 def test_cube_maximizer_finds_better_cube_matches_grid():
@@ -396,7 +394,7 @@ def test_cube_maximizer_finds_better_cube_matches_grid():
     )
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     cs = HypercubeSet(np.array([[-0.6, -0.6], [0.7, 0.7]]), 0.5, parent)
-    x, val = acquisition.maximize_over_cubes(model, data, 1.0, cs, MaximizerConfig(), 3)
+    x, val = acquisition.maximize_over_cubes(ucb_of(model, data, 1.0), cs, MaximizerConfig(), 3)
     assert membership(cs, x)
 
     # Grid oracle over each clipped cube.
@@ -428,8 +426,8 @@ def test_cube_maximizer_deterministic():
         parent, 7, HdConfig(lam=1.0, n0=1, l_h=0.25), np.random.default_rng(8)
     )
     cfg = MaximizerConfig()
-    x1, v1 = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg, 123)
-    x2, v2 = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg, 123)
+    x1, v1 = acquisition.maximize_over_cubes(ucb_of(model, data, 2.0), cs, cfg, 123)
+    x2, v2 = acquisition.maximize_over_cubes(ucb_of(model, data, 2.0), cs, cfg, 123)
     assert np.array_equal(x1, x2)
     assert v1 == v2
 
@@ -580,25 +578,23 @@ def zero_width_case():
 
 @pytest.mark.parametrize("quantum", [0.0, 0.25])
 @pytest.mark.parametrize("case", cube_corpus() + [zero_width_case()], ids=lambda c: c[0])
-def test_cube_maximizer_equals_per_cube_reference(case, quantum, monkeypatch):
+def test_cube_maximizer_equals_per_cube_reference(case, quantum):
     _, cs, cfg, seed = case
     predict = sines(3, seed=seed, quantum=quantum)
-    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: predict)
-    x, val = acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg, seed)
+    x, val = acquisition.maximize_over_cubes(predict, cs, cfg, seed)
     x_ref, val_ref = reference_maximize_over_cubes(predict, cs, cfg, seed)
     assert np.array_equal(x, x_ref)
     assert val == val_ref
 
 
-def test_cube_maximizer_ties_go_to_lowest_cube_then_smallest_point(monkeypatch):
+def test_cube_maximizer_ties_go_to_lowest_cube_then_smallest_point():
     # A flat surface ties every start; the first cube's smallest point wins,
     # though the second cube holds smaller points.
     parent = SearchBox(center=np.zeros(2), half_side=1.0, dim=2)
     cs = HypercubeSet(np.array([[0.5, 0.5], [-0.5, -0.5], [1.0, 1.0]]), 0.4, parent)
     cfg = MaximizerConfig(restarts=6, max_evals=60)
-    flat = lambda X: np.zeros(len(X))  # noqa: E731
-    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: flat)
-    x, _ = acquisition.maximize_over_cubes(se_model(), Dataset.empty(2), 1.0, cs, cfg, 7)
+    flat = constant(0.0)
+    x, _ = acquisition.maximize_over_cubes(flat, cs, cfg, 7)
     x_ref, _ = reference_maximize_over_cubes(flat, cs, cfg, 7)
     assert np.array_equal(x, x_ref)
     assert np.all(np.abs(x - 0.5) <= 0.2)
@@ -616,8 +612,8 @@ def test_cube_maximizer_matches_reference_with_gp_surface():
             parent, int(rng.integers(1, 40)), HdConfig(lam=1.0, n0=1, l_h=0.3), rng
         )
         cfg, seed = MaximizerConfig(), int(rng.integers(1 << 30))
-        x, val = acquisition.maximize_over_cubes(model, data, 2.0, cs, cfg, seed)
-        ref_predict = acquisition._ucb_batch(PosteriorState(model, data), 2.0)
+        x, val = acquisition.maximize_over_cubes(ucb_of(model, data, 2.0), cs, cfg, seed)
+        ref_predict = ucb_of(model, data, 2.0)
         x_ref, val_ref = reference_maximize_over_cubes(ref_predict, cs, cfg, seed)
         assert np.array_equal(x, x_ref)
         assert val == pytest.approx(val_ref, rel=1e-12, abs=0.0)
@@ -632,12 +628,12 @@ def test_box_maximizer_bit_equal_to_reference():
         data = Dataset(rng.uniform(-1, 1, (t, d)), rng.normal(size=t), d)
         box = SearchBox(center=rng.uniform(-0.5, 0.5, d), half_side=0.8, dim=d)
         cfg, seed = MaximizerConfig(restarts=restarts, max_evals=max_evals), int(rng.integers(1 << 30))
-        x, val = acquisition.maximize_over_box(model, data, 3.0, box, cfg, seed)
+        x, val = acquisition.maximize_over_box(ucb_of(model, data, 3.0), box, cfg, seed)
         # starts from Generator.uniform: the box search's scaled unit draw
         # must reproduce them bit for bit
         starts = np.random.default_rng(seed).uniform(box.lower, box.upper, (restarts, d))
         x_ref, val_ref, _ = reference_search_rect(
-            acquisition._ucb_batch(PosteriorState(model, data), 3.0),
+            ucb_of(model, data, 3.0),
             box.lower, box.upper, starts, max_evals, acquisition._STEP_TOLERANCE,
         )
         assert np.array_equal(x, x_ref)
@@ -645,14 +641,13 @@ def test_box_maximizer_bit_equal_to_reference():
 
 
 @pytest.mark.parametrize("case", cube_corpus() + [zero_width_case()], ids=lambda c: c[0])
-def test_lockstep_search_batches_every_cube_into_each_call(case, monkeypatch):
+def test_lockstep_search_batches_every_cube_into_each_call(case):
     # Calls: as many as the longest single-cube search makes.  Rows: the sum
     # over cubes.  A per-cube loop would make the sum of the calls instead.
     _, cs, cfg, seed = case
     surface = sines(3, seed=seed)
     predict, sizes = counted(surface)
-    monkeypatch.setattr(acquisition, "_ucb_batch", lambda state, beta_t: predict)
-    acquisition.maximize_over_cubes(se_model(), Dataset.empty(3), 1.0, cs, cfg, seed)
+    acquisition.maximize_over_cubes(predict, cs, cfg, seed)
 
     n = cs.n
     lo, hi = cs.clipped_bounds()

@@ -435,7 +435,7 @@ def test_maximizer_repeating_one_point_runs_to_completion(monkeypatch, algorithm
     # sees duplicate rows and a singular unit kernel.
     x_rep = np.array([0.25, 0.75])
 
-    def same_point(model, data, beta_t, region, mcfg, seed):
+    def same_point(acq, region, mcfg, seed):
         return x_rep.copy(), 0.0
 
     monkeypatch.setattr(driver, "maximize_over_box", same_point)

@@ -193,11 +193,11 @@ def test_kernel_matrix_cross_matches_eval():
 # ---------------------------------------------------------------------------
 
 
-def test_posterior_empty_data_recovers_prior():
-    model = se_model(signal_variance=2.5, prior_mean=1.5)
-    mean, var = posterior_at(model, Dataset.empty(3), np.zeros(3))
-    assert mean == pytest.approx(1.5)
-    assert var == pytest.approx(2.5)
+def test_posterior_refuses_empty_data():
+    # a posterior is built only from observed points; none is a caller's error
+    data = Dataset(np.empty((0, 3)), np.empty(0), 3)
+    with pytest.raises(ValueError, match="PosteriorState needs at least 1 observed point, got 0"):
+        PosteriorState(se_model(), data)
 
 
 def test_posterior_noiseless_interpolation():
@@ -316,7 +316,7 @@ def test_posterior_variance_decreases_with_more_data():
 
 def test_posterior_query_shape_validation():
     model = se_model()
-    state = PosteriorState(model, Dataset.empty(2))
+    state = PosteriorState(model, Dataset(np.zeros((1, 2)), np.zeros(1), 2))
     with pytest.raises(ValueError):
         state.predict(np.zeros((3, 3)))
 

@@ -1,5 +1,6 @@
 """Source-tree guards: no module defines the same top-level name twice or
-imports a name it never reads.
+imports a name it never reads, and no module imports a layer it must not
+depend on.
 
 A second top-level `def` or `class` of one name silently replaces the first,
 so every caller in the module runs the later one, whatever its name promises.
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
@@ -86,11 +89,21 @@ def test_no_module_defines_a_top_level_name_twice():
     assert not found, found
 
 
-def test_acquisition_does_not_import_series():
-    # beta_t is given the run's box side; the closed form is space.side_length
-    tree = ast.parse((ROOT / "src" / "hubo" / "acquisition.py").read_text(encoding="utf-8"))
+# (module, a hubo module it must not import, why)
+FORBIDDEN_IMPORTS = [
+    ("acquisition", "series", "beta_t is given the run's box side; the closed form is "
+     "space.side_length"),
+    ("acquisition", "gp", "the maximizers take an acquisition function; the driver binds "
+     "the GP posterior into it"),
+]
+
+
+@pytest.mark.parametrize("module, other, why", FORBIDDEN_IMPORTS,
+                         ids=[f"{m}-{o}" for m, o, _ in FORBIDDEN_IMPORTS])
+def test_module_does_not_import(module, other, why):
+    tree = ast.parse((ROOT / "src" / "hubo" / f"{module}.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {getattr(node, "module", None)} | {alias.name for alias in node.names}
-    assert not imported & {"series", "hubo.series"}, imported
+    assert not imported & {other, f"hubo.{other}"}, f"{module} imports {other}: {why}"
