@@ -49,6 +49,7 @@ class BenchmarkFunction:
 
     def __post_init__(self):
         dim = count("dim", self.dim, 1)
+        object.__setattr__(self, "optimum_value", real("optimum_value", self.optimum_value))
         for key in ("lower", "upper", "optimum_point"):
             object.__setattr__(self, key, frozen(point(getattr(self, key), dim, key), name=key))
         if not np.all(self.upper > self.lower):

@@ -69,7 +69,10 @@ def frozen(values, shape: tuple[int, ...] | None = None, *, name: str) -> np.nda
     given; every entry must be finite."""
     arr = np.asarray(values, dtype=np.float64)
     if shape is not None:
-        arr = np.broadcast_to(arr, shape)
+        try:
+            arr = np.broadcast_to(arr, shape)
+        except ValueError:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}") from None
     arr = arr.copy()
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")

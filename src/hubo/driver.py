@@ -75,6 +75,8 @@ class Objective:
     def __post_init__(self):
         count("dim", self.dim, 1)
         real("noise_std", self.noise_std, 0.0)
+        if self.optimum_value is not None:
+            object.__setattr__(self, "optimum_value", real("optimum_value", self.optimum_value))
 
     def eval(self, x: np.ndarray) -> float:
         return float(self.fn(x))

@@ -10,6 +10,7 @@ eigendecomposition, and each descent probe by one Cholesky factorization.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ _JITTER_ESCALATIONS = 6
 _GRID_SIZE = 8
 _REFINE_SWEEPS = 20
 _VARIANCE_FLOOR = 1e-12
+# Unit kernels the descent keeps: a sweep's lengthscale, its two probes and the last sweep's two.
+_DESCENT_KERNELS = 5
 
 
 class GpFactorizationError(RuntimeError):
@@ -282,13 +285,13 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     most 20 sweeps.  The grid is scored by `_grid_lml`: one Householder
     reflector and one LAPACK dsytrd tridiagonal reduction per grid
     lengthscale, then one pivot recurrence over all 512 points.  The descent
-    scores the grid winner and each probe by a Cholesky LML, once per distinct
-    point; a lengthscale probe builds its unit kernel only when the last
-    sweep neither held nor probed that lengthscale.  Cost: 8 dsytrd calls,
-    one O(512*t) recurrence and no eigendecomposition, plus per distinct
-    probe point one LAPACK factorization, one O(t^2) scaled copy and one
-    triangular solve, at most 1 + 6*20 = 121 of each, and one O(t^2) unit
-    kernel per lengthscale probe the last sweep did not build.  Constant
+    scores the grid winner and each probe by a Cholesky LML memoized by point,
+    and takes its unit kernels from a cache of the 5 lengthscales it used
+    last.  Cost: 8 dsytrd calls, one O(512*t) recurrence and no
+    eigendecomposition, plus per distinct probe point one LAPACK
+    factorization, one O(t^2) scaled copy and one triangular solve, at most
+    1 + 6*20 = 121 of each, and one O(t^2) unit kernel per probe whose
+    lengthscale the cache does not hold.  Constant
     targets return a floor-variance model; a target variance that overflows,
     or a fitted variance that underflows to a subnormal or zero, raises
     GpFactorizationError.
@@ -335,50 +338,34 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     # symmetric, so writing Ku.T * sf into it streams through both arrays.
     buf = np.empty((t, t), order="F")
     diagonal = buf.ravel(order="K")[:: t + 1]
+    kernel = functools.lru_cache(maxsize=_DESCENT_KERNELS)(unit_kernel)
 
-    def score(Ku: np.ndarray, sf: float, nv: float) -> float:
-        np.multiply(Ku.T, sf, out=buf)
+    @functools.cache
+    def lml(ls: float, sf: float, nv: float) -> float:
+        np.multiply(kernel(ls).T, sf, out=buf)
         np.add(diagonal, nv, out=diagonal)
         L = cholesky(buf)
         return -math.inf if L is None else _lml_from_cholesky(L, z)
 
     # Coordinate descent around the grid winner, multiplicative steps starting
     # at half a grid cell (in log space) and shrinking when a sweep stalls.
-    # A probe only wins on a strict gain, so every point scored so far is at
-    # most best_val: a revisit cannot win and is not scored again.  A sweep
-    # often probes a lengthscale the last one held or probed, with another
-    # (signal, noise); it takes that unit kernel from `last`, the last
-    # sweep's `kernels`.
-    Ku = unit_kernel(params[0])
-    best_val = score(Ku, params[1], params[2])
-    scored = {tuple(params)}
+    # lml scores each distinct point once.  A probe only wins on a strict
+    # gain, so every point scored so far is at most best_val: a revisit, whose
+    # stored score lml returns, never wins.
+    best_val = lml(*params)
     steps = [(hi / lo) ** (0.5 / (_GRID_SIZE - 1)) for lo, hi in bounds]
-    kernels: dict[float, np.ndarray] = {}
     for _ in range(_REFINE_SWEEPS):
-        last, kernels = kernels, {params[0]: Ku}
         moved = False
         for i in range(3):
             cand_best, cand_val = None, best_val
             for factor in (steps[i], 1.0 / steps[i]):
-                cand = min(max(params[i] * factor, bounds[i][0]), bounds[i][1])
                 trial = list(params)
-                trial[i] = cand
-                if tuple(trial) in scored:
-                    continue
-                scored.add(tuple(trial))
-                if i == 0:
-                    Ku_c = last[cand] if cand in last else unit_kernel(cand)
-                    kernels[cand] = Ku_c
-                else:
-                    Ku_c = Ku
-                val = score(Ku_c, trial[1], trial[2])
+                trial[i] = min(max(params[i] * factor, bounds[i][0]), bounds[i][1])
+                val = lml(*trial)
                 if val > cand_val:
-                    cand_val = val
-                    cand_best = (cand, Ku_c)
+                    cand_best, cand_val = trial[i], val
             if cand_best is not None:
-                params[i], Ku = cand_best
-                best_val = cand_val
-                moved = True
+                params[i], best_val, moved = cand_best, cand_val, True
         if not moved:
             steps = [math.sqrt(s) for s in steps]
             if max(steps) < 1.0005:

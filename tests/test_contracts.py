@@ -25,10 +25,11 @@ from hypothesis import strategies as st
 
 from hubo import contracts
 from hubo.acquisition import BetaSchedule, MaximizerConfig, beta
-from hubo.benchmarks import BENCHMARK_NAMES, initial_space, make_benchmark
+from hubo.benchmarks import BENCHMARK_NAMES, BenchmarkFunction, initial_space, make_benchmark
 from hubo.cubes import HdConfig, HypercubeSet
 from hubo.driver import (
-    ALGORITHMS, MAX_CUBE_VALUES, Objective, RunConfig, RunTrace, random_search, run,
+    ALGORITHMS, MAX_CUBE_VALUES, Objective, RunConfig, RunTrace, compute_regret, random_search,
+    run,
 )
 from hubo.gp import KERNEL_FAMILIES, FitConfig, GpModel, KernelSpec
 from hubo.space import ExpansionConfig, SearchBox
@@ -135,6 +136,15 @@ def test_choice_returns_the_option():
          "b - a must be finite, got inf"),
         (lambda: expansion(c_min=-INF), ValueError, "c_min must be finite, got [-inf]"),
         (lambda: Objective(fn=sphere, dim=2.5), TypeError, "dim must be an integer, got 2.5"),
+        # a NaN or infinite optimum makes every r_t and log_dist NaN or inf
+        (lambda: Objective(fn=sphere, dim=1, optimum_value=NAN), ValueError,
+         "optimum_value must be finite, got nan"),
+        (lambda: Objective(fn=sphere, dim=1, optimum_value=INF), ValueError,
+         "optimum_value must be finite, got inf"),
+        (lambda: Objective(fn=sphere, dim=1, optimum_value="3"), TypeError,
+         "optimum_value must be a real number, got '3'"),
+        (lambda: BenchmarkFunction(1, [-1.0], [1.0], sphere, NAN, [0.0]), ValueError,
+         "optimum_value must be finite, got nan"),
         (lambda: HdConfig(lam=1.0, n0=1.5, l_h=0.1), TypeError, "n0 must be an integer, got 1.5"),
         (lambda: SearchBox(center=[0.0], half_side=INF, dim=1), ValueError,
          "half_side must be finite, got inf"),
@@ -155,7 +165,9 @@ def test_choice_returns_the_option():
          "fraction 1e-300 gives C_initial no width at its center"),
     ],
     ids=["budget_T", "n_init", "seed-float", "seed-negative", "kernel_family", "restarts",
-         "max_evals", "b-inf", "b-a-overflow", "c_min-inf", "Objective-dim", "n0", "half_side",
+         "max_evals", "b-inf", "b-a-overflow", "c_min-inf", "Objective-dim",
+         "Objective-optimum-nan", "Objective-optimum-inf", "Objective-optimum-str",
+         "BenchmarkFunction-optimum-nan", "n0", "half_side",
          "side_length", "lengthscale", "noise_variance", "s1-tail", "cube-center",
          "placement-seed-negative", "placement-seed-bool", "placement-fraction-no-width"],
 )
@@ -180,6 +192,21 @@ def test_random_search_rejects_hostile_arguments(lower, upper, seed, error, mess
     with np.errstate(over="ignore"), pytest.raises(error) as info:
         random_search(Objective(fn=sphere, dim=2), lower, upper, 3, seed)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, shape", [([0.0, 1.0], (2,)), ([[0.0, 1.0, 2.0]], (1, 3))],
+                         ids=["wrong-length", "2-D"])
+@pytest.mark.parametrize("field", ["c_min", "c_max", "x0_center", "lower", "upper"])
+def test_vector_of_the_wrong_shape_is_rejected_by_name(field, value, shape):
+    # each field must broadcast to (dim,) = (3,), and the error names it
+    with pytest.raises(ValueError) as info:
+        if field in ("lower", "upper"):
+            bounds = {"lower": [0.0] * 3, "upper": [1.0] * 3, field: value}
+            random_search(Objective(fn=sphere, dim=3), bounds["lower"], bounds["upper"], 3, 0)
+        else:
+            ExpansionConfig(**{"a": 0.0, "b": 1.0, "alpha": -1.0, "c_min": -3.0, "c_max": 4.0,
+                               "dim": 3, field: value})
+    assert str(info.value) == f"{field} has shape {shape}, expected (3,)"
 
 
 @pytest.mark.parametrize("b", [1e-300, 1e300, 1e308])
@@ -274,6 +301,7 @@ def hostile_names(valid) -> list:
 # The property's fields, in draw order, each with its hostile pool.
 HOSTILE = {
     "dim": HOSTILE_COUNTS,
+    "optimum_value": [*HOSTILE_REALS, "3"],
     "noise_std": HOSTILE_REALS,
     "lower": HOSTILE_REALS,
     "width": HOSTILE_REALS,
@@ -361,13 +389,15 @@ def construct_or_run(hostile, value, data):
         return draw(name, st.sampled_from(valid))
 
     dim = counted("dim", 1, 3)
+    optimum_value = draw("optimum_value", st.none() | st.floats(-1.0, 2.0))
     # a noiseless constant objective makes the fit take its floor model
     if hostile != "noise_std" and data.draw(st.booleans(), "constant"):
-        obj = built(Objective, fn=lambda x: 1.0, dim=dim)
+        obj = built(Objective, fn=lambda x: 1.0, dim=dim, optimum_value=optimum_value)
     else:
         noise_std = draw("noise_std", st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True,
                                                                  exclude_max=True))
-        obj = built(Objective, fn=sphere, dim=dim, noise_std=noise_std)
+        obj = built(Objective, fn=sphere, dim=dim, noise_std=noise_std,
+                    optimum_value=optimum_value)
     if obj is not None:
         lower = np.array([real("lower", -2.0, 2.0) for _ in range(dim)])
         with np.errstate(all="ignore"):
@@ -378,7 +408,7 @@ def construct_or_run(hostile, value, data):
         except (ValueError, TypeError) as exc:
             assert names_a_field(exc, ["T", "seed", "lower", "upper"]), exc
         else:
-            assert isinstance(trace, RunTrace)
+            assert_regret_is_finite(trace, obj)
 
     # an accepted benchmark and placement give a run's geometry
     try:
@@ -446,4 +476,13 @@ def construct_or_run(hostile, value, data):
     if hd is not None and hd.lam in HUGE_LAMS and budget_T in (2, 3):
         assert cfg is None
     if obj is not None and cfg is not None:
-        assert isinstance(run(obj, cfg), RunTrace)
+        assert_regret_is_finite(run(obj, cfg), obj)
+
+
+def assert_regret_is_finite(trace, obj) -> None:
+    """A complete trace of an objective with an optimum has finite regret."""
+    assert isinstance(trace, RunTrace)
+    if not trace.incomplete and obj.optimum_value is not None:
+        compute_regret(trace, obj)
+        bo = [rec.r_t for rec in trace.records if rec.t >= 1]
+        assert all(map(math.isfinite, bo + [rec.log_dist for rec in trace.records])), obj

@@ -937,8 +937,9 @@ def test_fit_reuses_lengthscale_kernels(monkeypatch):
     # The reference descent builds a unit kernel right before each
     # lengthscale probe it scores; fit_mle scores the first visit to each
     # point only, so its lengthscale probes are the points first scored just
-    # after a kernel build.  Taking the last sweep's kernels, fit_mle builds
-    # fewer kernels in its descent than that.
+    # after a kernel build.  Taking the kernels of the lengthscales it used
+    # last from a small cache, fit_mle builds fewer kernels in its descent
+    # than that.
     real = gp._unit_kernel_from_sqdist
     log: list = []
 
@@ -962,6 +963,30 @@ def test_fit_reuses_lengthscale_kernels(monkeypatch):
         gp.fit_mle(data, cfg)
         built += log.count("kernel") - gp._GRID_SIZE - 1  # less the grid and the winner
     assert 0 < built < probes, (built, probes)
+
+
+def test_fit_never_writes_a_descent_kernel(monkeypatch):
+    # _grid_lml overwrites the kernels it builds, one per grid lengthscale;
+    # the descent caches its kernels, and a write into one would corrupt
+    # every later probe of that lengthscale.  So each kernel built after the
+    # grid's is read-only, and the fits must not change.
+    corpus = [(data, FitConfig(side_length=side, family=family))
+              for _, data, side, family in fit_corpus()]
+    expected = [gp.fit_mle(data, cfg) for data, cfg in corpus]
+    real = gp._unit_kernel_from_sqdist
+    built = {"n": 0}
+
+    def read_only_after_grid(d2, family, ell):
+        K = real(d2, family, ell)
+        built["n"] += 1
+        K.setflags(write=built["n"] <= gp._GRID_SIZE)
+        return K
+
+    monkeypatch.setattr(gp, "_unit_kernel_from_sqdist", read_only_after_grid)
+    for (data, cfg), model in zip(corpus, expected):
+        built["n"] = 0
+        assert gp.fit_mle(data, cfg) == model
+        assert built["n"] > gp._GRID_SIZE
 
 
 # ---------------------------------------------------------------------------
