@@ -212,8 +212,12 @@ class InitialSpace:
     c_max: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", count("dim", self.dim, 1))
+        object.__setattr__(self, "a", real("a", self.a))
+        object.__setattr__(self, "b", real("b", self.b, self.a, ends="(]"))
+        real("b - a", self.b - self.a)
         for key in ("x0_center", "c_min", "c_max"):
-            object.__setattr__(self, key, frozen(getattr(self, key), name=key))
+            object.__setattr__(self, key, frozen(getattr(self, key), (self.dim,), name=key))
 
     @property
     def side(self) -> float:

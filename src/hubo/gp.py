@@ -5,7 +5,8 @@ mean/variance through a Cholesky factorization with jitter escalation, and
 a deterministic grid + coordinate descent MLE fit of (lengthscale,
 signal_variance, noise_variance).  The fit scores its grid from one
 tridiagonal reduction (LAPACK dsytrd) per grid lengthscale, never an
-eigendecomposition, and each descent probe by one Cholesky factorization.
+eigendecomposition, and its descent probes by one Cholesky factorization
+per distinct (lengthscale, noise-to-signal ratio), not per probe point.
 """
 
 from __future__ import annotations
@@ -202,14 +203,31 @@ class PosteriorState:
         return means, np.maximum(variances, 0.0, out=variances)
 
 
-def _lml_from_cholesky(L: np.ndarray, resid: np.ndarray) -> float:
-    """Gaussian LML of resid given the lower Cholesky factor L of its covariance."""
-    v = _solve_lower(L, resid)
-    return float(
-        -0.5 * v @ v
-        - np.add.reduce(np.log(L.diagonal()))
-        - 0.5 * len(resid) * math.log(2.0 * math.pi)
-    )
+def _unit_factor(
+    Ku: np.ndarray, rho: float, z: np.ndarray, buf: np.ndarray
+) -> tuple[float, float] | None:
+    """(q, h) for the lower Cholesky factor L of Ku + rho*I: q = z^T (Ku +
+    rho*I)^-1 z and h = sum log L_ii; None where Ku + rho*I is not positive
+    definite.  Ku is only read: the symmetric Ku's transpose is copied into
+    the Fortran-ordered (t, t) buf, which LAPACK factorizes in place."""
+    np.copyto(buf, Ku.T)
+    _add_to_diagonal(buf, rho)
+    L = cholesky(buf)
+    if L is None:
+        return None
+    v = _solve_lower(L, z)
+    return float(v @ v), float(np.add.reduce(np.log(L.diagonal())))
+
+
+def _scaled_lml(factor: tuple[float, float] | None, sf: float, t: int) -> float:
+    """Gaussian LML of z, length t, under sf*(Ku + rho*I), from _unit_factor's
+    (q, h) of Ku + rho*I; -inf for None.  That matrix has factor sqrt(sf)*L,
+    so quadratic form q/sf and half log-determinant t/2 log sf + h
+    (Rasmussen & Williams 2006, eq. 5.8)."""
+    if factor is None:
+        return -math.inf
+    q, h = factor
+    return -0.5 * q / sf - 0.5 * t * math.log(sf) - h - 0.5 * t * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -285,13 +303,15 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
     most 20 sweeps.  The grid is scored by `_grid_lml`: one Householder
     reflector and one LAPACK dsytrd tridiagonal reduction per grid
     lengthscale, then one pivot recurrence over all 512 points.  The descent
-    scores the grid winner and each probe by a Cholesky LML memoized by point,
-    and takes its unit kernels from a cache of the 5 lengthscales it used
-    last.  Cost: 8 dsytrd calls, one O(512*t) recurrence and no
-    eigendecomposition, plus per distinct probe point one LAPACK
-    factorization, one O(t^2) scaled copy and one triangular solve, at most
-    1 + 6*20 = 121 of each, and one O(t^2) unit kernel per probe whose
-    lengthscale the cache does not hold.  Constant
+    scores the grid winner and each probe by a Cholesky LML: sf*Ku + nv*I =
+    sf*(Ku + rho*I) with rho = nv/sf, so one factorization of Ku + rho*I,
+    memoized by (ls, rho) as exact floats, scores every point that shares
+    them in O(1).  Its unit kernels come from a cache of the 5 lengthscales
+    it used last.  Cost: 8 dsytrd calls, one O(512*t) recurrence and no
+    eigendecomposition, plus per distinct (ls, rho) one LAPACK
+    factorization, one O(t^2) copy and one triangular solve, at most
+    1 + 6*20 = 121 of each, and one O(t^2) unit kernel per factorization
+    whose lengthscale the cache does not hold.  Constant
     targets return a floor-variance model; a target variance that overflows,
     or a fitted variance that underflows to a subnormal or zero, raises
     GpFactorizationError.
@@ -334,24 +354,24 @@ def fit_mle(data: Dataset, search: FitConfig) -> GpModel:
         raise GpFactorizationError("no grid point has a finite log marginal likelihood")
     params = [float(grid[i]) for grid, i in zip(grids, best)]
 
-    # Every probe is factorized in place in one Fortran-ordered buffer.  Ku is
-    # symmetric, so writing Ku.T * sf into it streams through both arrays.
+    # sf*Ku + nv*I = sf*(Ku + rho*I), so every point with the same lengthscale
+    # and noise-to-signal ratio rho = nv/sf is scored from one factorization,
+    # made in place in one Fortran-ordered buffer.  The keys are exact floats.
     buf = np.empty((t, t), order="F")
-    diagonal = buf.ravel(order="K")[:: t + 1]
     kernel = functools.lru_cache(maxsize=_DESCENT_KERNELS)(unit_kernel)
 
     @functools.cache
+    def factorize(ls: float, rho: float) -> tuple[float, float] | None:
+        return _unit_factor(kernel(ls), rho, z, buf)
+
     def lml(ls: float, sf: float, nv: float) -> float:
-        np.multiply(kernel(ls).T, sf, out=buf)
-        np.add(diagonal, nv, out=diagonal)
-        L = cholesky(buf)
-        return -math.inf if L is None else _lml_from_cholesky(L, z)
+        return _scaled_lml(factorize(ls, nv / sf), sf, t)
 
     # Coordinate descent around the grid winner, multiplicative steps starting
     # at half a grid cell (in log space) and shrinking when a sweep stalls.
-    # lml scores each distinct point once.  A probe only wins on a strict
-    # gain, so every point scored so far is at most best_val: a revisit, whose
-    # stored score lml returns, never wins.
+    # lml is a pure function of the point, cheap once its (ls, rho) is
+    # factorized.  A probe only wins on a strict gain, so every point scored
+    # so far is at most best_val: a revisit never wins.
     best_val = lml(*params)
     steps = [(hi / lo) ** (0.5 / (_GRID_SIZE - 1)) for lo, hi in bounds]
     for _ in range(_REFINE_SWEEPS):

@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 from hubo import contracts
 from hubo.acquisition import BetaSchedule, MaximizerConfig, beta
-from hubo.benchmarks import BENCHMARK_NAMES, BenchmarkFunction, initial_space, make_benchmark
+from hubo.benchmarks import (
+    BENCHMARK_NAMES, BenchmarkFunction, InitialSpace, initial_space, make_benchmark,
+)
 from hubo.cubes import HdConfig, HypercubeSet
 from hubo.driver import (
     ALGORITHMS, MAX_CUBE_VALUES, Objective, RunConfig, RunTrace, compute_regret, random_search,
@@ -54,6 +56,11 @@ def run_config(**kw) -> RunConfig:
         algorithm="hubo",
     )
     return RunConfig(**{**base, **kw})
+
+
+def start_space(**kw) -> InitialSpace:
+    base = dict(dim=3, a=0.0, b=1.0, x0_center=[0.5] * 3, c_min=[0.0] * 3, c_max=[1.0] * 3)
+    return InitialSpace(**{**base, **kw})
 
 
 def sphere(x) -> float:
@@ -163,13 +170,30 @@ def test_choice_returns_the_option():
         # X0's side is 9e-300, so center +- 5 * side rounds to the center
         (lambda: initial_space(BEALE, 1e-300, 0), ValueError,
          "fraction 1e-300 gives C_initial no width at its center"),
+        # InitialSpace used to check only its vectors' finiteness: side b - a
+        # could be NaN, and a vector of the wrong shape failed in to_expansion
+        (lambda: start_space(dim=2.5), TypeError, "dim must be an integer, got 2.5"),
+        (lambda: start_space(dim=0), ValueError, "dim must be >= 1, got 0"),
+        (lambda: start_space(a=NAN), ValueError, "a must be finite, got nan"),
+        (lambda: start_space(b=-1.0), ValueError, "b must be > 0, got -1.0"),
+        (lambda: start_space(b=NAN), ValueError, "b must be > 0, got nan"),
+        (lambda: start_space(a=-1e308, b=1e308), ValueError, "b - a must be finite, got inf"),
+        (lambda: start_space(x0_center=[0.5, 0.5]), ValueError,
+         "x0_center has shape (2,), expected (3,)"),
+        (lambda: start_space(c_min=[[0.0]]), ValueError, "c_min has shape (1, 1), expected (3,)"),
+        (lambda: start_space(c_max=[1.0, 2.0, 3.0, 4.0]), ValueError,
+         "c_max has shape (4,), expected (3,)"),
     ],
     ids=["budget_T", "n_init", "seed-float", "seed-negative", "kernel_family", "restarts",
          "max_evals", "b-inf", "b-a-overflow", "c_min-inf", "Objective-dim",
          "Objective-optimum-nan", "Objective-optimum-inf", "Objective-optimum-str",
          "BenchmarkFunction-optimum-nan", "n0", "half_side",
          "side_length", "lengthscale", "noise_variance", "s1-tail", "cube-center",
-         "placement-seed-negative", "placement-seed-bool", "placement-fraction-no-width"],
+         "placement-seed-negative", "placement-seed-bool", "placement-fraction-no-width",
+         "InitialSpace-dim-float", "InitialSpace-dim-zero", "InitialSpace-a-nan",
+         "InitialSpace-b-below-a", "InitialSpace-b-nan", "InitialSpace-side-overflow",
+         "InitialSpace-x0_center-shape", "InitialSpace-c_min-shape",
+         "InitialSpace-c_max-shape"],
 )
 def test_hostile_config_is_rejected_at_construction(build, error, message):
     with pytest.raises(error) as info:

@@ -398,11 +398,16 @@ def slogdet_lml(model: GpModel, data: Dataset) -> float:
     )
 
 
-def cholesky_lml(K: np.ndarray, resid: np.ndarray) -> float:
-    """The fit's LML scorer on one Cholesky factor of the covariance K."""
-    L = gp.cholesky(K.copy())
-    assert L is not None
-    return gp._lml_from_cholesky(L, resid)
+def scorer_lml(model: GpModel, X: np.ndarray, resid: np.ndarray) -> float:
+    """The fit's LML scorer for the model's covariance at X: one factorization
+    of the unit kernel plus rho = nv/sf, scaled back by sf."""
+    k = model.kernel
+    Ku = gp.kernel_matrix(KernelSpec(k.family, k.lengthscale, 1.0), X)
+    t = len(resid)
+    buf = np.empty((t, t), order="F")
+    factor = gp._unit_factor(Ku, model.noise_variance / k.signal_variance, resid, buf)
+    assert factor is not None
+    return gp._scaled_lml(factor, k.signal_variance, t)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -435,13 +440,32 @@ def test_predict_matches_dense_solve_oracle(seed, t, d, family):
 def test_lml_matches_dense_slogdet_oracle(seed, t, d, family):
     rng = np.random.default_rng(seed)
     model, data = random_well_conditioned(rng, t, d, family)
-    K = gp.kernel_matrix(model.kernel, data.points) + model.noise_variance * np.eye(t)
-    got = cholesky_lml(K, data.targets - model.prior_mean)
+    got = scorer_lml(model, data.points, data.targets - model.prior_mean)
     assert got == pytest.approx(slogdet_lml(model, data), rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_sf=st.floats(-3.0, 3.0),
+    log_rho=st.floats(-2.0, 2.0),
+    t=st.integers(1, 40),
+    d=st.integers(1, 6),
+    family=st.sampled_from(gp.KERNEL_FAMILIES),
+)
+def test_scaled_lml_matches_dense_slogdet_oracle(seed, log_sf, log_rho, t, d, family):
+    # sf*Ku + rho*sf*I over the fit's signal-variance range, scored from one
+    # factorization of Ku + rho*I
+    rng = np.random.default_rng(seed)
+    sf, rho = 10.0**log_sf, 10.0**log_rho
+    model = GpModel(KernelSpec(family, float(rng.uniform(0.2, 2.0)), sf), rho * sf)
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(t, d)), rng.normal(size=t), d)
+    got = scorer_lml(model, data.points, data.targets)
+    assert got == pytest.approx(slogdet_lml(model, data), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
-# _lml_from_cholesky, the fit's LML scorer
+# _unit_factor and _scaled_lml, the fit's LML scorer
 # ---------------------------------------------------------------------------
 
 
@@ -450,10 +474,8 @@ def test_lml_scalar_case():
     c = 1.3 + 0.2
     v = 1.7 - 0.5
     expected = -v * v / (2 * c) - 0.5 * math.log(c) - 0.5 * math.log(2 * math.pi)
-    K = gp.kernel_matrix(model.kernel, np.array([[0.0]])) + 0.2 * np.eye(1)
-    assert cholesky_lml(K, np.array([1.7 - model.prior_mean])) == pytest.approx(
-        expected, rel=1e-12
-    )
+    got = scorer_lml(model, np.array([[0.0]]), np.array([1.7 - model.prior_mean]))
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_lml_two_point_dense_oracle():
@@ -468,7 +490,7 @@ def test_lml_two_point_dense_oracle():
         - 0.5 * math.log(np.linalg.det(K))
         - math.log(2 * math.pi)
     )
-    got = cholesky_lml(K, resid)
+    got = scorer_lml(model, X, resid)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -480,7 +502,7 @@ def test_lml_zero_residuals_drop_quadratic_term():
     expected = float(
         -0.5 * math.log(np.linalg.det(K)) - 1.5 * math.log(2 * math.pi)
     )
-    assert cholesky_lml(K, y - model.prior_mean) == pytest.approx(expected, rel=1e-12)
+    assert scorer_lml(model, X, y - model.prior_mean) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +934,10 @@ def test_fit_equals_scipy_cholesky_fit_on_affine_maps(seed, t, a, b):
         assert_fit_equals_reference_descent(Dataset(X, targets, 2), cfg)
 
 
-def test_fit_factorizes_each_distinct_probe_once(monkeypatch):
+def test_fit_factorizes_each_lengthscale_and_noise_ratio_once(monkeypatch):
+    # sf*Ku + nv*I = sf*(Ku + (nv/sf)*I): the probes that share a lengthscale
+    # and the exact float nv/sf share one factorization, and over the corpus
+    # that saves some.
     calls = {"n": 0}
     real = gp.cholesky
 
@@ -921,25 +946,26 @@ def test_fit_factorizes_each_distinct_probe_once(monkeypatch):
         return real(K)
 
     monkeypatch.setattr(gp, "cholesky", counting_cholesky)
-    saved = 0
+    factorized = points = 0
     for name, data, side, family in fit_corpus():
         cfg = FitConfig(side_length=side, family=family)
         probes: list = []
         scipy_cholesky_fit_mle(data, cfg, probes, start=grid_winner(data, cfg))
         calls["n"] = 0
         gp.fit_mle(data, cfg)
-        assert calls["n"] == len(set(probes)), name
-        saved += len(probes) - calls["n"]
-    assert saved > 0
+        assert calls["n"] == len({(ls, nv / sf) for ls, sf, nv in probes}), name
+        factorized += calls["n"]
+        points += len(set(probes))
+    assert factorized < points, (factorized, points)
 
 
 def test_fit_reuses_lengthscale_kernels(monkeypatch):
     # The reference descent builds a unit kernel right before each
-    # lengthscale probe it scores; fit_mle scores the first visit to each
-    # point only, so its lengthscale probes are the points first scored just
-    # after a kernel build.  Taking the kernels of the lengthscales it used
-    # last from a small cache, fit_mle builds fewer kernels in its descent
-    # than that.
+    # lengthscale probe it scores; fit_mle reads a kernel only to factorize,
+    # at most on the first visit to each point, so its lengthscale probes are
+    # at most the points first scored just after a kernel build.  Taking the
+    # kernels of the lengthscales it used last from a small cache, fit_mle
+    # builds fewer kernels in its descent than that.
     real = gp._unit_kernel_from_sqdist
     log: list = []
 
