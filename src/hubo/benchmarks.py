@@ -4,7 +4,7 @@ All functions are the standard minimization benchmarks negated, so every
 optimum is a maximum.  `initial_space` implements the benchmark protocol:
 a small start box X0 dropped uniformly at random inside the function domain,
 with the center-translation region C_initial ten times as wide, clipped to
-the domain.
+the domain.  It returns a `space.InitialSpace`, which checks the placement.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .contracts import choice, count, frozen, point, real
-from .space import ExpansionConfig
+from .space import InitialSpace
 
 __all__ = [
     "BenchmarkFunction",
-    "InitialSpace",
     "BENCHMARK_NAMES",
     "fixed_dim",
     "beale",
@@ -192,47 +191,6 @@ def make_benchmark(name: str, dim: int | None = None) -> BenchmarkFunction:
         dim, np.full(dim, low), np.full(dim, high), fn, optimum_value,
         np.broadcast_to(optimum_point, (dim,)),
     )
-
-
-@dataclass(frozen=True)
-class InitialSpace:
-    """Randomized start geometry for one benchmark run.
-
-    X0 is the hypercube of side `b - a` centered at x0_center; [c_min, c_max]
-    is the region the box center may translate into.  The c-bounds are the
-    10x concentric hypercube intersected with the function domain, so they
-    can differ per dimension near the boundary.
-    """
-
-    dim: int
-    a: float
-    b: float
-    x0_center: np.ndarray
-    c_min: np.ndarray
-    c_max: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", count("dim", self.dim, 1))
-        object.__setattr__(self, "a", real("a", self.a))
-        object.__setattr__(self, "b", real("b", self.b, self.a, ends="(]"))
-        real("b - a", self.b - self.a)
-        for key in ("x0_center", "c_min", "c_max"):
-            object.__setattr__(self, key, frozen(getattr(self, key), (self.dim,), name=key))
-
-    @property
-    def side(self) -> float:
-        return self.b - self.a
-
-    def to_expansion(self, alpha: float) -> ExpansionConfig:
-        return ExpansionConfig(
-            a=self.a,
-            b=self.b,
-            alpha=alpha,
-            c_min=self.c_min,
-            c_max=self.c_max,
-            dim=self.dim,
-            x0_center=self.x0_center,
-        )
 
 
 def initial_space(bench: BenchmarkFunction, fraction: float, seed: int) -> InitialSpace:

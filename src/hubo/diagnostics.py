@@ -19,7 +19,7 @@ from .cubes import HdConfig, nearest_in_set, sample_cubes
 from .space import (
     ExpansionConfig,
     SearchBox,
-    _coverage_need,
+    coverage_need,
     expand,
     initial_box,
     reachability_horizon,
@@ -145,7 +145,7 @@ def _check_reachability(lines: list[str]) -> None:
     # lower bound instead of simulating.
     far = (-100.0, 101.0)
     t_cert = reachability_horizon_bound(far[0], far[1], cfg)
-    need = _coverage_need(far[0], far[1], cfg)
+    need = coverage_need(far[0], far[1], cfg)
     required = need / (0.5 * (cfg.b - cfg.a)) - 1.0
     certified = math.log(t_cert + 1.0) >= required
     simulated = reachability_horizon(far[0], far[1], cfg, limit=10**6)

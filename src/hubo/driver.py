@@ -276,7 +276,7 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
 
         if cfg.algorithm == "vol2":
             doublings = t // (3 * d)
-            side_t = cfg.expansion.initial_side * 2.0 ** (doublings / d)
+            side_t = cfg.expansion.side * 2.0 ** (doublings / d)
             box = SearchBox(cfg.expansion.x0_center, 0.5 * side_t, d)
         else:
             # the incumbent is the earliest observation of the largest y

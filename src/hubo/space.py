@@ -2,9 +2,11 @@
 
 A run starts from a hypercube X0 and, once per iteration, grows every face
 outward by ((b-a)/2) * t**alpha and re-centers the box at the incumbent
-clamped into a fixed finite domain C_initial.  The closed-form side length,
-the envelope containing every reachable box, and the reachability horizon
-diagnostic all live here.
+clamped into a fixed finite domain C_initial.  `InitialSpace` owns the start
+geometry, X0 and C_initial, and every rule that ties them together;
+`ExpansionConfig` is an InitialSpace plus alpha.  The closed-form side
+length, the envelope containing every reachable box, and the reachability
+horizon diagnostic all live here.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from .contracts import count, frozen, point, real
 
 __all__ = [
     "SearchBox",
+    "InitialSpace",
     "ExpansionConfig",
     "initial_box",
     "expand",
     "translate",
     "side_length",
     "envelope",
+    "coverage_need",
     "reachability_horizon",
     "reachability_horizon_bound",
 ]
@@ -62,33 +66,31 @@ class SearchBox:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
-@dataclass(frozen=True)
-class ExpansionConfig:
-    """Parameters of the expand-and-translate schedule.
+@dataclass(frozen=True, kw_only=True)
+class InitialSpace:
+    """Start geometry of a run: the box X0 and the region C_initial.
 
-    a and b give the initial interval (the side b-a drives every increment);
-    c_min/c_max bound where the box center may move.  Both may be scalars
-    (the plain [a,b]^d case) or per-dimension vectors; x0_center defaults to
-    the midpoint of [a, b] in every dimension and exists because benchmark
-    protocol places X0 at a random spot of the function domain.
+    X0 is the hypercube of side b-a centered at x0_center, which defaults to
+    the midpoint of [a, b] in every dimension; [c_min, c_max] is C_initial,
+    where the box center may move, and must contain X0.  The vectors may be
+    scalars (the plain [a,b]^d case) or per-dimension; benchmark protocol
+    places X0 at a random spot of the function domain.
     """
 
+    dim: int
     a: float
     b: float
-    alpha: float
+    x0_center: np.ndarray | None = None
     c_min: np.ndarray
     c_max: np.ndarray
-    dim: int
-    x0_center: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a", real("a", self.a))
         object.__setattr__(self, "b", real("b", self.b))
-        object.__setattr__(self, "alpha", real("alpha", self.alpha, -1.0, 0.0, "[)"))
         object.__setattr__(self, "dim", count("dim", self.dim, 1))
         if not self.b > self.a:
             raise ValueError(f"need b > a, got a={self.a}, b={self.b}")
-        real("b - a", self.b - self.a)
+        real("b - a", self.side)
 
         shape = (self.dim,)
         c_min = frozen(self.c_min, shape, name="c_min")
@@ -101,18 +103,34 @@ class ExpansionConfig:
 
         if not np.all(c_max > c_min):
             raise ValueError("need c_max > c_min in every dimension")
-        half0 = 0.5 * (self.b - self.a)
+        half0 = 0.5 * self.side
         if np.any(x0 - half0 < c_min - 1e-12) or np.any(x0 + half0 > c_max + 1e-12):
             raise ValueError("X0 must be contained in [c_min, c_max]^d")
 
     @property
-    def initial_side(self) -> float:
+    def side(self) -> float:
         return self.b - self.a
 
+    def to_expansion(self, alpha: float) -> ExpansionConfig:
+        return ExpansionConfig(dim=self.dim, a=self.a, b=self.b, x0_center=self.x0_center,
+                               c_min=self.c_min, c_max=self.c_max, alpha=alpha)
 
-def initial_box(cfg: ExpansionConfig) -> SearchBox:
+
+@dataclass(frozen=True, kw_only=True)
+class ExpansionConfig(InitialSpace):
+    """A start geometry plus the expansion rate alpha in [-1, 0) of the
+    expand-and-translate schedule; the side b-a drives every increment."""
+
+    alpha: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "alpha", real("alpha", self.alpha, -1.0, 0.0, "[)"))
+
+
+def initial_box(cfg: InitialSpace) -> SearchBox:
     """The box X0 for a run: side b-a centered at cfg.x0_center."""
-    return SearchBox(cfg.x0_center, 0.5 * (cfg.b - cfg.a), cfg.dim)
+    return SearchBox(cfg.x0_center, 0.5 * cfg.side, cfg.dim)
 
 
 def expand(box: SearchBox, t: int, cfg: ExpansionConfig) -> SearchBox:
@@ -155,7 +173,7 @@ def envelope(T: int, cfg: ExpansionConfig) -> SearchBox:
     return SearchBox(center, half, cfg.dim)
 
 
-def _coverage_need(a_g: float, b_g: float, cfg: ExpansionConfig) -> float:
+def coverage_need(a_g: float, b_g: float, cfg: InitialSpace) -> float:
     """Half-side the box must reach to contain [a_g, b_g]^d from the worst
     admissible center: max over dimensions of max(c_max_i - a_g, b_g - c_min_i).
     [a_g, b_g] is widened to include the C_initial midpoints if needed."""
@@ -180,7 +198,7 @@ def reachability_horizon(
     `limit` (slow alpha near -1 can push T0 beyond anything enumerable; see
     reachability_horizon_bound for a closed-form certificate instead).
     """
-    need = _coverage_need(a_g, b_g, cfg)
+    need = coverage_need(a_g, b_g, cfg)
     half_side0 = 0.5 * (cfg.b - cfg.a)
 
     total = 0.0  # sum_{j<=t} j^alpha, one term per step keeps the scan O(t)
@@ -199,7 +217,7 @@ def reachability_horizon_bound(a_g: float, b_g: float, cfg: ExpansionConfig) -> 
     the returned t is certified even when the true horizon is astronomically
     large.  Result is exact up to the slack of that lower bound.
     """
-    need = _coverage_need(a_g, b_g, cfg)
+    need = coverage_need(a_g, b_g, cfg)
     half_side0 = 0.5 * (cfg.b - cfg.a)
     required_sum = need / half_side0 - 1.0
     if required_sum <= 1.0:

@@ -25,24 +25,26 @@ from hypothesis import strategies as st
 
 from hubo import contracts
 from hubo.acquisition import BetaSchedule, MaximizerConfig, beta
-from hubo.benchmarks import (
-    BENCHMARK_NAMES, BenchmarkFunction, InitialSpace, initial_space, make_benchmark,
-)
+from hubo.benchmarks import BENCHMARK_NAMES, BenchmarkFunction, initial_space, make_benchmark
 from hubo.cubes import HdConfig, HypercubeSet
 from hubo.driver import (
     ALGORITHMS, MAX_CUBE_VALUES, Objective, RunConfig, RunTrace, compute_regret, random_search,
     run,
 )
 from hubo.gp import KERNEL_FAMILIES, FitConfig, GpModel, KernelSpec
-from hubo.space import ExpansionConfig, SearchBox
+from hubo.space import ExpansionConfig, InitialSpace, SearchBox
 
 NAN, INF = math.nan, math.inf
 BEALE = make_benchmark("beale")
 
 
+# Valid start geometries in 1-D and 3-D.
+EXPANSION = dict(a=0.0, b=1.0, c_min=-3.0, c_max=4.0, dim=1)
+START = dict(dim=3, a=0.0, b=1.0, x0_center=[0.5] * 3, c_min=[0.0] * 3, c_max=[1.0] * 3)
+
+
 def expansion(**kw) -> ExpansionConfig:
-    base = dict(a=0.0, b=1.0, alpha=-1.0, c_min=-3.0, c_max=4.0, dim=1)
-    return ExpansionConfig(**{**base, **kw})
+    return ExpansionConfig(**{**EXPANSION, "alpha": -1.0, **kw})
 
 
 def run_config(**kw) -> RunConfig:
@@ -58,9 +60,37 @@ def run_config(**kw) -> RunConfig:
     return RunConfig(**{**base, **kw})
 
 
-def start_space(**kw) -> InitialSpace:
-    base = dict(dim=3, a=0.0, b=1.0, x0_center=[0.5] * 3, c_min=[0.0] * 3, c_max=[1.0] * 3)
-    return InitialSpace(**{**base, **kw})
+# id -> (a hostile start geometry, error, message).  InitialSpace owns these
+# rules and ExpansionConfig inherits them, so both must give one verdict.
+HOSTILE_GEOMETRY = {
+    "b-inf": ({**EXPANSION, "b": INF, "c_min": -INF, "c_max": INF, "x0_center": 0.0},
+              ValueError, "b must be finite, got inf"),
+    "b-a-overflow": ({**EXPANSION, "a": -1e308, "b": 1e308, "c_min": -INF, "c_max": INF},
+                     ValueError, "b - a must be finite, got inf"),
+    "c_min-inf": ({**EXPANSION, "c_min": -INF}, ValueError, "c_min must be finite, got [-inf]"),
+    "InitialSpace-dim-float": ({**START, "dim": 2.5}, TypeError,
+                               "dim must be an integer, got 2.5"),
+    "InitialSpace-dim-zero": ({**START, "dim": 0}, ValueError, "dim must be >= 1, got 0"),
+    "InitialSpace-a-nan": ({**START, "a": NAN}, ValueError, "a must be finite, got nan"),
+    "InitialSpace-b-below-a": ({**START, "b": -1.0}, ValueError,
+                               "need b > a, got a=0.0, b=-1.0"),
+    "InitialSpace-b-nan": ({**START, "b": NAN}, ValueError, "b must be finite, got nan"),
+    "InitialSpace-side-overflow": ({**START, "a": -1e308, "b": 1e308}, ValueError,
+                                   "b - a must be finite, got inf"),
+    "InitialSpace-x0_center-shape": ({**START, "x0_center": [0.5, 0.5]}, ValueError,
+                                     "x0_center has shape (2,), expected (3,)"),
+    "InitialSpace-c_min-shape": ({**START, "c_min": [[0.0]]}, ValueError,
+                                 "c_min has shape (1, 1), expected (3,)"),
+    "InitialSpace-c_max-shape": ({**START, "c_max": [1.0, 2.0, 3.0, 4.0]}, ValueError,
+                                 "c_max has shape (4,), expected (3,)"),
+    # every field is valid on its own; the relation between them is not
+    "InitialSpace-c_max-below-c_min": (
+        dict(dim=1, a=0.0, b=1.0, x0_center=[5.0], c_min=[1.0], c_max=[0.0]),
+        ValueError, "need c_max > c_min in every dimension"),
+    "InitialSpace-X0-outside-C_initial": (
+        dict(dim=1, a=0.0, b=1.0, x0_center=[5.0], c_min=[0.0], c_max=[1.0]),
+        ValueError, "X0 must be contained in [c_min, c_max]^d"),
+}
 
 
 def sphere(x) -> float:
@@ -137,11 +167,6 @@ def test_choice_returns_the_option():
          "restarts must be an integer, got 2.5"),
         (lambda: MaximizerConfig(restarts=4, max_evals=INF), TypeError,
          "max_evals must be an integer, got inf"),
-        (lambda: expansion(b=INF, c_min=-INF, c_max=INF, x0_center=0.0), ValueError,
-         "b must be finite, got inf"),
-        (lambda: expansion(a=-1e308, b=1e308, c_min=-INF, c_max=INF), ValueError,
-         "b - a must be finite, got inf"),
-        (lambda: expansion(c_min=-INF), ValueError, "c_min must be finite, got [-inf]"),
         (lambda: Objective(fn=sphere, dim=2.5), TypeError, "dim must be an integer, got 2.5"),
         # a NaN or infinite optimum makes every r_t and log_dist NaN or inf
         (lambda: Objective(fn=sphere, dim=1, optimum_value=NAN), ValueError,
@@ -170,35 +195,31 @@ def test_choice_returns_the_option():
         # X0's side is 9e-300, so center +- 5 * side rounds to the center
         (lambda: initial_space(BEALE, 1e-300, 0), ValueError,
          "fraction 1e-300 gives C_initial no width at its center"),
-        # InitialSpace used to check only its vectors' finiteness: side b - a
-        # could be NaN, and a vector of the wrong shape failed in to_expansion
-        (lambda: start_space(dim=2.5), TypeError, "dim must be an integer, got 2.5"),
-        (lambda: start_space(dim=0), ValueError, "dim must be >= 1, got 0"),
-        (lambda: start_space(a=NAN), ValueError, "a must be finite, got nan"),
-        (lambda: start_space(b=-1.0), ValueError, "b must be > 0, got -1.0"),
-        (lambda: start_space(b=NAN), ValueError, "b must be > 0, got nan"),
-        (lambda: start_space(a=-1e308, b=1e308), ValueError, "b - a must be finite, got inf"),
-        (lambda: start_space(x0_center=[0.5, 0.5]), ValueError,
-         "x0_center has shape (2,), expected (3,)"),
-        (lambda: start_space(c_min=[[0.0]]), ValueError, "c_min has shape (1, 1), expected (3,)"),
-        (lambda: start_space(c_max=[1.0, 2.0, 3.0, 4.0]), ValueError,
-         "c_max has shape (4,), expected (3,)"),
-    ],
+    ] + [(lambda kw=kw: InitialSpace(**kw), error, message)
+         for kw, error, message in HOSTILE_GEOMETRY.values()],
     ids=["budget_T", "n_init", "seed-float", "seed-negative", "kernel_family", "restarts",
-         "max_evals", "b-inf", "b-a-overflow", "c_min-inf", "Objective-dim",
+         "max_evals", "Objective-dim",
          "Objective-optimum-nan", "Objective-optimum-inf", "Objective-optimum-str",
          "BenchmarkFunction-optimum-nan", "n0", "half_side",
          "side_length", "lengthscale", "noise_variance", "s1-tail", "cube-center",
          "placement-seed-negative", "placement-seed-bool", "placement-fraction-no-width",
-         "InitialSpace-dim-float", "InitialSpace-dim-zero", "InitialSpace-a-nan",
-         "InitialSpace-b-below-a", "InitialSpace-b-nan", "InitialSpace-side-overflow",
-         "InitialSpace-x0_center-shape", "InitialSpace-c_min-shape",
-         "InitialSpace-c_max-shape"],
+         *HOSTILE_GEOMETRY],
 )
 def test_hostile_config_is_rejected_at_construction(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kw", [kw for kw, _, _ in HOSTILE_GEOMETRY.values()],
+                         ids=list(HOSTILE_GEOMETRY))
+def test_both_geometry_constructors_give_one_verdict(kw):
+    verdicts = []
+    for build in (lambda: InitialSpace(**kw), lambda: ExpansionConfig(**kw, alpha=-1.0)):
+        with pytest.raises((ValueError, TypeError)) as info:
+            build()
+        verdicts.append((type(info.value), str(info.value)))
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize(

@@ -562,7 +562,7 @@ def test_hdhubo_side_matches_closed_form():
 def test_vol2_doubling_schedule_d2():
     cfg = small_2d_config("vol2", budget_T=13)
     trace = run(sphere_2d(), cfg)
-    side0 = cfg.expansion.initial_side
+    side0 = cfg.expansion.side
     for rec in trace.records:
         if rec.t == 0:
             assert rec.side == pytest.approx(side0)

@@ -1,11 +1,12 @@
 """Source-tree guards: no module defines the same top-level name twice or
-imports a name it never reads, and no module imports a layer it must not
-depend on.
+imports a name it never reads, no hubo module imports another's private
+name, and no module imports a layer it must not depend on.
 
 A second top-level `def` or `class` of one name silently replaces the first,
 so every caller in the module runs the later one, whatever its name promises.
 An unused import is a dependency that nothing needs, often what is left of a
-helper that moved.
+helper that moved.  A `_`-prefixed name is its module's own: a second module
+that needs it needs a public name.
 """
 
 from __future__ import annotations
@@ -85,6 +86,42 @@ def test_no_module_defines_a_top_level_name_twice():
         str(path.relative_to(ROOT)): dups
         for path in SOURCES
         if (dups := duplicate_definitions(path.read_text(encoding="utf-8")))
+    }
+    assert not found, found
+
+
+def private_imports(source: str) -> list[str]:
+    """'name: line n' for each `_`-prefixed name imported from a hubo module.
+
+    Dunder names are not private.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "hubo":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                found.append(f"{alias.name}: line {alias.lineno}")
+    return found
+
+
+def test_private_imports_finds_a_private_name():
+    source = (
+        "from __future__ import annotations\n"
+        "from .space import _x, side_length\nfrom . import _gp, series\n"
+        "from hubo.gp import _y\nfrom numpy import _z\nfrom . import __version__\n"
+    )
+    assert private_imports(source) == ["_x: line 2", "_gp: line 3", "_y: line 4"]
+
+
+def test_no_hubo_module_imports_a_private_name():
+    # tests and bench/ may reach into a module; the package itself may not
+    found = {
+        path.name: private
+        for path in sorted((ROOT / "src" / "hubo").glob("*.py"))
+        if (private := private_imports(path.read_text(encoding="utf-8")))
     }
     assert not found, found
 

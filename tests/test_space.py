@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubo import cubes, series, space
-from hubo.benchmarks import BenchmarkFunction, InitialSpace, make_benchmark
+from hubo.benchmarks import BenchmarkFunction, make_benchmark
 from hubo.cubes import HypercubeSet
-from hubo.space import ExpansionConfig, SearchBox
+from hubo.space import ExpansionConfig, InitialSpace, SearchBox
 
 
 def unit_cfg(alpha: float = -1.0, dim: int = 1) -> ExpansionConfig:
@@ -138,7 +138,7 @@ def test_coordinate_arrays_are_read_only_float64_copies():
 def test_config_defaults_center_to_midpoint():
     cfg = ExpansionConfig(a=2.0, b=4.0, alpha=-1.0, c_min=0.0, c_max=6.0, dim=3)
     np.testing.assert_allclose(cfg.x0_center, [3.0, 3.0, 3.0])
-    assert cfg.initial_side == 2.0
+    assert cfg.side == 2.0
 
 
 def test_config_broadcasts_vector_bounds():
@@ -440,7 +440,7 @@ def test_horizon_corner_pinned_containment():
     a_g, b_g = -2.0, 3.0
     t0 = space.reachability_horizon(a_g, b_g, cfg)
     for t, expect in ((t0, True), (t0 - 1, False)):
-        half = 0.5 * cfg.initial_side * (1.0 + series.partial_sum(cfg.alpha, t))
+        half = 0.5 * cfg.side * (1.0 + series.partial_sum(cfg.alpha, t))
         contained_everywhere = True
         for corner in (cfg.c_min, cfg.c_max):
             lower = corner - half
@@ -467,7 +467,7 @@ def test_horizon_bound_certifies_containment():
         bound = space.reachability_horizon_bound(a_g, b_g, cfg)
         assert scan is not None
         assert bound >= scan
-        half = 0.5 * cfg.initial_side * (
+        half = 0.5 * cfg.side * (
             1.0 + series.partial_sum(alpha, bound)
         )
         for corner in (c_min, c_max):
