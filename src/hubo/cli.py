@@ -3,8 +3,8 @@
 Subcommands
 -----------
 run --config FILE [--set key=value]...
-    Run every (algorithm, repeat) pair of the experiment, serially or in a
-    process pool, one trace CSV per run, plus per-algorithm summary and
+    Run every (algorithm, repeat) pair of the experiment, each in a worker
+    process of a pool, one trace CSV per run, plus per-algorithm summary and
     log-distance files and a manifest.
 diagnostics --out DIR
     Write the analytic self-check report of `hubo.diagnostics`.
@@ -26,8 +26,10 @@ Exit codes: 0 success, 2 config error, 3 at least one run failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -188,6 +190,13 @@ def _n_init(key: str, text: str, fields: dict) -> int:
     return _as_int(key, text) if text else default_n_init(fields["dim"])
 
 
+def _l_h(key: str, text: str, fields: dict) -> float:
+    if text:
+        return _as_float(key, text)
+    bench = make_benchmark(fields["benchmark"], fields["dim"])
+    return 0.1 * (fields["fraction"] * float(bench.upper[0] - bench.lower[0]))
+
+
 def _out_dir(key: str, text: str, fields: dict) -> str:
     if not text:
         raise ConfigError("out_dir must not be empty")
@@ -218,13 +227,13 @@ class ExperimentSpec:
     alpha: float = _key("-1", _as_float)
     lam: float = _key("1.0", _as_float, "lambda")
     n0: int = _key("1", _as_int)
-    # the absolute cube side; empty: 10% of the X0 side, resolved per run
-    l_h: float | None = _key("", lambda key, text, fields: _as_float(key, text) if text else None)
     delta: float = _key("0.1", _as_float)
     s1: float = _key("1.0", _as_float)
     s2: float = _key("1.0", _as_float)
     # the X0 side as a fraction of the domain side
     fraction: float = _key("0.2", _as_float)
+    # the absolute cube side; empty: 10% of the X0 side
+    l_h: float = _key("", _l_h)
     # 30d, 10d or an iteration count; its parser also resolves budget_T
     budget: str = _key("30d", _budget)
     budget_T: int
@@ -276,20 +285,20 @@ def resolve_spec(raw: dict[str, str]) -> ExperimentSpec:
 
 
 def _build(spec: ExperimentSpec, algorithm: str, repeat: int) -> tuple:
-    """(objective, InitialSpace, RunConfig) of one (algorithm, repeat) pair;
-    random search has no RunConfig, so None."""
+    """(objective, start) of one (algorithm, repeat) pair: start() runs it and
+    returns its trace."""
     run_seed = spec.seed + repeat
     bench = make_benchmark(spec.benchmark, spec.dim)
     obj = Objective.from_benchmark(bench, noise_std=spec.noise_std)
     ispace = initial_space(bench, spec.fraction, run_seed)
     if algorithm == "random":
-        return obj, ispace, None
-    l_h = spec.l_h if spec.l_h is not None else 0.1 * ispace.side
+        T = spec.n_init + spec.budget_T
+        return obj, functools.partial(random_search, obj, ispace.c_min, ispace.c_max, T, run_seed)
     exp_cfg = ispace.to_expansion(spec.alpha)
     sched = {"delta": spec.delta, "dim": bench.dim, "s1": spec.s1, "s2": spec.s2}
     if algorithm == "hdhubo":
-        beta_sched = BetaSchedule(variant="hdhubo", l_h=l_h, **sched)
-        hd = HdConfig(lam=spec.lam, n0=spec.n0, l_h=l_h)
+        beta_sched = BetaSchedule(variant="hdhubo", l_h=spec.l_h, **sched)
+        hd = HdConfig(lam=spec.lam, n0=spec.n0, l_h=spec.l_h)
     else:
         beta_sched = BetaSchedule(variant="hubo", a=ispace.a, b=ispace.b, alpha=spec.alpha, **sched)
         hd = None
@@ -304,18 +313,13 @@ def _build(spec: ExperimentSpec, algorithm: str, repeat: int) -> tuple:
         hd=hd,
         kernel_family=spec.kernel_family,
     )
-    return obj, ispace, cfg
+    return obj, functools.partial(run, obj, cfg)
 
 
 def _build_and_run(spec: ExperimentSpec, algorithm: str, repeat: int) -> RunTrace:
-    """Run one (algorithm, repeat) pair and fill regret columns."""
-    obj, ispace, cfg = _build(spec, algorithm, repeat)
-    if cfg is None:
-        T = spec.n_init + spec.budget_T
-        trace = random_search(obj, ispace.c_min, ispace.c_max, T, spec.seed + repeat)
-    else:
-        trace = run(obj, cfg)
-    return compute_regret(trace, obj)
+    """Run one (algorithm, repeat) pair in this process and fill regret columns."""
+    obj, start = _build(spec, algorithm, repeat)
+    return compute_regret(start(), obj)
 
 
 def _cell(value) -> str:
@@ -358,7 +362,7 @@ def _task_meta(task: tuple[ExperimentSpec, str, int]) -> dict:
 
 
 def _failed(meta: dict, exc: BaseException) -> dict:
-    meta.update(status="error", error=f"{type(exc).__name__}: {exc}", file=None)
+    meta.update(status="error", error=f"{type(exc).__name__}: {exc}")
     return meta
 
 
@@ -374,36 +378,14 @@ def _run_task(task: tuple[ExperimentSpec, str, int]) -> dict:
         trace = _build_and_run(spec, algorithm, repeat)
         write_trace_csv(os.path.join(spec.out_dir, meta["file"]), trace)
         if trace.incomplete:
-            meta["status"] = "incomplete"
-            meta["error"] = trace.error
+            meta.update(status="incomplete", error=trace.error)
         else:
-            meta["columns"] = {
-                "t": [rec.t for rec in trace.records],
-                "best_y": [rec.best_y for rec in trace.records],
-                "log_dist": [rec.log_dist for rec in trace.records],
-            }
+            meta["columns"] = {column: [getattr(rec, column) for rec in trace.records]
+                               for column in ("t", "best_y", "log_dist")}
     except Exception as exc:  # a failed run must not sink the others
         _failed(meta, exc)
     meta["duration_s"] = round(time.perf_counter() - started, 3)
     return meta
-
-
-def _run_pool(tasks: list, workers: int) -> list[dict]:
-    """Run the tasks in a process pool of at most one worker per task.
-
-    A worker process that dies breaks the pool: every task it had not
-    finished is recorded as an error, and the finished ones keep their
-    results.
-    """
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        futures = [pool.submit(_run_task, task) for task in tasks]
-        metas = []
-        for task, future in zip(tasks, futures):
-            try:
-                metas.append(future.result())
-            except BrokenProcessPool as exc:
-                metas.append(_failed(_task_meta(task), exc))
-    return metas
 
 
 def _summarize(run_metas: list[dict]) -> list[dict]:
@@ -439,21 +421,29 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute the whole experiment and write all output files.
 
     Returns the manifest (also written as manifest.json): resolved config,
-    file list, and per-run status.  Failed runs, including runs lost with a
-    killed worker process, are recorded and skipped by the summaries; the
-    remaining runs still complete.  An out_dir that cannot be created is a
-    ConfigError, raised before any run starts.
+    file list, and per-run status.  Every run executes in a pool of `workers`
+    processes.  Failed runs, killed ones included, leave no trace CSV and are
+    skipped by the summaries; the others still complete.  An out_dir that
+    cannot be created is a ConfigError, raised before any run starts.
     """
     try:
         os.makedirs(spec.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create out_dir {spec.out_dir}: {exc}") from exc
     tasks = [(spec, algo, repeat) for algo in spec.algorithms for repeat in range(spec.repeats)]
-    if spec.workers > 1:
-        metas = _run_pool(tasks, spec.workers)
-    else:
-        metas = [_run_task(task) for task in tasks]
-
+    with ProcessPoolExecutor(max_workers=min(spec.workers, len(tasks))) as pool:
+        futures = [pool.submit(_run_task, task) for task in tasks]
+        metas = []
+        for task, future in zip(tasks, futures):
+            try:
+                metas.append(future.result())
+            except BrokenProcessPool as exc:
+                metas.append(_failed(_task_meta(task), exc))
+    for meta in metas:  # the pool has stopped, so no worker is still writing
+        if meta["status"] == "error":  # its CSV may be partial, or whole but unreported
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(spec.out_dir, meta["file"]))
+            meta["file"] = None
     files = [m["file"] for m in metas if m["file"]]
     for algorithm in spec.algorithms:
         ok = [m for m in metas if m["algorithm"] == algorithm and m["status"] == "ok"]

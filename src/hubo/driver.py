@@ -212,13 +212,26 @@ def observe(
     return True
 
 
+def _design(obj: Objective, lower, upper, seed: int, steps, side: float):
+    """Observe one uniform draw from [lower, upper] per entry t of `steps`, as
+    step t, until an observation fails.  The points come from the seed's design
+    stream; returns the trace and the noise stream, which a BO run goes on using."""
+    rng_noise = np.random.default_rng([seed, _STREAM_NOISE])
+    X = np.random.default_rng([seed, _STREAM_INIT]).uniform(lower, upper, (len(steps), obj.dim))
+    trace = RunTrace()
+    for t, x in zip(steps, X):
+        if not observe(obj, x.copy(), rng_noise, trace, t, side):
+            break
+    return trace, rng_noise
+
+
 def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
     """Uniform random baseline: T draws from the box [lower, upper].
 
-    The trace has one record per draw (t = 1..T) and uses the same per-seed
-    noise and point streams as a BO run, so baselines pair with runs.  As in
-    a BO run, an objective that raises or returns a non-finite value ends the
-    trace early with incomplete=True and an `error` naming t.
+    The trace has one record per draw (t = 1..T).  A BO run draws and observes
+    its initial design by the same function, so baselines pair with runs.  As
+    in a BO run, an objective that raises or returns a non-finite value ends
+    the trace early with incomplete=True and an `error` naming t.
     """
     count("T", T, 1)
     count("seed", seed, 0)
@@ -226,15 +239,7 @@ def random_search(obj: Objective, lower, upper, T: int, seed: int) -> RunTrace:
     if not np.all(upper >= lower):
         raise ValueError(f"need upper >= lower, got lower={lower}, upper={upper}")
     side = real("upper - lower", np.max(upper - lower))
-    rng_points = np.random.default_rng([seed, _STREAM_INIT])
-    rng_noise = np.random.default_rng([seed, _STREAM_NOISE])
-
-    trace = RunTrace()
-    X = rng_points.uniform(lower, upper, size=(T, obj.dim))
-    for t in range(1, T + 1):
-        if not observe(obj, X[t - 1].copy(), rng_noise, trace, t, side):
-            break
-    return trace
+    return _design(obj, lower, upper, seed, range(1, T + 1), side)[0]
 
 
 def run(obj: Objective, cfg: RunConfig) -> RunTrace:
@@ -251,20 +256,16 @@ def run(obj: Objective, cfg: RunConfig) -> RunTrace:
         raise ValueError(
             f"expansion dim {cfg.expansion.dim} != objective dim {d}"
         )
-    rng_noise = np.random.default_rng([cfg.seed, _STREAM_NOISE])
-    rng_init = np.random.default_rng([cfg.seed, _STREAM_INIT])
     rng_cubes = None
     if cfg.algorithm == "hdhubo":
         # SeedSequence pads short entropy with zeros, so the trailing 0 only
         # shows for run seeds >= 2**64; it keeps their cube draws unchanged
         rng_cubes = np.random.default_rng([cfg.seed, _STREAM_CUBES, 0])
 
-    trace = RunTrace()
     box = initial_box(cfg.expansion)
-    init_points = rng_init.uniform(box.lower, box.upper, size=(cfg.n_init, d))
-    for x in init_points:
-        if not observe(obj, x.copy(), rng_noise, trace, 0, box.side):
-            return trace
+    trace, rng_noise = _design(obj, box.lower, box.upper, cfg.seed, [0] * cfg.n_init, box.side)
+    if trace.incomplete:
+        return trace
 
     for t in range(1, cfg.budget_T + 1):
         records = trace.records

@@ -120,7 +120,7 @@ def test_resolve_spec_materializes_defaults():
     assert spec.budget_T == 60
     assert spec.repeats == 15
     assert spec.n_init == 3  # max(3, d+1) with d=2
-    assert spec.l_h is None  # resolved per-run from the initial side
+    assert spec.l_h == 0.1 * (0.2 * 9.0)  # 10% of X0's side: fraction 0.2 of Beale's 9
     assert spec.kernel_family == "se"
     assert spec.workers == 1
 
@@ -131,8 +131,8 @@ def test_each_config_key_is_one_experiment_spec_field():
             for f in fields(cli.ExperimentSpec) if f.metadata]
     assert keys == [
         ("benchmark", ""), ("dim", ""), ("algorithms", "hubo"), ("alpha", "-1"),
-        ("lambda", "1.0"), ("n0", "1"), ("l_h", ""), ("delta", "0.1"), ("s1", "1.0"),
-        ("s2", "1.0"), ("fraction", "0.2"), ("budget", "30d"), ("repeats", "15"),
+        ("lambda", "1.0"), ("n0", "1"), ("delta", "0.1"), ("s1", "1.0"), ("s2", "1.0"),
+        ("fraction", "0.2"), ("l_h", ""), ("budget", "30d"), ("repeats", "15"),
         ("seed", "0"), ("noise_std", "0"), ("restarts", "20"), ("max_evals", "1000"),
         ("n_init", ""), ("kernel", "se"), ("workers", "1"), ("out_dir", "results"),
     ]
@@ -524,19 +524,17 @@ def test_rerun_is_byte_identical(tmp_path):
     assert blob_a == blob_b
 
 
-def test_worker_pool_matches_serial(tmp_path):
-    serial = fast_spec(tmp_path / "serial", budget=2, algorithms="random")
-    parallel = replace(
-        serial, workers=2, out_dir=str(tmp_path / "parallel" / "out")
-    )
-    run_experiment(serial)
-    run_experiment(parallel)
+def test_pools_of_one_and_two_workers_write_identical_files(tmp_path):
+    one = fast_spec(tmp_path / "one", budget=2, algorithms="random")
+    two = replace(one, workers=2, out_dir=str(tmp_path / "two" / "out"))
+    run_experiment(one)
+    run_experiment(two)
     for name in ("random_r000.csv", "random_r001.csv", "random_summary.csv"):
-        with open(os.path.join(serial.out_dir, name), "rb") as fh:
-            blob_s = fh.read()
-        with open(os.path.join(parallel.out_dir, name), "rb") as fh:
-            blob_p = fh.read()
-        assert blob_s == blob_p
+        with open(os.path.join(one.out_dir, name), "rb") as fh:
+            blob_1 = fh.read()
+        with open(os.path.join(two.out_dir, name), "rb") as fh:
+            blob_2 = fh.read()
+        assert blob_1 == blob_2
 
 
 def test_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
@@ -587,7 +585,9 @@ def test_killed_worker_is_recorded_and_manifest_written(tmp_path, monkeypatch, c
         return real(s, algorithm, repeat)
 
     monkeypatch.setattr(cli, "_build_and_run", killed)
-    spec = fast_spec(tmp_path / "direct", algorithms="random", budget=2, workers=2)
+    # repeat 2 may finish on the other worker before the pool breaks: its CSV
+    # is then on disk, but its result is lost, so it must not stay there
+    spec = fast_spec(tmp_path / "direct", algorithms="random", budget=2, repeats=3, workers=2)
     manifest = run_experiment(spec)
     by_repeat = {r["repeat"]: r for r in manifest["runs"]}
     assert by_repeat[0]["status"] == "ok"
@@ -598,6 +598,7 @@ def test_killed_worker_is_recorded_and_manifest_written(tmp_path, monkeypatch, c
         assert json.load(fh) == manifest
     assert "random_summary.csv" in manifest["files"]
     assert os.path.exists(os.path.join(spec.out_dir, "random_summary.csv"))
+    assert sorted(manifest["files"]) == sorted(os.listdir(spec.out_dir))
 
     out = tmp_path / "main"
     code = cli.main(
@@ -614,6 +615,54 @@ def test_killed_worker_is_recorded_and_manifest_written(tmp_path, monkeypatch, c
     assert code == 3
     assert "BrokenProcessPool" in capsys.readouterr().err
     assert (out / "manifest.json").exists()
+
+
+def test_killed_run_in_a_one_worker_pool_is_recorded(tmp_path):
+    # os._exit would end this process if the run were not in a worker, so
+    # `hubo run` runs in a subprocess of its own
+    out = tmp_path / "out"
+    code = (
+        "import os, sys, time\n"
+        "from hubo import cli\n"
+        "real = cli._build_and_run\n"
+        "def killed(spec, algorithm, repeat):\n"
+        "    if repeat == 1:\n"
+        "        time.sleep(0.5)\n"
+        "        os._exit(1)\n"
+        "    return real(spec, algorithm, repeat)\n"
+        "cli._build_and_run = killed\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    args = ["run", "--set", "benchmark=beale", "--set", "algorithms=random",
+            "--set", "budget=2", "--set", "repeats=2", "--set", "workers=1",
+            "--set", f"out_dir={out}"]
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(_SRC)}, timeout=120)
+    assert done.returncode == 3, done.stderr
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert [(r["repeat"], r["status"]) for r in manifest["runs"]] == [(0, "ok"), (1, "error")]
+    assert manifest["runs"][1]["error"].startswith("BrokenProcessPool")
+    assert sorted(manifest["files"]) == sorted(os.listdir(out))
+
+
+def test_error_run_leaves_no_trace_csv(tmp_path, monkeypatch):
+    # repeat 1 writes its whole CSV, then fails: the run is an error, so its
+    # file must not be left behind unlisted
+    real = cli.write_trace_csv
+
+    def write_then_fail(path, trace):
+        real(path, trace)
+        if path.endswith("_r001.csv"):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_trace_csv", write_then_fail)
+    spec = fast_spec(tmp_path, algorithms="random", budget=2, repeats=3)
+    manifest = run_experiment(spec)
+    assert [(r["status"], r["file"]) for r in manifest["runs"]] == [
+        ("ok", "random_r000.csv"), ("error", None), ("ok", "random_r002.csv")]
+    assert manifest["runs"][1]["error"] == "OSError: disk full"
+    assert not os.path.exists(os.path.join(spec.out_dir, "random_r001.csv"))
+    assert sorted(manifest["files"]) == sorted(os.listdir(spec.out_dir))
 
 
 def test_failed_run_is_recorded_and_others_continue(tmp_path, monkeypatch):

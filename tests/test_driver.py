@@ -285,6 +285,23 @@ def test_noise_stream_changes_observations_not_points_at_init():
         assert rc.y != rn.y
 
 
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2"])
+def test_random_search_over_x0_repeats_the_initial_design(algorithm, noise_std):
+    # a run and random search start through one design function, so a
+    # baseline of n_init draws over X0 observes the run's initial design
+    obj = replace(sphere_2d(), noise_std=noise_std)
+    cfg = small_2d_config(algorithm, budget_T=2, seed=3)
+    x0 = space.initial_box(cfg.expansion)
+    baseline = driver.random_search(obj, x0.lower, x0.upper, cfg.n_init, cfg.seed).records
+    design = run(obj, cfg).records[:cfg.n_init]
+    assert [rec.t for rec in design] == [0] * cfg.n_init
+    for b, r in zip(baseline, design, strict=True):
+        assert np.array_equal(b.x, r.x)
+        assert (b.f, b.y, b.best_y) == (r.f, r.y, r.best_y)
+        assert (r.y != r.f) == (noise_std > 0)
+
+
 def test_objective_failure_marks_trace_incomplete():
     calls = {"n": 0}
 

@@ -1,12 +1,14 @@
 """Source-tree guards: no module defines the same top-level name twice or
 imports a name it never reads, no hubo module imports another's private
-name, and no module imports a layer it must not depend on.
+name, no module imports a layer it must not depend on, and no two random
+streams share a label.
 
 A second top-level `def` or `class` of one name silently replaces the first,
 so every caller in the module runs the later one, whatever its name promises.
 An unused import is a dependency that nothing needs, often what is left of a
 helper that moved.  A `_`-prefixed name is its module's own: a second module
-that needs it needs a public name.
+that needs it needs a public name.  A run's random streams are seeded as
+[run_seed, label, ...], so two streams with one label draw the same numbers.
 """
 
 from __future__ import annotations
@@ -144,3 +146,35 @@ def test_module_does_not_import(module, other, why):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {getattr(node, "module", None)} | {alias.name for alias in node.names}
     assert not imported & {other, f"hubo.{other}"}, f"{module} imports {other}: {why}"
+
+
+def shared_stream_labels(sources: dict[str, str]) -> list[str]:
+    """'label n: module.NAME, ...' for each integer that two module-level
+    `_STREAM_*` names of the given {module: source} share."""
+    owners: dict[int, list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and type(node.value.value) is int):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id.startswith("_STREAM_"):
+                    owners.setdefault(node.value.value, []).append(f"{module}.{target.id}")
+    return [f"label {label}: {', '.join(names)}"
+            for label, names in sorted(owners.items()) if len(names) > 1]
+
+
+def test_shared_stream_labels_finds_a_reused_label():
+    sources = {
+        "a": "_STREAM_X = 0\n_STREAM_Y = 1\nOTHER = 1\n",
+        "b": "_STREAM_Z = 1\n_STREAM_NAME = 'x'\ndef f():\n    _STREAM_W = 0\n",
+    }
+    assert shared_stream_labels(sources) == ["label 1: a._STREAM_Y, b._STREAM_Z"]
+    assert shared_stream_labels({"a": "_STREAM_X = 0\n", "b": "_STREAM_Y = 2\n"}) == []
+
+
+def test_no_two_random_streams_share_a_label():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "hubo").glob("*.py"))}
+    assert "_STREAM_NOISE" in sources["driver"] and "_STREAM_PLACEMENT" in sources["benchmarks"]
+    assert shared_stream_labels(sources) == []
