@@ -109,8 +109,10 @@ def _key_value(text: str, expected: str) -> tuple[str, str]:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat key=value file; comment lines and blank lines are skipped."""
+    """Read a flat key=value file; comment lines and blank lines are skipped.
+    A key set on two lines is a ConfigError; only --set overrides a value."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -120,6 +122,9 @@ def parse_config_file(path: str) -> dict[str, str]:
         line = raw_line.strip()
         if line and not line.startswith("#"):
             key, value = _key_value(line, f"{path}:{lineno}: expected key=value")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: {key} is already set on line {first_line[key]}")
+            first_line[key] = lineno
             out[key] = value
     return out
 

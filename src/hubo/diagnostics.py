@@ -147,13 +147,14 @@ def _check_reachability(lines: list[str]) -> None:
     t_cert = reachability_horizon_bound(far[0], far[1], cfg)
     need = coverage_need(far[0], far[1], cfg)
     required = need / (0.5 * (cfg.b - cfg.a)) - 1.0
-    certified = math.log(t_cert + 1.0) >= required
+    lower = series.partial_sum_lower_bound(cfg.alpha, t_cert)
+    certified = lower >= required
     simulated = reachability_horizon(far[0], far[1], cfg, limit=10**6)
     lines.append(
         f"{'PASS' if certified and simulated is None else 'FAIL'} reachability "
         f"closed form target=[{far[0]}, {far[1]}]^2 alpha=-1: certified "
         f"T0<={t_cert:.3e}, containment guaranteed by the partial-sum lower "
-        f"bound ln(T0+1)={math.log(t_cert + 1.0):.3f} >= required sum "
+        f"bound ln(T0+1)={lower:.3f} >= required sum "
         f"{required:.3f}; simulation within 1e6 steps correctly returns None"
     )
 

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -88,15 +89,29 @@ def test_file_and_set_strip_comments_by_one_rule(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert cli.main(["run", "--set", "out_dir=/tmp/run#1", "--set", "budget=7 # note"]) == 2
     assert seen == [{"out_dir": "/tmp/run#1", "budget": "7"}] * 2
+    # and a run writes into the directory whose name keeps the '#'
+    monkeypatch.undo()
+    by_file, by_set = tmp_path / "hash#file", tmp_path / "hash#set"
+    cfg.write_text("benchmark = beale\nalgorithms = random # no fit\nbudget = 1\n"
+                   f"repeats = 1\nout_dir = {by_file}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert cli.main(["run", "--set", "benchmark=beale", "--set", "algorithms=random",
+                     "--set", "budget=1", "--set", "repeats=1", "--set", f"out_dir={by_set}"]) == 0
+    for out_dir in (by_file, by_set):
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["out_dir"] == str(out_dir)
 
 
 def test_config_file_with_utf8_bom_resolves_like_one_without(tmp_path):
-    text = "benchmark = beale\nbudget = 7\n"
+    out_dir = tmp_path / "out"
+    text = f"benchmark = beale\nalgorithms = random\nbudget = 1\nrepeats = 1\nout_dir = {out_dir}\n"
     plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
     plain.write_bytes(text.encode("utf-8"))
     bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert parse_config_file(str(bom)) == parse_config_file(str(plain))
     assert resolve_spec(parse_config_file(str(bom))) == resolve_spec(parse_config_file(str(plain)))
+    assert cli.main(["run", "--config", str(bom)]) == 0
+    assert (out_dir / "manifest.json").exists()
 
 
 def test_parse_config_file_missing(tmp_path):
@@ -359,8 +374,8 @@ def test_experiment_writes_expected_files(experiment):
         ]
     ) + ["manifest.json"]
     assert manifest["files"] == expected
-    for name in expected:
-        assert os.path.exists(os.path.join(spec.out_dir, name))
+    # the directory holds exactly the listed files
+    assert sorted(os.listdir(spec.out_dir)) == sorted(manifest["files"])
 
 
 def test_manifest_echoes_full_config(experiment):
@@ -381,6 +396,7 @@ def test_manifest_echoes_full_config(experiment):
     assert cfg["delta"] == 0.1
     assert cfg["budget_T"] == 3
     assert cfg["n_init"] == 3
+    assert cfg["l_h"] == 0.1 * (0.2 * 9.0)  # the defaulted cube side, as its value
     for run in manifest["runs"]:
         assert run["status"] == "ok"
         assert run["seed"] == cfg["seed"] + run["repeat"]
@@ -484,6 +500,19 @@ def test_log_distance_file_matches_summary(experiment):
         assert srow[5] == lrow[2]
 
 
+def test_reused_out_dir_keeps_the_files_a_rerun_does_not_write(tmp_path):
+    # the manifest lists only its own run's files; hubo run deletes nothing
+    # but an error run's own trace name, so a file it does not write stays
+    first = fast_spec(tmp_path, algorithms="random", budget=2, repeats=3)
+    run_experiment(first)
+    stale = Path(first.out_dir) / "random_r002.csv"
+    blob = stale.read_bytes()
+    manifest = run_experiment(replace(first, repeats=2))
+    assert manifest["files"] == ["random_log_distance.csv", "random_r000.csv", "random_r001.csv",
+                                 "random_summary.csv", "manifest.json"]
+    assert stale.read_bytes() == blob
+
+
 def test_single_repeat_has_zero_stderr(tmp_path):
     spec = fast_spec(tmp_path, repeats=1, algorithms="random", budget=5)
     run_experiment(spec)
@@ -524,17 +553,28 @@ def test_rerun_is_byte_identical(tmp_path):
     assert blob_a == blob_b
 
 
+def _manifest_without_workers(out_dir):
+    """The manifest in out_dir less what may differ across `workers`: the
+    worker count, out_dir and the runs' durations."""
+    manifest = json.loads((Path(out_dir) / "manifest.json").read_text(encoding="utf-8"))
+    for key in ("workers", "out_dir"):
+        del manifest["config"][key]
+    for entry in manifest["runs"]:
+        del entry["duration_s"]
+    return manifest
+
+
 def test_pools_of_one_and_two_workers_write_identical_files(tmp_path):
-    one = fast_spec(tmp_path / "one", budget=2, algorithms="random")
+    one = fast_spec(tmp_path / "one", budget=2, algorithms="hubo,hdhubo,vol2,random")
     two = replace(one, workers=2, out_dir=str(tmp_path / "two" / "out"))
     run_experiment(one)
     run_experiment(two)
-    for name in ("random_r000.csv", "random_r001.csv", "random_summary.csv"):
-        with open(os.path.join(one.out_dir, name), "rb") as fh:
-            blob_1 = fh.read()
-        with open(os.path.join(two.out_dir, name), "rb") as fh:
-            blob_2 = fh.read()
-        assert blob_1 == blob_2
+    manifest = _manifest_without_workers(one.out_dir)
+    assert manifest == _manifest_without_workers(two.out_dir)
+    csvs = [name for name in manifest["files"] if name.endswith(".csv")]
+    assert len(csvs) == 16  # 8 traces, 4 summaries and 4 log-distance files
+    for name in csvs:
+        assert (Path(one.out_dir) / name).read_bytes() == (Path(two.out_dir) / name).read_bytes()
 
 
 def test_pool_has_at_most_one_worker_per_task(tmp_path, monkeypatch):
@@ -997,13 +1037,35 @@ def test_main_config_error_exit_two(tmp_path, capsys):
     assert cli.main(["run", *bad_seed, "--set", f"out_dir={tmp_path}"]) == 2
 
 
+# (config file text or None, --set items, the config error's message);
+# {path} stands for the config file's path
+_MAIN_CONFIG_ERRORS = [
+    # an s1 that makes beta_t's tail the root of a negative number
+    (None, ["benchmark=beale", "s1=0.01", "delta=0.5"], "s1 must be > delta / (4 * dim), got 0.01"),
+    (None, ["benchmark=beale", "kernel=rbf"], "kernel must be one of ('se', 'matern52'), got 'rbf'"),
+    (None, ["benchmark=ackley"], "dim is required for benchmark 'ackley'"),
+    (None, ["benchmark=beale", "fraction=1e-300"],
+     "fraction 1e-300 gives C_initial no width at its center"),
+    (None, ["benchmark=beale", "lambda=40"],
+     "lambda must keep N_T * dim <= 16777216 at budget_T=60, got 40.0"),
+    ("benchmark = beale\nbudget 5\n", [], "{path}:2: expected key=value, got 'budget 5'"),
+    ("benchmark = beale\nbudget = 3\n# again\nbudget = 1\n", [],
+     "{path}:4: budget is already set on line 2"),
+]
+
+
 def test_main_s1_that_beta_rejects_is_config_error(tmp_path, capsys):
-    # rejected before any run starts, as BetaSchedule would reject it in each run
-    out_dir = tmp_path / "out"
-    tail = ["--set", "benchmark=beale", "--set", "s1=0.01", "--set", "delta=0.5"]
-    assert cli.main(["run", *tail, "--set", f"out_dir={out_dir}"]) == 2
-    assert capsys.readouterr().err == "config error: s1 must be > delta / (4 * dim), got 0.01\n"
-    assert not out_dir.exists()
+    # each is rejected before any run starts and before out_dir is made: exit
+    # 2 and one stderr line, in the config key's own words
+    for i, (text, items, message) in enumerate(_MAIN_CONFIG_ERRORS):
+        path, out_dir = tmp_path / f"case{i}.cfg", tmp_path / f"out{i}"
+        argv = ["run", *(arg for item in items for arg in ("--set", item))]
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+            argv += ["--config", str(path)]
+        assert cli.main([*argv, "--set", f"out_dir={out_dir}"]) == 2, message
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        assert not out_dir.exists(), message
     # hdhubo's k = 6 admits it: 6 * 2 * 0.05 > 0.5 > 4 * 2 * 0.05
     spec = resolve_spec({"benchmark": "beale", "algorithms": "hdhubo", "s1": "0.05",
                          "delta": "0.5"})
@@ -1032,6 +1094,7 @@ def test_main_folds_the_case_of_every_name(tmp_path):
         "beale", "se", ["hubo", "random"]
     )
     assert [run["file"] for run in manifest["runs"]] == ["hubo_r000.csv", "random_r000.csv"]
+    assert (out_dir / "hubo_r000.csv").exists()
 
 
 def test_main_non_utf8_config_file_is_config_error(tmp_path, capsys):
@@ -1066,7 +1129,8 @@ def test_main_set_overrides_config_file(tmp_path):
         [
             "run",
             "--config", str(cfg),
-            "--set", "budget=4",
+            "--set", "budget=3",
+            "--set", "budget=4",  # on the command line, the last one wins
             "--set", f"out_dir={tmp_path / 'o2'}",
         ]
     )
@@ -1074,6 +1138,19 @@ def test_main_set_overrides_config_file(tmp_path):
     with open(tmp_path / "o2" / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     assert manifest["config"]["budget_T"] == 4
+
+
+def test_readme_config_example_runs(tmp_path):
+    # README's experiment.cfg, read through --config under --set overrides
+    readme = (_SRC.parent / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "experiment.cfg"
+    path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", "--config", str(path), "--set", "budget=2", "--set", "repeats=1",
+                     "--set", f"out_dir={out_dir}"])
+    assert code == 0
+    config = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert config["benchmark"] == "ackley"
 
 
 def test_main_partial_failure_exit_three(tmp_path, capsys, monkeypatch):
@@ -1114,9 +1191,12 @@ def test_main_diagnostics_report(tmp_path, capsys):
     report = out_dir / "report.txt"
     assert report.exists()
     content = report.read_text()
-    assert "ALL CHECKS PASSED" in content
+    assert content.splitlines()[-1] == "ALL CHECKS PASSED (15/15 passed)"
     assert "FAIL" not in content.replace("PASS/FAIL", "")
     assert str(report) in capsys.readouterr().out
+    # the report is deterministic: a second run writes the same bytes
+    assert cli.main(["diagnostics", "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "report.txt").read_bytes() == report.read_bytes()
 
 
 def test_diagnostics_report_counts_fail_lines(tmp_path, monkeypatch):
