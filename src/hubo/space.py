@@ -196,10 +196,22 @@ def reachability_horizon(
     C_initial; T0 is the first t whose half-side (b-a)/2 * (1 + sum j^alpha)
     covers the largest per-dimension gap.  Returns None when T0 would exceed
     `limit` (slow alpha near -1 can push T0 beyond anything enumerable; see
-    reachability_horizon_bound for a closed-form certificate instead).
+    reachability_horizon_bound for a closed-form certificate instead).  When
+    the partial sum's closed-form upper bound at `limit` already falls short,
+    it returns None without scanning.
     """
+    limit = count("limit", limit, 1)
     need = coverage_need(a_g, b_g, cfg)
     half_side0 = 0.5 * (cfg.b - cfg.a)
+
+    # The slack covers the scan's rounding, about 2**-53 relative per step,
+    # and the bound's: near alpha = -1, n**(1+alpha) - 1 cancels, an absolute
+    # error of up to ulp(n**(1+alpha)) / (1+alpha).
+    most = series.partial_sum_upper_bound(cfg.alpha, limit)
+    if cfg.alpha > -1.0:
+        most += 2.0**-51 * float(limit) ** (1.0 + cfg.alpha) / (1.0 + cfg.alpha)
+    if half_side0 * (1.0 + most) * (1.0 + (limit + 8) * 2.0**-52) < need:
+        return None
 
     total = 0.0  # sum_{j<=t} j^alpha, one term per step keeps the scan O(t)
     for t in range(1, limit + 1):

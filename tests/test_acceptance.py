@@ -11,13 +11,14 @@ is a contract change, not a test fix.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import time
 
 import numpy as np
 
-from hubo import cli, gp, series, space
+from hubo import gp, series, space
 from hubo.acquisition import BetaSchedule, MaximizerConfig
 from hubo.cli import resolve_spec, run_experiment
 from hubo.cubes import HdConfig, nearest_in_set, num_cubes, sample_cubes
@@ -331,22 +332,33 @@ def test_criterion_07_cube_count_schedule_exact():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_beale_improves_log_distance():
+def _pooled_traces(out_dir, raw: dict[str, str]):
+    """Run the experiment `raw` as `hubo run` does, in a pool of two workers
+    writing into out_dir.  Returns the resolved spec and, per algorithm, each
+    repeat's trace CSV rows as dicts, in repeat order.  The CSVs write floats
+    by repr, so float() of a cell is the traced value exactly."""
+    spec = resolve_spec({**raw, "workers": "2", "out_dir": str(out_dir)})
+    traces = {algorithm: [] for algorithm in spec.algorithms}
+    for entry in run_experiment(spec)["runs"]:  # in (algorithm, repeat) order
+        assert entry["status"] == "ok", entry
+        with open(os.path.join(out_dir, entry["file"]), newline="", encoding="utf-8") as fh:
+            traces[entry["algorithm"]].append(list(csv.DictReader(fh)))
+    return spec, traces
+
+
+def test_criterion_08_beale_improves_log_distance(tmp_path):
     start = time.perf_counter()
-    spec = resolve_spec(
+    spec, traces = _pooled_traces(
+        tmp_path,
         {
             "benchmark": "beale",
             "algorithms": "hubo",
             "budget": "30d",  # T = 60
             "repeats": "15",
-            "out_dir": "unused",
-        }
+        },
     )
-    init_ld, final_ld = [], []
-    for repeat in range(spec.repeats):
-        trace = cli._build_and_run(spec, "hubo", repeat)
-        init_ld.append(trace.records[spec.n_init - 1].log_dist)
-        final_ld.append(trace.records[-1].log_dist)
+    init_ld = [float(rows[spec.n_init - 1]["log_dist"]) for rows in traces["hubo"]]
+    final_ld = [float(rows[-1]["log_dist"]) for rows in traces["hubo"]]
     improvement = float(np.median(init_ld) - np.median(final_ld))
     elapsed = time.perf_counter() - start
     ok = improvement >= 1.0 and elapsed < 180.0
@@ -363,23 +375,22 @@ def test_criterion_08_beale_improves_log_distance():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_09_average_regret_decreases():
+def test_criterion_09_average_regret_decreases(tmp_path):
     start = time.perf_counter()
-    spec = resolve_spec(
+    spec, traces = _pooled_traces(
+        tmp_path,
         {
             "benchmark": "ackley",
             "dim": "2",
             "algorithms": "hubo",
             "budget": "150",
             "repeats": "15",
-            "out_dir": "unused",
-        }
+        },
     )
     wins = 0
-    for repeat in range(spec.repeats):
-        trace = cli._build_and_run(spec, "hubo", repeat)
-        r30 = trace.records[spec.n_init + 30 - 1].R_t / 30.0
-        r150 = trace.records[spec.n_init + 150 - 1].R_t / 150.0
+    for rows in traces["hubo"]:
+        r30 = float(rows[spec.n_init + 30 - 1]["R_t"]) / 30.0
+        r150 = float(rows[spec.n_init + 150 - 1]["R_t"]) / 150.0
         if r150 < r30:
             wins += 1
     elapsed = time.perf_counter() - start
@@ -397,22 +408,20 @@ def test_criterion_09_average_regret_decreases():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_high_dim_beats_random_search():
+def test_criterion_10_high_dim_beats_random_search(tmp_path):
     start = time.perf_counter()
-    spec = resolve_spec(
+    spec, traces = _pooled_traces(
+        tmp_path,
         {
             "benchmark": "ackley",
             "dim": "10",
             "algorithms": "hdhubo,random",
             "budget": "10d",  # T = 100
             "repeats": "10",
-            "out_dir": "unused",
-        }
+        },
     )
-    hd_final, rnd_final = [], []
-    for repeat in range(spec.repeats):
-        hd_final.append(cli._build_and_run(spec, "hdhubo", repeat).records[-1].best_y)
-        rnd_final.append(cli._build_and_run(spec, "random", repeat).records[-1].best_y)
+    hd_final = [float(rows[-1]["best_y"]) for rows in traces["hdhubo"]]
+    rnd_final = [float(rows[-1]["best_y"]) for rows in traces["random"]]
     med_hd = float(np.median(hd_final))
     med_rnd = float(np.median(rnd_final))
     elapsed = time.perf_counter() - start

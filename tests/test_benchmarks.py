@@ -9,8 +9,7 @@ negated classics is 0.
 
 from __future__ import annotations
 
-import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -284,15 +283,6 @@ def test_random_search_single_draw():
     assert not trace.incomplete
 
 
-def test_random_search_deterministic():
-    bench = build("ackley")
-    t1 = random_over_domain(bench, 50, seed=9)
-    t2 = random_over_domain(bench, 50, seed=9)
-    for r1, r2 in zip(t1.records, t2.records):
-        assert np.array_equal(r1.x, r2.x)
-        assert r1.y == r2.y
-
-
 def test_random_search_best_is_running_max():
     bench = build("levy")
     for noise_std in (0.0, 0.5):
@@ -331,47 +321,6 @@ def test_random_search_accepts_rectangular_region():
     trace = random_search(obj, lower, upper, 30, seed=2)
     for rec in trace.records:
         assert np.all(rec.x >= lower) and np.all(rec.x <= upper)
-
-
-def beale_failing_on_call(n: int, fault):
-    """Beale whose n-th call raises (fault is None) or returns `fault`."""
-    bench = build("beale")
-    calls = {"n": 0}
-
-    def fn(x):
-        calls["n"] += 1
-        if calls["n"] == n:
-            if fault is None:
-                raise RuntimeError("boom")
-            return fault
-        return bench.fn(x)
-
-    return replace(bench, fn=fn)
-
-
-@pytest.mark.parametrize("fault", [math.nan, math.inf, -math.inf])
-def test_random_search_non_finite_objective_ends_trace_incomplete(fault):
-    bench = beale_failing_on_call(3, fault)
-    trace = random_over_domain(bench, 10, seed=0)
-    assert trace.incomplete
-    assert trace.error.startswith("evaluate failed at t=3: objective returned f=")
-    assert [rec.t for rec in trace.records] == [1, 2]
-    assert all(math.isfinite(rec.y) for rec in trace.records)
-
-
-def test_random_search_objective_exception_ends_trace_incomplete():
-    bench = beale_failing_on_call(5, None)
-    trace = random_over_domain(bench, 10, seed=0)
-    assert trace.incomplete
-    assert trace.error == "evaluate failed at t=5: RuntimeError: boom"
-    assert [rec.t for rec in trace.records] == [1, 2, 3, 4]
-
-
-def test_random_search_complete_trace_is_not_incomplete():
-    bench = build("beale")
-    trace = random_over_domain(bench, 10, seed=0)
-    assert not trace.incomplete
-    assert trace.error is None
 
 
 def test_random_search_rejects_bad_budget():

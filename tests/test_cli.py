@@ -541,18 +541,6 @@ def test_log_distance_of_two_digit_gap():
 # ---------------------------------------------------------------------------
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    spec_a = fast_spec(tmp_path / "a", budget=2, repeats=1, algorithms="hubo")
-    spec_b = fast_spec(tmp_path / "b", budget=2, repeats=1, algorithms="hubo")
-    run_experiment(spec_a)
-    run_experiment(spec_b)
-    with open(os.path.join(spec_a.out_dir, "hubo_r000.csv"), "rb") as fh:
-        blob_a = fh.read()
-    with open(os.path.join(spec_b.out_dir, "hubo_r000.csv"), "rb") as fh:
-        blob_b = fh.read()
-    assert blob_a == blob_b
-
-
 def _manifest_without_workers(out_dir):
     """The manifest in out_dir less what may differ across `workers`: the
     worker count, out_dir and the runs' durations."""
@@ -725,137 +713,32 @@ def test_failed_run_is_recorded_and_others_continue(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(spec.out_dir, "random_summary.csv"))
 
 
-def test_non_finite_objective_writes_partial_csv(tmp_path, monkeypatch, capsys):
-    real = cli.make_benchmark
-
-    def beale_nan_on_fifth_call(name, dim=None):
-        bench = real(name, dim)
-        calls = {"n": 0}
-
-        def fn(x):
-            calls["n"] += 1
-            return math.nan if calls["n"] == 5 else bench.fn(x)
-
-        return replace(bench, fn=fn)
-
-    monkeypatch.setattr(cli, "make_benchmark", beale_nan_on_fifth_call)
-    out = tmp_path / "res"
-    code = cli.main(
-        [
-            "run",
-            "--set", "benchmark=beale",
-            "--set", "algorithms=hubo",
-            "--set", "budget=10",
-            "--set", "repeats=1",
-            "--set", "restarts=5",
-            "--set", "max_evals=100",
-            "--set", f"out_dir={out}",
-        ]
-    )
-    assert code == 3
-    assert "evaluate failed at t=2" in capsys.readouterr().err
-    with open(out / "manifest.json", encoding="utf-8") as fh:
-        (entry,) = json.load(fh)["runs"]
-    assert entry["status"] == "incomplete"
-    assert entry["file"] == "hubo_r000.csv"
-    assert entry["error"].startswith("evaluate failed at t=2: objective returned f=nan")
-    rows = read_csv(out / "hubo_r000.csv")
-    assert [row[0] for row in rows[1:]] == ["0", "0", "0", "1"]
-
-
-def test_maximize_failure_writes_partial_csv(tmp_path, monkeypatch, capsys):
-    # The third PosteriorState factorization, at BO step t = 3, exhausts its jitter.
-    real = gp._chol_with_jitter
-    calls = {"n": 0}
-
-    def chol(K_noisy, signal_variance):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise gp.GpFactorizationError("factorization failed at maximum jitter 1e-05")
-        return real(K_noisy, signal_variance)
-
-    monkeypatch.setattr(gp, "_chol_with_jitter", chol)
-    out = tmp_path / "res"
-    code = cli.main(
-        [
-            "run",
-            "--set", "benchmark=beale",
-            "--set", "algorithms=hubo",
-            "--set", "budget=10",
-            "--set", "repeats=1",
-            "--set", "restarts=5",
-            "--set", "max_evals=100",
-            "--set", f"out_dir={out}",
-        ]
-    )
-    assert code == 3
-    assert "maximize failed at t=3" in capsys.readouterr().err
-    with open(out / "manifest.json", encoding="utf-8") as fh:
-        (entry,) = json.load(fh)["runs"]
-    assert entry["status"] == "incomplete"
-    assert entry["file"] == "hubo_r000.csv"
-    assert entry["error"].startswith("maximize failed at t=3: GpFactorizationError:")
-    rows = read_csv(out / "hubo_r000.csv")
-    assert [row[0] for row in rows[1:]] == ["0", "0", "0", "1", "2"]
-
-
-@pytest.mark.parametrize("fault", ["nan", "raise"])
-def test_failing_objective_writes_partial_random_csv(tmp_path, monkeypatch, capsys, fault):
-    real = cli.make_benchmark
-
-    def beale_failing_on_third_call(name, dim=None):
-        bench = real(name, dim)
-        calls = {"n": 0}
-
-        def fn(x):
-            calls["n"] += 1
-            if calls["n"] == 3:
-                if fault == "raise":
-                    raise RuntimeError("boom")
-                return math.nan
-            return bench.fn(x)
-
-        return replace(bench, fn=fn)
-
-    monkeypatch.setattr(cli, "make_benchmark", beale_failing_on_third_call)
-    out = tmp_path / "res"
-    code = cli.main(
-        [
-            "run",
-            "--set", "benchmark=beale",
-            "--set", "algorithms=random",
-            "--set", "budget=10",
-            "--set", "repeats=1",
-            "--set", f"out_dir={out}",
-        ]
-    )
-    assert code == 3
-    assert "evaluate failed at t=3" in capsys.readouterr().err
-    with open(out / "manifest.json", encoding="utf-8") as fh:
-        (entry,) = json.load(fh)["runs"]
-    assert entry["status"] == "incomplete"
-    assert entry["file"] == "random_r000.csv"
-    expected = "RuntimeError: boom" if fault == "raise" else "objective returned f=nan"
-    assert entry["error"].startswith(f"evaluate failed at t=3: {expected}")
-    rows = read_csv(out / "random_r000.csv")
-    assert [row[0] for row in rows[1:]] == ["1", "2"]
-
-
-# fault -> (algorithm, run status, error prefix).  With n_init = 3, the fifth
-# objective call is BO step t = 2, and the PosteriorState of step t = 3 is
-# the first built on 5 points.
+# case -> (algorithm, fault, run status, error prefix, records kept).  With
+# n_init = 3, the fifth objective call is BO step t = 2, and the
+# PosteriorState of step t = 3 is the first built on 5 points.  Random search
+# draws n_init + budget = 9 points and fits nothing, so its fifth call is
+# draw t = 5.
 _FAULT_CASES = {
-    "raise": ("hubo", "incomplete", "evaluate failed at t=2: RuntimeError: boom"),
-    "nan": ("hubo", "incomplete", "evaluate failed at t=2: objective returned f=nan"),
-    "+inf": ("hubo", "incomplete", "evaluate failed at t=2: objective returned f=inf"),
-    "-inf": ("hubo", "incomplete", "evaluate failed at t=2: objective returned f=-inf"),
-    "x1e200": ("hubo", "incomplete",
-               "fit failed at t=1: GpFactorizationError: target variance is not finite"),
-    "x1e-200": ("hubo", "incomplete",
-                "fit failed at t=1: GpFactorizationError: fitted variances underflow"),
-    "constant": ("hubo", "ok", None),
-    "maximize-hubo": ("hubo", "incomplete", "maximize failed at t=3: GpFactorizationError:"),
-    "maximize-hdhubo": ("hdhubo", "incomplete", "maximize failed at t=3: GpFactorizationError:"),
+    "raise": ("hubo", "raise", "incomplete", "evaluate failed at t=2: RuntimeError: boom", 4),
+    "nan": ("hubo", "nan", "incomplete", "evaluate failed at t=2: objective returned f=nan", 4),
+    "+inf": ("hubo", "+inf", "incomplete", "evaluate failed at t=2: objective returned f=inf", 4),
+    "-inf": ("hubo", "-inf", "incomplete",
+             "evaluate failed at t=2: objective returned f=-inf", 4),
+    "x1e200": ("hubo", "x1e200", "incomplete",
+               "fit failed at t=1: GpFactorizationError: target variance is not finite", 3),
+    "x1e-200": ("hubo", "x1e-200", "incomplete",
+                "fit failed at t=1: GpFactorizationError: fitted variances underflow", 3),
+    "constant": ("hubo", "constant", "ok", None, 3 + 6),
+    "maximize-hubo": ("hubo", "maximize", "incomplete",
+                      "maximize failed at t=3: GpFactorizationError: injected", 5),
+    "maximize-hdhubo": ("hdhubo", "maximize", "incomplete",
+                        "maximize failed at t=3: GpFactorizationError: injected", 5),
+    "maximize-vol2": ("vol2", "maximize", "incomplete",
+                      "maximize failed at t=3: GpFactorizationError: injected", 5),
+    "random-raise": ("random", "raise", "incomplete",
+                     "evaluate failed at t=5: RuntimeError: boom", 4),
+    "random-nan": ("random", "nan", "incomplete",
+                   "evaluate failed at t=5: objective returned f=nan", 4),
 }
 _FIFTH_CALL = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
 _EVERY_CALL = {"x1e200": lambda y: 1e200 * y, "x1e-200": lambda y: 1e-200 * y,
@@ -886,11 +769,12 @@ def _faulty_value(fault, y, n):
     return _EVERY_CALL.get(fault, lambda y: y)(y)
 
 
-@pytest.mark.parametrize("fault", list(_FAULT_CASES))
-def test_fault_matrix_through_hubo_run(tmp_path, monkeypatch, capsys, fault):
+@pytest.mark.parametrize("case", list(_FAULT_CASES))
+def test_fault_matrix_through_hubo_run(tmp_path, monkeypatch, capsys, case):
     # Each built benchmark counts its own calls, so every run sees the same
     # faults whichever worker process runs it.
-    algorithm, status, prefix = _FAULT_CASES[fault]
+    algorithm, fault, status, prefix, kept = _FAULT_CASES[case]
+    steps = list(range(1, kept + 1)) if algorithm == "random" else [0, 0, 0, *range(1, kept - 2)]
     real_make, real_chol = cli.make_benchmark, gp._chol_with_jitter
     beale = real_make("beale")
 
@@ -905,7 +789,7 @@ def test_fault_matrix_through_hubo_run(tmp_path, monkeypatch, capsys, fault):
         return replace(bench, fn=fn)
 
     def chol(K_noisy, signal_variance):
-        if fault.startswith("maximize") and K_noisy.shape[0] == 5:
+        if fault == "maximize" and K_noisy.shape[0] == 5:
             raise gp.GpFactorizationError("injected")
         return real_chol(K_noisy, signal_variance)
 
@@ -940,10 +824,11 @@ def test_fault_matrix_through_hubo_run(tmp_path, monkeypatch, capsys, fault):
             else:
                 assert entry["error"].startswith(prefix)
                 assert prefix in err
+            rows = read_csv(out / entry["file"])
+            assert [int(row[0]) for row in rows[1:]] == steps
             # partial traces carry regret too, read from the rows' f
             _assert_regret_read_from_f(
-                read_csv(out / entry["file"]),
-                lambda x: _faulty_value(fault, beale.eval(x), 0), beale.optimum_value)
+                rows, lambda x: _faulty_value(fault, beale.eval(x), 0), beale.optimum_value)
             del entry["duration_s"]
         csvs = {n: (out / n).read_bytes() for n in manifest["files"] if n.endswith(".csv")}
         outcomes.append((manifest["runs"], manifest["files"], csvs))

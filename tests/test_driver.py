@@ -91,6 +91,15 @@ def sphere_2d() -> Objective:
     )
 
 
+def run_2d(obj: Objective, algorithm: str, budget_T: int, seed: int = 0) -> RunTrace:
+    """A small_2d_config run of `algorithm`; random search draws its
+    n_init + budget_T points from C_initial, as `hubo run` does."""
+    if algorithm == "random":
+        expansion = small_2d_config("hubo", budget_T, seed).expansion
+        return driver.random_search(obj, expansion.c_min, expansion.c_max, 3 + budget_T, seed)
+    return run(obj, small_2d_config(algorithm, budget_T, seed))
+
+
 # ---------------------------------------------------------------------------
 # Objective / RunConfig validation
 # ---------------------------------------------------------------------------
@@ -221,17 +230,17 @@ def test_trace_has_n_init_plus_T_records():
     assert [rec.t for rec in trace.records] == [0, 0, 0, 1, 2, 3, 4]
 
 
-def test_run_is_deterministic():
-    cfg = hubo_config(budget_T=6, seed=123)
-    obj = quadratic_objective()
-    t1 = run(obj, cfg)
-    t2 = run(obj, cfg)
-    assert len(t1.records) == len(t2.records)
-    for r1, r2 in zip(t1.records, t2.records):
-        assert np.array_equal(r1.x, r2.x)
-        assert r1.y == r2.y
-        assert r1.best_y == r2.best_y
-        assert r1.side == r2.side
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2", "random"])
+def test_run_is_deterministic(algorithm):
+    # every record field, the noisy y included, repeats bit for bit
+    obj = replace(sphere_2d(), noise_std=0.1)
+    t1 = run_2d(obj, algorithm, budget_T=6, seed=123)
+    t2 = run_2d(obj, algorithm, budget_T=6, seed=123)
+    assert not t1.incomplete and len(t1.records) == 3 + 6
+    for r1, r2 in zip(t1.records, t2.records, strict=True):
+        assert r1.x.tobytes() == r2.x.tobytes()
+        assert (r1.t, r1.f, r1.y, r1.best_y, r1.side, r1.n_cubes) == (
+            r2.t, r2.f, r2.y, r2.best_y, r2.side, r2.n_cubes)
 
 
 def test_different_seeds_differ():
@@ -302,97 +311,10 @@ def test_random_search_over_x0_repeats_the_initial_design(algorithm, noise_std):
         assert (r.y != r.f) == (noise_std > 0)
 
 
-def test_objective_failure_marks_trace_incomplete():
-    calls = {"n": 0}
-
-    def flaky(x):
-        calls["n"] += 1
-        if calls["n"] > 4:
-            raise RuntimeError("sensor died")
-        return -float(x[0] ** 2)
-
-    obj = Objective(fn=flaky, dim=1)
-    trace = run(obj, hubo_config(budget_T=10))
-    assert trace.incomplete
-    assert trace.error is not None and "sensor died" in trace.error
-    assert trace.error.startswith("evaluate failed at t=2:")
-    assert len(trace.records) == 4  # the 4 successful evaluations
-
-
-def beale_returning(value: float, on_call: int) -> Objective:
-    from hubo.benchmarks import make_benchmark
-
-    bench = make_benchmark("beale")
-    calls = {"n": 0}
-
-    def fn(x):
-        calls["n"] += 1
-        return value if calls["n"] == on_call else bench.eval(x)
-
-    return Objective(fn=fn, dim=2)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_non_finite_objective_marks_trace_incomplete(value):
-    # n_init = 3, so the 5th call is BO step t = 2.
-    trace = run(beale_returning(value, on_call=5), small_2d_config("hubo", budget_T=10))
-    assert trace.incomplete
-    assert len(trace.records) == 4
-    assert trace.error.startswith("evaluate failed at t=2: objective returned f=")
-
-
-def test_fit_failure_marks_trace_incomplete():
-    from hubo.benchmarks import make_benchmark
-
-    bench = make_benchmark("beale")
-    obj = Objective(fn=lambda x: 1e200 * bench.eval(x), dim=2)
-    trace = run(obj, small_2d_config("hubo", budget_T=10))
-    assert trace.incomplete
-    assert len(trace.records) == 3  # the initial design; var(y) overflows at t = 1
-    assert trace.error.startswith("fit failed at t=1: GpFactorizationError:")
-
-
-def test_tiny_scale_fit_failure_marks_trace_incomplete():
-    from hubo.benchmarks import make_benchmark
-
-    bench = make_benchmark("beale")
-    obj = Objective(fn=lambda x: 1e-200 * bench.eval(x), dim=2)
-    trace = run(obj, small_2d_config("hubo", budget_T=10))
-    assert trace.incomplete
-    assert len(trace.records) == 3  # the initial design; the variances underflow at t = 1
-    assert trace.error.startswith("fit failed at t=1: GpFactorizationError: fitted variances underflow")
-
-
-def fail_third_factorization(monkeypatch):
-    """Make the third PosteriorState factorization (BO step t = 3) exhaust its jitter."""
-    real = gp._chol_with_jitter
-    calls = {"n": 0}
-
-    def chol(K_noisy, signal_variance):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise GpFactorizationError("factorization failed at maximum jitter 1e-05")
-        return real(K_noisy, signal_variance)
-
-    monkeypatch.setattr(gp, "_chol_with_jitter", chol)
-
-
-@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo"])
-def test_maximize_failure_marks_trace_incomplete(monkeypatch, algorithm):
-    fail_third_factorization(monkeypatch)
-    trace = run(Objective(fn=lambda x: -float(x @ x), dim=2), small_2d_config(algorithm, 10))
-    assert trace.incomplete
-    assert [rec.t for rec in trace.records] == [0, 0, 0, 1, 2]
-    assert trace.error == (
-        "maximize failed at t=3: GpFactorizationError: "
-        "factorization failed at maximum jitter 1e-05"
-    )
-
-
-# fault -> (error prefix, records kept).  With n_init = 3, the fifth
-# objective call is BO step t = 2, and the PosteriorState of step t = 3 is
-# the first built on 5 points.  The same faults as
-# test_cli.test_fault_matrix_through_hubo_run, through run() directly.
+# fault -> (error prefix, records kept) of a BO run.  With n_init = 3, the
+# fifth objective call is BO step t = 2, and the PosteriorState of step t = 3
+# is the first built on 5 points.  The same faults as
+# test_cli.test_fault_matrix_through_hubo_run, through the library directly.
 _RUN_FAULTS = {
     "raise": ("evaluate failed at t=2: RuntimeError: boom", 4),
     "nan": ("evaluate failed at t=2: objective returned f=nan", 4),
@@ -403,17 +325,29 @@ _RUN_FAULTS = {
     "constant": (None, 3 + 6),
     "maximize": ("maximize failed at t=3: GpFactorizationError: injected", 5),
 }
+# Random search fits nothing, so only the objective's own faults end it: its
+# fifth call is draw t = 5.  Every other fault leaves all 3 + 6 draws.
+_RANDOM_FAULTS = {
+    "raise": ("evaluate failed at t=5: RuntimeError: boom", 4),
+    "nan": ("evaluate failed at t=5: objective returned f=nan", 4),
+    "+inf": ("evaluate failed at t=5: objective returned f=inf", 4),
+    "-inf": ("evaluate failed at t=5: objective returned f=-inf", 4),
+}
 
 
 @pytest.mark.parametrize("fault", list(_RUN_FAULTS))
-@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2"])
+@pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2", "random"])
 def test_fault_matrix_through_run(monkeypatch, algorithm, fault):
     from hubo.benchmarks import make_benchmark
 
-    prefix, kept = _RUN_FAULTS[fault]
+    if algorithm == "random":
+        prefix, kept = _RANDOM_FAULTS.get(fault, (None, 3 + 6))
+        steps = list(range(1, kept + 1))
+    else:
+        prefix, kept = _RUN_FAULTS[fault]
+        steps = [0, 0, 0, *range(1, kept - 2)]
     bench = make_benchmark("beale")
-    cfg = small_2d_config(algorithm, budget_T=6)
-    clean = run(Objective(fn=bench.eval, dim=2), cfg)
+    clean = run_2d(Objective(fn=bench.eval, dim=2), algorithm, budget_T=6)
     calls = {"n": 0}
 
     def fn(x):
@@ -433,8 +367,8 @@ def test_fault_matrix_through_run(monkeypatch, algorithm, fault):
         return real_chol(K_noisy, signal_variance)
 
     monkeypatch.setattr(gp, "_chol_with_jitter", chol)
-    trace = run(Objective(fn=fn, dim=2), cfg)
-    assert len(trace.records) == kept
+    trace = run_2d(Objective(fn=fn, dim=2), algorithm, budget_T=6)
+    assert [rec.t for rec in trace.records] == steps
     if prefix is None:
         assert not trace.incomplete and trace.error is None
     else:
@@ -530,16 +464,6 @@ def test_hdhubo_n_cubes_schedule():
             assert rec.n_cubes == rec.t  # lam=1, n0=1
 
 
-def test_hdhubo_deterministic():
-    cfg = small_2d_config("hdhubo", budget_T=5, seed=77)
-    obj = sphere_2d()
-    t1 = run(obj, cfg)
-    t2 = run(obj, cfg)
-    for r1, r2 in zip(t1.records, t2.records):
-        assert np.array_equal(r1.x, r2.x)
-        assert r1.y == r2.y
-
-
 @pytest.mark.parametrize("seed", [77, 2**64 + 77])
 def test_hdhubo_cube_stream_is_seeded_by_run_seed_2_0(monkeypatch, seed):
     # Every cube center comes from the stream [run seed, 2, 0], in step order.
@@ -601,15 +525,6 @@ def test_vol2_geometric_side_formula():
             assert side0 * 2.0 ** (k / d) == pytest.approx(
                 side0 * (2.0 ** (1.0 / d)) ** k, rel=1e-12
             )
-
-
-def test_vol2_deterministic():
-    cfg = small_2d_config("vol2", budget_T=4, seed=3)
-    obj = sphere_2d()
-    t1 = run(obj, cfg)
-    t2 = run(obj, cfg)
-    for r1, r2 in zip(t1.records, t2.records):
-        assert np.array_equal(r1.x, r2.x)
 
 
 def test_vol2_keeps_center_fixed():
@@ -714,10 +629,7 @@ def counting(obj: Objective) -> tuple[Objective, dict]:
 def test_each_point_is_evaluated_once(algorithm, noise_std):
     # the trace keeps each point's noiseless f, so regret calls fn no more
     obj, calls = counting(replace(sphere_2d(), noise_std=noise_std))
-    if algorithm == "random":
-        trace = driver.random_search(obj, [-3.0, -3.0], [4.0, 4.0], T=8, seed=3)
-    else:
-        trace = run(obj, small_2d_config(algorithm, budget_T=5, seed=3))
+    trace = run_2d(obj, algorithm, budget_T=5, seed=3)
     assert not trace.incomplete
     assert calls["n"] == len(trace.records) == 8
     compute_regret(trace, obj)

@@ -9,6 +9,7 @@ containment property.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -430,6 +431,56 @@ def test_horizon_superlinear_in_target_width():
 
 def test_horizon_respects_limit():
     assert space.reachability_horizon(-2.0, 3.0, unit_cfg(), limit=10) is None
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_horizon_rejects_a_limit_below_one(limit):
+    with pytest.raises(ValueError, match=f"^limit must be >= 1, got {limit}$"):
+        space.reachability_horizon(-2.0, 3.0, unit_cfg(), limit=limit)
+
+
+def plain_scan(a_g, b_g, cfg, limit):
+    """The step-by-step scan alone: the first t <= limit whose worst-case
+    half-side covers the target, or None."""
+    need = space.coverage_need(a_g, b_g, cfg)
+    half_side0 = 0.5 * (cfg.b - cfg.a)
+    total = 0.0
+    for t in range(1, limit + 1):
+        total += float(t) ** cfg.alpha
+        if half_side0 * (1.0 + total) >= need:
+            return t
+    return None
+
+
+@pytest.mark.parametrize("alpha", [-1.0, math.nextafter(-1.0, 0.0), -0.9, -0.5, -0.1])
+def test_horizon_answers_as_the_plain_scan(alpha):
+    # On unit_cfg the target [0.5 - s/2, 0.5 + s/2] needs a partial sum of
+    # about s.  Sums at, around and between the partial sum and its
+    # closed-form upper bound at each limit put the target on both sides of
+    # the early None, and next to the scan's own crossing.  Just above
+    # alpha = -1 the closed form cancels: at limit 2 it reads 1, not 1.69.
+    cfg = unit_cfg(alpha=alpha)
+    limits = (1, 2, 3, 10, 1000, 10**5)
+    sums = [1e3]
+    for limit in limits:
+        low = series.partial_sum(alpha, limit)
+        high = series.partial_sum_upper_bound(alpha, limit)
+        sums += [low * (1 - 1e-12), low, low * (1 + 1e-12), 0.5 * (low + high), high,
+                 high * (1 + 1e-9)]
+    for s in sums:
+        target = (0.5 - 0.5 * s, 0.5 + 0.5 * s)
+        first = plain_scan(*target, cfg, max(limits))
+        for limit in limits:
+            expected = first if first is not None and first <= limit else None
+            assert space.reachability_horizon(*target, cfg, limit=limit) == expected
+
+
+def test_horizon_far_target_at_the_default_limit_is_none_at_once():
+    # At alpha = -1 the half-side reachable in 1e9 steps is at most
+    # 0.5 * (2 + ln 1e9) = 11.36, against a need of 101: no scan is needed.
+    start = time.perf_counter()
+    assert space.reachability_horizon(-100.0, 101.0, unit_cfg()) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_horizon_corner_pinned_containment():
