@@ -20,6 +20,7 @@ __all__ = [
     "partial_sums",
     "partial_sum_lower_bound",
     "partial_sum_upper_bound",
+    "partial_sum_lower_bound_inverse",
     "p_series_bound",
     "gamma_root",
     "nearest_point_decay",
@@ -43,30 +44,47 @@ def partial_sums(alpha: float, n: int) -> np.ndarray:
     return np.cumsum(terms)
 
 
-def partial_sum_lower_bound(alpha: float, n: int) -> float:
-    """Closed-form strict lower bound on partial_sum(alpha, n) for alpha in [-1, 0).
+def _qlog(u: float, x: float) -> float:
+    """ln_u(x) = expm1(u ln x)/u, which does not cancel at small u; ln x at u = 0."""
+    return math.log(x) if u == 0.0 else math.expm1(u * math.log(x)) / u
 
-    ((n+1)^(alpha+1) - 1)/(alpha+1) for -1 < alpha < 0, and ln(n+1) at
-    alpha = -1.
+
+def partial_sum_lower_bound(alpha: float, n: int) -> float:
+    """Strict lower bound ln_u(n+1) = ((n+1)^u - 1)/u on partial_sum(alpha, n),
+    u = alpha + 1 (ln(n+1) at alpha = -1).
+
+    For alpha in (-1e-9, 0) the sum's rounding can pass its distance to the
+    bounds: the computed sum meets this one and the upper one within a
+    relative (n + 8)*2**-52.
     """
     alpha = real("alpha", alpha, -1.0, 0.0, "[)")
-    n = count("n", n, 1)
-    if alpha == -1.0:
-        return math.log(n + 1)
-    return ((n + 1.0) ** (alpha + 1.0) - 1.0) / (alpha + 1.0)
+    return _qlog(alpha + 1.0, float(count("n", n, 1) + 1))
 
 
 def partial_sum_upper_bound(alpha: float, n: int) -> float:
-    """Closed-form upper bound on partial_sum(alpha, n) for alpha in [-1, 0).
+    """Upper bound 1 + ln_u(n) on partial_sum(alpha, n), u = alpha + 1: strict
+    for n >= 2, equal to the sum at n = 1 (see partial_sum_lower_bound)."""
+    alpha = real("alpha", alpha, -1.0, 0.0, "[)")
+    return 1.0 + _qlog(alpha + 1.0, float(count("n", n, 1)))
 
-    1 + (n^(1+alpha) - 1)/(1+alpha) for -1 < alpha < 0, and 1 + ln(n) at
-    alpha = -1.  Strict for n >= 2; equal to the sum at n = 1.
+
+def partial_sum_lower_bound_inverse(alpha: float, total: float) -> int:
+    """Smallest n >= 1 with partial_sum_lower_bound(alpha, n) >= total >= 0.
+
+    n + 1 = exp(log1p(u*total)/u) in closed form, checked after rounding by
+    steps of 1, or of n >> 52 above 2**52, where a float cannot tell n from
+    n + 1.  Raises OverflowError when n passes the float range.
     """
     alpha = real("alpha", alpha, -1.0, 0.0, "[)")
-    n = count("n", n, 1)
-    if alpha == -1.0:
-        return 1.0 + math.log(n)
-    return 1.0 + (float(n) ** (1.0 + alpha) - 1.0) / (1.0 + alpha)
+    u, total = alpha + 1.0, real("total", total, 0.0)
+    log_x = total if u == 0.0 else math.log1p(u * total) / u
+    n = max(1, math.ceil(math.exp(log_x) - 1.0))
+    step = max(1, n >> 52)
+    while n > step and partial_sum_lower_bound(alpha, n - step) >= total:
+        n -= step
+    while partial_sum_lower_bound(alpha, n) < total:
+        n += step
+    return n
 
 
 def p_series_bound(p_exponent: float) -> float:
@@ -86,17 +104,14 @@ def gamma_root(d: int) -> float:
 
 
 def nearest_point_decay(alpha: float, lam: float, dim: int, t: float) -> float:
-    """Decay factor of the sampled-cover nearest-distance bound.
+    """Decay factor (2 + ln_u t) * t**(-lam/dim), u = alpha + 1, of the
+    sampled-cover nearest-distance bound.
 
-    (2 + ln t) * t**(-lam/dim) when alpha == -1, else
-    2/(alpha+1) * t**(-lam/dim).  Tends to 0 as t grows whenever
-    lam > dim*(alpha+1).
+    2 + ln_u t bounds the side's growth 1 + partial_sum(alpha, t) at integer
+    t.  The factor tends to 0 as t grows iff lam > dim*(alpha+1).
     """
     alpha = real("alpha", alpha, -1.0, 0.0, "[)")
     lam = real("lam", lam, 0.0)
     dim = count("dim", dim, 1)
     t = real("t", t, 1.0)
-    power = t ** (-lam / dim)
-    if alpha == -1.0:
-        return (2.0 + math.log(t)) * power
-    return 2.0 / (alpha + 1.0) * power
+    return (2.0 + _qlog(alpha + 1.0, t)) * t ** (-lam / dim)

@@ -11,7 +11,6 @@ horizon diagnostic all live here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,12 +203,8 @@ def reachability_horizon(
     need = coverage_need(a_g, b_g, cfg)
     half_side0 = 0.5 * (cfg.b - cfg.a)
 
-    # The slack covers the scan's rounding, about 2**-53 relative per step,
-    # and the bound's: near alpha = -1, n**(1+alpha) - 1 cancels, an absolute
-    # error of up to ulp(n**(1+alpha)) / (1+alpha).
+    # The slack covers the scan's rounding, about 2**-53 relative per step.
     most = series.partial_sum_upper_bound(cfg.alpha, limit)
-    if cfg.alpha > -1.0:
-        most += 2.0**-51 * float(limit) ** (1.0 + cfg.alpha) / (1.0 + cfg.alpha)
     if half_side0 * (1.0 + most) * (1.0 + (limit + 8) * 2.0**-52) < need:
         return None
 
@@ -224,24 +219,14 @@ def reachability_horizon(
 def reachability_horizon_bound(a_g: float, b_g: float, cfg: ExpansionConfig) -> int:
     """Closed-form upper bound on reachability_horizon, never enumerating t.
 
-    Uses the integral lower bound on the partial sum (sum_{j<=t} j^alpha >=
-    ln(t+1) for alpha = -1, else ((t+1)^(a+1) - 1)/(a+1)), so containment at
-    the returned t is certified even when the true horizon is astronomically
-    large.  Result is exact up to the slack of that lower bound.
+    The smallest t whose partial-sum lower bound (series.partial_sum_lower_bound)
+    reaches the sum the target needs, so containment at the returned t is
+    certified even when the true horizon is astronomically large.  Raises
+    OverflowError when that t passes the float range.
     """
     need = coverage_need(a_g, b_g, cfg)
     half_side0 = 0.5 * (cfg.b - cfg.a)
     required_sum = need / half_side0 - 1.0
     if required_sum <= 1.0:
         return 1  # the first expansion already contributes 1**alpha = 1
-    if cfg.alpha == -1.0:
-        t = math.exp(required_sum) - 1.0
-    else:
-        power = required_sum * (cfg.alpha + 1.0) + 1.0
-        t = power ** (1.0 / (cfg.alpha + 1.0)) - 1.0
-    if not math.isfinite(t):
-        raise OverflowError(
-            f"certified horizon exceeds float range (needs partial sum "
-            f">= {required_sum:.6g})"
-        )
-    return max(1, math.ceil(t))
+    return series.partial_sum_lower_bound_inverse(cfg.alpha, required_sum)

@@ -14,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubo import driver, gp, space
 from hubo.acquisition import BetaSchedule, MaximizerConfig
+from hubo.benchmarks import make_benchmark
 from hubo.cubes import HdConfig
 from hubo.driver import (
     IterationRecord,
@@ -159,8 +162,6 @@ def test_nan_settings_are_rejected(build, message):
 
 
 def test_objective_from_benchmark_copies_metadata():
-    from hubo.benchmarks import make_benchmark
-
     bench = make_benchmark("beale")
     obj = Objective.from_benchmark(bench, noise_std=0.2)
     assert obj.dim == 2
@@ -241,6 +242,23 @@ def test_run_is_deterministic(algorithm):
         assert r1.x.tobytes() == r2.x.tobytes()
         assert (r1.t, r1.f, r1.y, r1.best_y, r1.side, r1.n_cubes) == (
             r2.t, r2.f, r2.y, r2.best_y, r2.side, r2.n_cubes)
+
+
+@settings(max_examples=18, deadline=None, derandomize=True)
+@given(algorithm=st.sampled_from(["hubo", "hdhubo", "vol2"]), k=st.sampled_from([-30, 7, 200]),
+       noise_std=st.sampled_from([0.0, 0.05]))
+def test_run_is_exactly_scale_symmetric(algorithm, k, noise_std):
+    # f and noise_std times 2**k is exact in float64: the run evaluates the
+    # same points bit for bit, and every f, y and best_y is 2**k times its own
+    scale = 2.0**k
+    beale = make_benchmark("beale")
+    t1 = run_2d(Objective(fn=beale.eval, dim=2, noise_std=noise_std), algorithm, budget_T=8)
+    t2 = run_2d(Objective(fn=lambda x: scale * beale.eval(x), dim=2, noise_std=scale * noise_std),
+                algorithm, budget_T=8)
+    assert not t1.incomplete and not t2.incomplete
+    for r1, r2 in zip(t1.records, t2.records, strict=True):
+        assert r1.x.tobytes() == r2.x.tobytes()
+        assert (scale * r1.f, scale * r1.y, scale * r1.best_y) == (r2.f, r2.y, r2.best_y)
 
 
 def test_different_seeds_differ():
@@ -338,8 +356,6 @@ _RANDOM_FAULTS = {
 @pytest.mark.parametrize("fault", list(_RUN_FAULTS))
 @pytest.mark.parametrize("algorithm", ["hubo", "hdhubo", "vol2", "random"])
 def test_fault_matrix_through_run(monkeypatch, algorithm, fault):
-    from hubo.benchmarks import make_benchmark
-
     if algorithm == "random":
         prefix, kept = _RANDOM_FAULTS.get(fault, (None, 3 + 6))
         steps = list(range(1, kept + 1))

@@ -11,8 +11,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hubo import series
+from hubo import series, space
+
+# alpha in [-1, 0), its edges first: -1 itself, the next float above it,
+# just above -1, the edge of the strict regime below, and the float next to 0
+ALPHAS = st.one_of(
+    st.sampled_from([-1.0, math.nextafter(-1.0, 0.0), -1.0 + 1e-12, -1e-9, -5e-324]),
+    st.floats(-1.0, 0.0, exclude_max=True),
+)
+
+
+def rounding_allowance(alpha: float, n: int) -> float:
+    """Relative allowance of a bound comparison at n: none for alpha <= -1e-9;
+    closer to 0 each term rounds to nearly 1, so the computed sum meets the
+    bounds within its own rounding, (n + 8)*2**-52 as in the horizon scan."""
+    return 0.0 if alpha <= -1e-9 else (n + 8) * 2.0**-52
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +145,86 @@ def test_sandwich_strict_moderate_sweep():
         assert np.all(sums < upper)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alpha=ALPHAS, n=st.integers(1, 10**5))
+def test_sandwich_holds_on_all_of_the_range(alpha, n):
+    # strict below the sum, and above it from n = 2 on (equal at n = 1)
+    total = series.partial_sum(alpha, n)
+    lower = series.partial_sum_lower_bound(alpha, n)
+    upper = series.partial_sum_upper_bound(alpha, n)
+    slack = 1.0 + rounding_allowance(alpha, n)
+    if slack == 1.0:
+        assert lower < total <= upper
+        assert n == 1 or total < upper
+    else:
+        assert lower <= total * slack and total <= upper * slack
+
+
+# ---------------------------------------------------------------------------
+# partial_sum_lower_bound_inverse
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(alpha=ALPHAS, total=st.floats(0.0, 800.0))
+def test_lower_bound_inverse_is_the_smallest_n(alpha, total):
+    try:
+        n = series.partial_sum_lower_bound_inverse(alpha, total)
+    except OverflowError:
+        return
+    step = max(1, n >> 52)
+    assert series.partial_sum_lower_bound(alpha, n) >= total
+    assert n == 1 or series.partial_sum_lower_bound(alpha, n - step) < total
+
+
+def test_lower_bound_inverse_values():
+    assert series.partial_sum_lower_bound_inverse(-1.0, 0.5) == 1
+    # ln(n + 1) >= 5 first at n = 148 (e**5 = 148.41)
+    assert series.partial_sum_lower_bound_inverse(-1.0, 5.0) == 148
+    # 2*(sqrt(n + 1) - 1) >= 2 first at n = 3
+    assert series.partial_sum_lower_bound_inverse(-0.5, 2.0) == 3
+    # beyond 2**52 it steps by n >> 52: ln(n + 1) >= 201 near e**201
+    n = series.partial_sum_lower_bound_inverse(-1.0, 201.0)
+    assert n == pytest.approx(math.exp(201.0), rel=1e-12)
+
+
+def test_lower_bound_inverse_overflow_and_validation():
+    with pytest.raises(OverflowError):
+        series.partial_sum_lower_bound_inverse(-1.0, 710.0)
+    with pytest.raises(OverflowError):
+        series.partial_sum_lower_bound_inverse(-0.5, 1e300)
+    with pytest.raises(ValueError):
+        series.partial_sum_lower_bound_inverse(0.0, 2.0)
+    with pytest.raises(ValueError, match="total must be >= 0"):
+        series.partial_sum_lower_bound_inverse(-1.0, -1.0)
+    with pytest.raises(ValueError, match="total must be finite"):
+        series.partial_sum_lower_bound_inverse(-1.0, math.inf)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alpha=ALPHAS, n=st.integers(1, 10**5), share=st.floats(0.0, 1.0))
+def test_horizon_bound_certifies_on_all_of_the_range(alpha, n, share):
+    # On a = 0, b = 1, C_initial = [0, 1] the target [-w, 1 + w] needs a
+    # partial sum of 1 + 2w; a sum up to the lower bound at n keeps the bound
+    # near n, where the scan can check it.
+    cfg = space.ExpansionConfig(a=0.0, b=1.0, alpha=alpha, c_min=0.0, c_max=1.0, dim=1)
+    w = 0.5 * share * max(series.partial_sum_lower_bound(alpha, n) - 1.0, 0.0)
+    a_g, b_g = -w, 1.0 + w
+    bound = space.reachability_horizon_bound(a_g, b_g, cfg)
+    slack = 1.0 + rounding_allowance(alpha, bound)
+    scan = space.reachability_horizon(a_g, b_g, cfg, limit=bound + 1)
+    assert scan is not None and scan <= (bound if slack == 1.0 else bound + 1)
+    # the worst-case box at the bound, centred on either end of C_initial,
+    # covers the need; space.coverage_need rounds c0 - a_g, so the box's
+    # edges meet the target's within a few ulps of the need
+    half = 0.5 * (1.0 + series.partial_sum(alpha, bound)) * slack
+    need = space.coverage_need(a_g, b_g, cfg)
+    assert half >= need
+    for corner in (cfg.c_min, cfg.c_max):
+        assert corner - half <= a_g + 2.0**-51 * need
+        assert corner + half >= b_g - 2.0**-51 * need
+
+
 # ---------------------------------------------------------------------------
 # p_series_bound
 # ---------------------------------------------------------------------------
@@ -190,8 +286,19 @@ def test_nearest_point_decay_log_regime():
 
 
 def test_nearest_point_decay_power_regime():
-    # alpha=-1/2, lam=0: 2/(alpha+1) * t^0 = 4 for any t.
-    assert series.nearest_point_decay(-0.5, 0.0, 3, 100) == pytest.approx(4.0)
+    # alpha=-1/2, lam=0: 2 + ln_{1/2}(100) = 2 + (sqrt(100) - 1)/(1/2) = 20.
+    assert series.nearest_point_decay(-0.5, 0.0, 3, 100) == pytest.approx(20.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alpha=ALPHAS, lam=st.floats(0.0, 3.0), dim=st.integers(1, 5),
+       t=st.integers(1, 10**4))
+def test_nearest_point_decay_dominates_the_side_ratio(alpha, lam, dim, t):
+    # (2 + ln_u t) * t^(-lam/d) >= side_length(t)/(b-a) * t^(-lam/d)
+    cfg = space.ExpansionConfig(a=0.0, b=1.0, alpha=alpha, c_min=0.0, c_max=1.0, dim=dim)
+    ratio = space.side_length(t, cfg) / (cfg.b - cfg.a) * t ** (-lam / dim)
+    slack = 1.0 + rounding_allowance(alpha, t)
+    assert series.nearest_point_decay(alpha, lam, dim, t) * slack >= ratio
 
 
 def test_nearest_point_decay_frozen_reference():

@@ -1,6 +1,6 @@
 """Source-tree guards: no module defines the same top-level name twice or
-imports a name it never reads, no hubo module imports another's private
-name, no module imports a layer it must not depend on, and no two random
+imports a name it never reads, no hubo module imports or reads another's
+private name, no module imports a layer it must not depend on, and no two random
 streams share a label.
 
 A second top-level `def` or `class` of one name silently replaces the first,
@@ -109,6 +109,29 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def private_attribute_reads(source: str) -> list[str]:
+    """'module._name: line n' for each `_`-prefixed attribute read or set on a
+    hubo module bound by `from . import m`, `from hubo import m` or `import
+    hubo.m`.
+
+    Dunder names are not private.
+    """
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in {(1, None), (0, "hubo")}:
+            modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "hubo"}
+    found = sorted(
+        (node.lineno, node.col_offset, ast.unparse(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.startswith("__") and ast.unparse(node.value) in modules
+    )
+    return [f"{name}: line {line}" for line, _, name in found]
+
+
 def test_private_imports_finds_a_private_name():
     source = (
         "from __future__ import annotations\n"
@@ -118,12 +141,27 @@ def test_private_imports_finds_a_private_name():
     assert private_imports(source) == ["_x: line 2", "_gp: line 3", "_y: line 4"]
 
 
+def test_private_attribute_reads_finds_a_module_attribute():
+    source = (
+        "from . import series, space as sp\nimport hubo.gp\nimport hubo.cubes as hc\n"
+        "from hubo import driver\nimport numpy as np\n"
+        "a = series._qlog(1.0, 2.0)\nb = sp._x + hubo.gp._y\nc = hc._z\n"
+        "d = driver.__doc__, np._w, self._v, series.partial_sum\ndriver._t = 1\n"
+    )
+    assert private_attribute_reads(source) == [
+        "series._qlog: line 6", "sp._x: line 7", "hubo.gp._y: line 7", "hc._z: line 8",
+        "driver._t: line 10",
+    ]
+
+
 def test_no_hubo_module_imports_a_private_name():
-    # tests and bench/ may reach into a module; the package itself may not
+    # tests and bench/ may reach into a module; the package itself may not,
+    # by import or by attribute
     found = {
         path.name: private
         for path in sorted((ROOT / "src" / "hubo").glob("*.py"))
-        if (private := private_imports(path.read_text(encoding="utf-8")))
+        if (private := private_imports(source := path.read_text(encoding="utf-8"))
+            + private_attribute_reads(source))
     }
     assert not found, found
 

@@ -457,8 +457,7 @@ def test_horizon_answers_as_the_plain_scan(alpha):
     # On unit_cfg the target [0.5 - s/2, 0.5 + s/2] needs a partial sum of
     # about s.  Sums at, around and between the partial sum and its
     # closed-form upper bound at each limit put the target on both sides of
-    # the early None, and next to the scan's own crossing.  Just above
-    # alpha = -1 the closed form cancels: at limit 2 it reads 1, not 1.69.
+    # the early None, and next to the scan's own crossing.
     cfg = unit_cfg(alpha=alpha)
     limits = (1, 2, 3, 10, 1000, 10**5)
     sums = [1e3]
@@ -523,6 +522,15 @@ def test_horizon_bound_certifies_containment():
         )
         for corner in (c_min, c_max):
             assert corner - half <= a_g and corner + half >= b_g
+
+
+@pytest.mark.parametrize("alpha", [math.nextafter(-1.0, 0.0), -1.0 + 1e-15, -1.0 + 1e-13])
+def test_horizon_bound_just_above_minus_one(alpha):
+    # the harmonic instance's certificate, ln(t + 1) >= 5 at t = 148, holds
+    # as alpha leaves -1; the scan's horizon is 83
+    cfg = unit_cfg(alpha=alpha)
+    assert space.reachability_horizon(-2.0, 3.0, cfg) == 83
+    assert space.reachability_horizon_bound(-2.0, 3.0, cfg) == 148
 
 
 def test_horizon_bound_trivial_case():
